@@ -19,7 +19,6 @@
 #include "net/stats.hpp"
 #include "runtime/socket_smr.hpp"
 #include "runtime/threaded_smr_cluster.hpp"
-#include "smr/client.hpp"
 #include "smr/service.hpp"
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
@@ -333,7 +332,7 @@ void wall_clock_pipeline_sweep() {
         net::PayloadStats::alloc_bytes() - alloc_bytes_before);
   }
   std::printf("(same engine code as E8g, hosted on OS threads via "
-              "engine::ThreadedHost; depth > 1 overlaps real message "
+              "engine::LoopHost; depth > 1 overlaps real message "
               "round-trips instead of simulated ones)\n");
 }
 
@@ -1022,46 +1021,36 @@ void client_latency() {
               "n = 4, f = t = 1 ===\n");
   std::printf("%-8s %-16s %-16s %-16s\n", "batch", "min (delta)",
               "median (delta)", "max (delta)");
+  constexpr std::size_t kPuts = 40;
   for (std::uint32_t batch : {1u, 8u}) {
-    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-    runtime::ClusterOptions options;
-    options.cfg = cfg;
-    options.net.delta = 100;
-    options.net.min_delay = 100;
+    ServiceConfig config;
+    config.with_cluster(4, 1, 1).with_batch(batch).with_window(kPuts);
+    config.sim_net.delta = 100;
+    config.sim_net.min_delay = 100;
+    auto service = make_sim_service(config);
+    sim::Scheduler& sched = service->sim_network()->scheduler();
+    service->start();
 
-    std::vector<SmrNode*> nodes(4, nullptr);
-    SmrOptions smr_options;
-    smr_options.max_batch = batch;
-    smr_options.target_commands = 40;
-    std::unique_ptr<Client> client;
-    options.node_factory = [&](const runtime::ProcessContext& ctx,
-                               const runtime::NodeOptions&,
-                               runtime::Node::DecideCallback) {
-      if (!client) client = std::make_unique<Client>(1, cfg.f, *ctx.scheduler);
-      auto node = std::make_unique<SmrNode>(ctx, smr_options,
-                                            client->subscription());
-      nodes[ctx.id] = node.get();
-      return node;
-    };
-    runtime::Cluster cluster(options,
-                             std::vector<Value>(4, Value::of_string("-")));
-    cluster.start();
-    cluster.scheduler().schedule_at(0, [&] {
-      for (int i = 0; i < 40; ++i) {
-        client->submit(*nodes[0], Command::put("k" + std::to_string(i), "v"));
-      }
-    });
-    cluster.run_until(1'000'000);
-
-    auto stats = client->latency_stats();
-    if (!stats || !client->all_complete()) {
+    std::vector<Duration> latencies;
+    for (std::size_t i = 0; i < kPuts; ++i) {
+      service->session(0)
+          .put("k" + std::to_string(i), "v")
+          .on_ready([&latencies, &sched, at = sched.now()](const Reply&) {
+            latencies.push_back(sched.now() - at);
+          });
+    }
+    const bool done = service->run_until(
+        [&] { return latencies.size() == kPuts; },
+        std::chrono::milliseconds(1000));
+    if (!done) {
       std::printf("%-8u (incomplete)\n", batch);
       continue;
     }
+    std::sort(latencies.begin(), latencies.end());
     std::printf("%-8u %-16.1f %-16.1f %-16.1f\n", batch,
-                static_cast<double>(stats->min) / 100.0,
-                static_cast<double>(stats->median) / 100.0,
-                static_cast<double>(stats->max) / 100.0);
+                static_cast<double>(latencies.front()) / 100.0,
+                static_cast<double>(latencies[kPuts / 2]) / 100.0,
+                static_cast<double>(latencies.back()) / 100.0);
   }
   std::printf("(a command waits for its slot: small batches mean long "
               "queues — the latency/throughput trade-off)\n");

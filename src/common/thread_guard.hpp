@@ -12,8 +12,8 @@
 ///
 /// Large parts of this codebase rely on a single-threaded-replica
 /// discipline: every protocol object, timer queue and stats writer is
-/// touched by exactly one thread (the simulator's main thread, a
-/// ThreadedNetwork delivery thread, or a SocketNetwork epoll loop). Until
+/// touched by exactly one thread (the simulator's main thread or a
+/// net::EventLoop thread under either wall-clock transport). Until
 /// PR 10 that discipline was documented and spot-asserted; ThreadGuard
 /// turns it into a checked contract wherever a struct embeds one.
 ///

@@ -10,8 +10,8 @@
 /// timers: the engine (SlotMux, TimerWheel, per-slot synchronizers) talks
 /// only to this interface, so the identical engine code runs on the
 /// deterministic simulator (SimHost, ticks = scheduler ticks) and on real
-/// OS threads over wall-clock time (ThreadedHost, ticks = microseconds of
-/// a steady clock).
+/// OS threads over wall-clock time (LoopHost, ticks = microseconds of a
+/// steady clock).
 ///
 /// Single-threaded-executor guarantee: every callback a Host runs — timer
 /// callbacks, deferred closures, and (by construction of the surrounding
@@ -49,7 +49,7 @@ class Host : public sim::TimerService {
   /// on schedule/cancel, SlotMux/AdaptiveController single-writer stats —
   /// extending the transport's arm/cancel affinity asserts to mutations
   /// that never reach the transport. Single-threaded hosts are always ok;
-  /// threaded hosts delegate to the network's common::ThreadGuard, which
+  /// LoopHost delegates to its event loop's common::ThreadGuard, which
   /// reports permissively when invariant checking is compiled out.
   virtual bool affinity_ok() const { return true; }
 };

@@ -24,7 +24,7 @@
 /// The engine is host-agnostic: it runs against the engine::Host seam
 /// (clock + timers + single-threaded executor), so the identical code
 /// drives the deterministic simulator (SimHost) and real OS threads over
-/// wall-clock time (ThreadedHost + runtime::ThreadedSmrCluster).
+/// wall-clock time (LoopHost + runtime::ThreadedSmrCluster).
 ///
 /// Responsibilities:
 ///  * window management — slot s starts as soon as s < next_apply +

@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <unistd.h>
@@ -21,8 +20,8 @@ namespace fastbft::net {
 namespace {
 
 // epoll_event.data.u64 layout: kind(high 16) | gen(16) | index(32).
-enum : std::uint64_t { kTagWake = 0, kTagListen = 1, kTagLink = 2,
-                       kTagPending = 3 };
+// Kind 0 is never used, so no tag collides with EventLoop::kWakeTag.
+enum : std::uint64_t { kTagListen = 1, kTagLink = 2, kTagPending = 3 };
 
 std::uint64_t make_tag(std::uint64_t kind, std::uint16_t gen,
                        std::uint32_t index) {
@@ -57,7 +56,7 @@ std::uint32_t SocketEndpoint::cluster_size() const { return net_.size(); }
 SocketNetwork::SocketNetwork(SocketNetworkConfig config)
     : config_(std::move(config)),
       handlers_(config_.peers.size()),
-      loops_(config_.peers.size()),
+      locals_(config_.peers.size()),
       listen_ports_(config_.peers.size(), 0) {
   FASTBFT_ASSERT(config_.cluster_size <= config_.peers.size(),
                  "peers table must cover the replica cluster");
@@ -81,19 +80,18 @@ void SocketNetwork::attach(ProcessId id, ReceiveHandler handler) {
   FASTBFT_ASSERT(id < total_size(), "attach: id out of range");
   FASTBFT_ASSERT(!started_, "attach before start()");
   handlers_[id] = std::move(handler);
-  if (!loops_[id]) {
-    auto loop = std::make_unique<Loop>();
-    loop->id = id;
-    loop->links.reserve(total_size());
+  if (!locals_[id]) {
+    auto local = std::make_unique<Local>(*this, id);
+    local->links.reserve(total_size());
     for (ProcessId peer = 0; peer < total_size(); ++peer) {
       auto link = std::make_unique<Link>(config_.max_frame_bytes);
       link->dialer = is_dialer(config_, id, peer);
       link->policy = LinkPolicy(
           config_.link,
           (static_cast<std::uint64_t>(id) << 32) | (peer + 1));
-      loop->links.push_back(std::move(link));
+      local->links.push_back(std::move(link));
     }
-    loops_[id] = std::move(loop);
+    locals_[id] = std::move(local);
   }
 }
 
@@ -102,106 +100,74 @@ std::unique_ptr<SocketEndpoint> SocketNetwork::endpoint(ProcessId id) {
   return std::make_unique<SocketEndpoint>(*this, id);
 }
 
-SocketNetwork::Loop* SocketNetwork::loop_of(ProcessId id) const {
-  FASTBFT_ASSERT(id < loops_.size() && loops_[id],
+SocketNetwork::Local& SocketNetwork::local_of(ProcessId id) const {
+  FASTBFT_ASSERT(id < locals_.size() && locals_[id],
                  "id is not a local endpoint");
-  return loops_[id].get();
+  return *locals_[id];
 }
 
 void SocketNetwork::start() {
   FASTBFT_ASSERT(!started_, "already started");
   started_ = true;
-  for (auto& loop_ptr : loops_) {
-    if (!loop_ptr) continue;
-    Loop& loop = *loop_ptr;
-    loop.epoll_fd = ::epoll_create1(0);
-    FASTBFT_ASSERT(loop.epoll_fd >= 0, "epoll_create1 failed");
-    loop.wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    FASTBFT_ASSERT(loop.wake_fd >= 0, "eventfd failed");
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = make_tag(kTagWake, 0, 0);
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.wake_fd, &ev);
-
-    const SocketPeer& self_addr = config_.peers[loop.id];
+  for (auto& local_ptr : locals_) {
+    if (!local_ptr) continue;
+    Local& local = *local_ptr;
+    const SocketPeer& self_addr = config_.peers[local.id];
     if (self_addr.listens()) {
       if (self_addr.adopted_listen_fd >= 0) {
-        loop.listen_fd = self_addr.adopted_listen_fd;
+        local.listen_fd = self_addr.adopted_listen_fd;
       } else {
-        loop.listen_fd = make_tcp_socket();
-        FASTBFT_ASSERT(loop.listen_fd >= 0, "listen socket failed");
+        local.listen_fd = make_tcp_socket();
+        FASTBFT_ASSERT(local.listen_fd >= 0, "listen socket failed");
         int one = 1;
-        ::setsockopt(loop.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
+        ::setsockopt(local.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one,
                      sizeof(one));
         sockaddr_in addr;
         FASTBFT_ASSERT(make_addr(self_addr.host, self_addr.port, addr),
                        "bad listen address");
-        FASTBFT_ASSERT(::bind(loop.listen_fd,
+        FASTBFT_ASSERT(::bind(local.listen_fd,
                               reinterpret_cast<sockaddr*>(&addr),
                               sizeof(addr)) == 0,
                        "bind failed");
-        FASTBFT_ASSERT(::listen(loop.listen_fd, 128) == 0, "listen failed");
+        FASTBFT_ASSERT(::listen(local.listen_fd, 128) == 0, "listen failed");
       }
       sockaddr_in bound;
       socklen_t len = sizeof(bound);
-      if (::getsockname(loop.listen_fd,
+      if (::getsockname(local.listen_fd,
                         reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-        listen_ports_[loop.id] = ntohs(bound.sin_port);
+        listen_ports_[local.id] = ntohs(bound.sin_port);
       }
       epoll_event lev{};
       lev.events = EPOLLIN;
       lev.data.u64 = make_tag(kTagListen, 0, 0);
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, loop.listen_fd, &lev);
+      ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_ADD, local.listen_fd,
+                  &lev);
     }
   }
-  for (auto& loop_ptr : loops_) {
-    if (!loop_ptr) continue;
-    threads_.emplace_back([this, loop = loop_ptr.get()] { run_loop(*loop); });
+  for (auto& local : locals_) {
+    if (local) local->loop.start();
   }
 }
 
 void SocketNetwork::stop() {
-  if (!started_ || stopped_.load()) {
-    stopped_.store(true);
-    return;
-  }
-  stopping_.store(true);
-  for (auto& loop_ptr : loops_) {
-    if (loop_ptr) wake(*loop_ptr);
-  }
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
-  for (auto& loop_ptr : loops_) {
-    if (!loop_ptr) continue;
-    Loop& loop = *loop_ptr;
-    // The loop thread is joined: ownership of loop state returns to the
-    // thread tearing the network down.
-    loop.guard.unbind();
-    for (auto& link : loop.links) {
+  if (!started_ || stopped_) return;
+  stopped_ = true;
+  for (auto& local_ptr : locals_) {
+    if (!local_ptr) continue;
+    Local& local = *local_ptr;
+    // Joined: the sockets belong to the thread tearing the network down.
+    local.loop.stop();
+    for (auto& link : local.links) {
       if (link->fd >= 0) ::close(link->fd);
       link->fd = -1;
     }
-    for (auto& p : loop.pendings) {
+    for (auto& p : local.pendings) {
       if (p && p->fd >= 0) ::close(p->fd);
     }
-    loop.pendings.clear();
-    if (loop.listen_fd >= 0) ::close(loop.listen_fd);
-    loop.listen_fd = -1;
-    if (loop.wake_fd >= 0) ::close(loop.wake_fd);
-    loop.wake_fd = -1;
-    if (loop.epoll_fd >= 0) ::close(loop.epoll_fd);
-    loop.epoll_fd = -1;
-    loop.timers.clear();
+    local.pendings.clear();
+    if (local.listen_fd >= 0) ::close(local.listen_fd);
+    local.listen_fd = -1;
   }
-  stopped_.store(true);
-}
-
-TimePoint SocketNetwork::now_ticks() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               epoch_)
-      .count();
 }
 
 std::uint16_t SocketNetwork::listen_port(ProcessId id) const {
@@ -209,57 +175,40 @@ std::uint16_t SocketNetwork::listen_port(ProcessId id) const {
   return listen_ports_[id];
 }
 
-void SocketNetwork::wake(Loop& loop) {
-  if (loop.wake_fd < 0) return;
-  std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t r = ::write(loop.wake_fd, &one, sizeof(one));
-}
-
-void SocketNetwork::post(ProcessId id, std::function<void()> fn) {
-  Loop* loop = loop_of(id);
-  {
-    std::lock_guard<std::mutex> lk(loop->task_mutex);
-    loop->tasks.push_back(std::move(fn));
-    loop->has_tasks.store(true, std::memory_order_release);
-  }
-  wake(*loop);
-}
-
 void SocketNetwork::send(ProcessId from, ProcessId to, SharedBytes payload) {
   FASTBFT_ASSERT(from < total_size() && to < total_size(),
                  "send: id out of range");
-  if (to < loops_.size() && loops_[to]) {
+  if (to < locals_.size() && locals_[to]) {
     // Both endpoints live in this process: deliver through the target
     // loop's task queue — no socket, no copy, and the same deferred
     // (non-reentrant) semantics as a ThreadedNetwork self-send.
-    post(to, [this, from, to, payload = std::move(payload)] {
+    locals_[to]->loop.post([this, from, to, payload = std::move(payload)] {
       if (!handlers_[to]) return;
       delivered_.fetch_add(1, std::memory_order_relaxed);
       handlers_[to](from, payload);
     });
     return;
   }
-  Loop* loop = loop_of(from);
-  if (std::this_thread::get_id() == loop->owner.load()) {
-    send_on_loop(*loop, to, std::move(payload));
+  Local& local = local_of(from);
+  if (local.loop.on_loop_thread()) {
+    send_on_loop(local, to, std::move(payload));
   } else {
-    post(from, [this, loop, to, payload = std::move(payload)]() mutable {
-      send_on_loop(*loop, to, std::move(payload));
-    });
+    local.loop.post(
+        [this, &local, to, payload = std::move(payload)]() mutable {
+          send_on_loop(local, to, std::move(payload));
+        });
   }
 }
 
-void SocketNetwork::send_on_loop(Loop& loop, ProcessId to,
+void SocketNetwork::send_on_loop(Local& local, ProcessId to,
                                  SharedBytes payload) {
-  loop.guard.check("send_on_loop: loop state is loop-thread-only");
-  Link& link = *loop.links[to];
-  enqueue_frame(loop, link, to, std::move(payload), /*heartbeat=*/false);
+  FASTBFT_DASSERT(local.loop.affinity_ok(),
+                  "send_on_loop: loop state is loop-thread-only");
+  enqueue_frame(*local.links[to], std::move(payload), /*heartbeat=*/false);
 }
 
-void SocketNetwork::enqueue_frame(Loop& loop, Link& link, ProcessId peer,
-                                  SharedBytes payload, bool heartbeat) {
-  (void)loop;
-  (void)peer;
+void SocketNetwork::enqueue_frame(Link& link, SharedBytes payload,
+                                  bool heartbeat) {
   if (payload.size() > config_.max_frame_bytes ||
       link.sendq.size() >= config_.max_queued_frames) {
     link.stats.bump(link.stats.frames_dropped);
@@ -270,56 +219,42 @@ void SocketNetwork::enqueue_frame(Loop& loop, Link& link, ProcessId peer,
                       entry.header);
   entry.payload = std::move(payload);
   if (config_.tx_delay_us > 0) {
-    entry.ready_at = now_ticks() + config_.tx_delay_us;
+    entry.ready_at = EventLoop::now() + config_.tx_delay_us;
   }
   link.sendq.push_back(std::move(entry));
   link.stats.high_water(link.sendq.size());
   if (heartbeat) link.stats.bump(link.stats.heartbeats_out);
 }
 
-// --- Timers (same-thread contract, mirrors ThreadedNetwork) -----------------
+// --- Event-loop backend ------------------------------------------------------
 
-void SocketNetwork::assert_timer_owner(const Loop& loop) const {
-  // Guard is unbound before run_loop starts and after stop() joins, so
-  // setup/teardown-thread arms stay legal, exactly as on ThreadedNetwork.
-  loop.guard.check(
-      "timers must be armed/cancelled on the owning loop thread");
-}
-
-SocketNetwork::TimerKey SocketNetwork::arm_timer(ProcessId id,
-                                                 TimePoint at_ticks,
-                                                 std::function<void()> fn) {
-  Loop* loop = loop_of(id);
-  assert_timer_owner(*loop);
-  TimerKey key{at_ticks, loop->next_timer_seq++};
-  loop->timers.emplace(key, std::move(fn));
-  return key;
-}
-
-void SocketNetwork::cancel_timer(ProcessId id, TimerKey key) {
-  Loop* loop = loop_of(id);
-  assert_timer_owner(*loop);
-  loop->timers.erase(key);
-}
-
-// --- Readiness loop ----------------------------------------------------------
-
-void SocketNetwork::run_loop(Loop& loop) {
-  loop.owner.store(std::this_thread::get_id());
-  loop.guard.bind();
-  while (!stopping_.load(std::memory_order_acquire)) {
-    loop_round(loop);
+void SocketNetwork::Local::service(TimePoint now) {
+  net.service_links(*this, now);
+  // Write coalescing: everything the tasks, deliveries and timers since
+  // the last flush queued goes out in as few writev calls as possible.
+  for (ProcessId peer = 0; peer < links.size(); ++peer) {
+    Link& link = *links[peer];
+    if (link.state == LinkState::Ready && !link.sendq.empty() &&
+        !link.want_writable) {
+      net.flush_link(*this, link, peer);
+    }
   }
 }
 
-TimePoint SocketNetwork::next_deadline(Loop& loop, TimePoint now) const {
+TimePoint SocketNetwork::Local::next_deadline(TimePoint now) {
+  return net.next_deadline(*this, now);
+}
+
+void SocketNetwork::Local::on_io(std::uint64_t tag, std::uint32_t events) {
+  net.on_io(*this, tag, events);
+}
+
+TimePoint SocketNetwork::next_deadline(const Local& local,
+                                       TimePoint now) const {
   TimePoint dl = now + 100'000;  // 100 ms cap: nothing sleeps longer
-  if (!loop.timers.empty()) {
-    dl = std::min(dl, loop.timers.begin()->first.first);
-  }
   const Duration hs_timeout = config_.link.heartbeat_timeout_us;
-  for (ProcessId peer = 0; peer < loop.links.size(); ++peer) {
-    const Link& link = *loop.links[peer];
+  for (const auto& link_ptr : local.links) {
+    const Link& link = *link_ptr;
     switch (link.state) {
       case LinkState::Idle:
         if (link.dialer) dl = std::min(dl, link.policy.retry_at());
@@ -330,7 +265,7 @@ TimePoint SocketNetwork::next_deadline(Loop& loop, TimePoint now) const {
       case LinkState::Ready:
         dl = std::min(dl, link.policy.next_established_deadline());
         // Held tx_delay frames must wake the loop when they come due —
-        // the end-of-round flush won't run again until epoll returns.
+        // the flush in service() won't run again until the wait returns.
         if (config_.tx_delay_us > 0 && !link.sendq.empty() &&
             !link.want_writable) {
           dl = std::min(dl, link.sendq.front().ready_at);
@@ -338,151 +273,95 @@ TimePoint SocketNetwork::next_deadline(Loop& loop, TimePoint now) const {
         break;
     }
   }
-  for (const auto& p : loop.pendings) {
+  for (const auto& p : local.pendings) {
     if (p && p->fd >= 0) dl = std::min(dl, p->accepted_at + hs_timeout);
   }
   return std::max(dl, now);
 }
 
-void SocketNetwork::drain_tasks(Loop& loop) {
-  if (!loop.has_tasks.load(std::memory_order_acquire)) return;
-  std::deque<std::function<void()>> tasks;
-  {
-    std::lock_guard<std::mutex> lk(loop.task_mutex);
-    tasks.swap(loop.tasks);
-    loop.has_tasks.store(false, std::memory_order_relaxed);
-  }
-  for (auto& fn : tasks) fn();
-}
-
-void SocketNetwork::loop_round(Loop& loop) {
-  TimePoint now = now_ticks();
-  const TimePoint deadline = next_deadline(loop, now);
-  const int timeout_ms = static_cast<int>(
-      std::clamp<TimePoint>((deadline - now + 999) / 1000, 0, 100));
-
-  epoll_event events[64];
-  const int nev = ::epoll_wait(loop.epoll_fd, events, 64, timeout_ms);
-
-  drain_tasks(loop);
-
-  for (int i = 0; i < nev; ++i) {
-    const std::uint64_t tag = events[i].data.u64;
-    const std::uint64_t kind = tag >> 48;
-    const std::uint16_t gen = static_cast<std::uint16_t>(tag >> 32);
-    const std::uint32_t index = static_cast<std::uint32_t>(tag);
-    switch (kind) {
-      case kTagWake: {
-        std::uint64_t count;
-        while (::read(loop.wake_fd, &count, sizeof(count)) > 0) {
-        }
-        // Tasks posted since the last drain run at the next drain point
-        // (after the next delivery, timer, or round start); the eventfd
-        // stays signalled until then, so nothing is lost.
+void SocketNetwork::on_io(Local& local, std::uint64_t tag,
+                          std::uint32_t events) {
+  const std::uint64_t kind = tag >> 48;
+  const std::uint16_t gen = static_cast<std::uint16_t>(tag >> 32);
+  const std::uint32_t index = static_cast<std::uint32_t>(tag);
+  switch (kind) {
+    case kTagListen:
+      accept_ready(local);
+      break;
+    case kTagLink: {
+      Link& link = *local.links[index];
+      if (link.gen != gen || link.fd < 0) break;  // stale event
+      if (link.state == LinkState::Connecting) {
+        // Any readiness on a connecting fd resolves the attempt.
+        on_connect_writable(local, link, index);
         break;
       }
-      case kTagListen:
-        accept_ready(loop);
-        break;
-      case kTagLink: {
-        Link& link = *loop.links[index];
-        if (link.gen != gen || link.fd < 0) break;  // stale event
-        if (link.state == LinkState::Connecting) {
-          // Any readiness on a connecting fd resolves the attempt.
-          on_connect_writable(loop, link, index);
-          break;
-        }
-        // Drain readable bytes BEFORE acting on ERR/HUP so a peer's last
-        // frames ahead of a close are still delivered.
-        if ((events[i].events & EPOLLIN) != 0) {
-          link_readable(loop, link, index);
-        }
-        if (link.gen != gen || link.fd < 0) break;  // went down while reading
-        if ((events[i].events & EPOLLOUT) != 0) {
-          link.want_writable = false;
-          update_epoll(loop, link, index);
-          flush_link(loop, link, index);
-        }
-        if (link.gen != gen || link.fd < 0) break;
-        if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-          link_down(loop, link, index, link.state == LinkState::Ready);
-        }
-        break;
+      // Drain readable bytes BEFORE acting on ERR/HUP so a peer's last
+      // frames ahead of a close are still delivered.
+      if ((events & EPOLLIN) != 0) {
+        link_readable(local, link, index);
       }
-      case kTagPending: {
-        if (index >= loop.pendings.size() || !loop.pendings[index] ||
-            loop.pendings[index]->fd < 0 ||
-            loop.pendings[index]->gen != gen) {
-          break;  // stale event
-        }
-        if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-          drop_pending(loop, index);
-        } else {
-          pending_readable(loop, index);
-        }
-        break;
+      if (link.gen != gen || link.fd < 0) break;  // went down while reading
+      if ((events & EPOLLOUT) != 0) {
+        link.want_writable = false;
+        update_epoll(local, link, index);
+        flush_link(local, link, index);
       }
+      if (link.gen != gen || link.fd < 0) break;
+      if ((events & (EPOLLERR | EPOLLHUP)) != 0) link_down(link);
+      break;
     }
-  }
-
-  now = now_ticks();
-  while (!loop.timers.empty() && loop.timers.begin()->first.first <= now) {
-    auto node = loop.timers.extract(loop.timers.begin());
-    timers_fired_.fetch_add(1, std::memory_order_relaxed);
-    node.mapped()();
-    drain_tasks(loop);  // same FIFO contract as parse_frames
-  }
-
-  service_links(loop, now);
-
-  // Write coalescing: everything the tasks, deliveries and timers above
-  // queued this round goes out in as few writev calls as possible.
-  for (ProcessId peer = 0; peer < loop.links.size(); ++peer) {
-    Link& link = *loop.links[peer];
-    if (link.state == LinkState::Ready && !link.sendq.empty() &&
-        !link.want_writable) {
-      flush_link(loop, link, peer);
+    case kTagPending: {
+      if (index >= local.pendings.size() || !local.pendings[index] ||
+          local.pendings[index]->fd < 0 ||
+          local.pendings[index]->gen != gen) {
+        break;  // stale event
+      }
+      if (events & (EPOLLERR | EPOLLHUP)) {
+        drop_pending(local, index);
+      } else {
+        pending_readable(local, index);
+      }
+      break;
     }
   }
 }
 
-void SocketNetwork::service_links(Loop& loop, TimePoint now) {
+void SocketNetwork::service_links(Local& local, TimePoint now) {
   const Duration hs_timeout = config_.link.heartbeat_timeout_us;
-  for (ProcessId peer = 0; peer < loop.links.size(); ++peer) {
-    Link& link = *loop.links[peer];
+  for (ProcessId peer = 0; peer < local.links.size(); ++peer) {
+    Link& link = *local.links[peer];
     switch (link.state) {
       case LinkState::Idle:
-        if (link.dialer && !stopping_.load() && link.policy.retry_due(now)) {
-          start_connect(loop, link, peer, now);
+        if (link.dialer && link.policy.retry_due(now)) {
+          start_connect(local, link, peer, now);
         }
         break;
       case LinkState::Connecting:
-        if (now - link.connect_started >= hs_timeout) {
-          link_down(loop, link, peer, /*was_ready=*/false);
-        }
+        if (now - link.connect_started >= hs_timeout) link_down(link);
         break;
       case LinkState::Ready:
         if (link.policy.rx_expired(now)) {
           link.stats.bump(link.stats.peer_downs);
-          link_down(loop, link, peer, /*was_ready=*/true);
+          link_down(link);
         } else if (link.policy.heartbeat_due(now)) {
-          enqueue_frame(loop, link, peer, SharedBytes(), /*heartbeat=*/true);
+          enqueue_frame(link, SharedBytes(), /*heartbeat=*/true);
           link.policy.on_tx(now);
         }
         break;
     }
   }
-  for (std::size_t slot = 0; slot < loop.pendings.size(); ++slot) {
-    auto& p = loop.pendings[slot];
+  for (std::size_t slot = 0; slot < local.pendings.size(); ++slot) {
+    auto& p = local.pendings[slot];
     if (p && p->fd >= 0 && now - p->accepted_at >= hs_timeout) {
-      drop_pending(loop, slot);
+      drop_pending(local, slot);
     }
   }
 }
 
 // --- Outbound connections ----------------------------------------------------
 
-void SocketNetwork::start_connect(Loop& loop, Link& link, ProcessId peer,
+void SocketNetwork::start_connect(Local& local, Link& link, ProcessId peer,
                                   TimePoint now) {
   const SocketPeer& addr = config_.peers[peer];
   sockaddr_in sa;
@@ -503,8 +382,8 @@ void SocketNetwork::start_connect(Loop& loop, Link& link, ProcessId peer,
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = make_tag(kTagLink, link.gen, peer);
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
-    established(loop, link, peer);
+    ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_ADD, fd, &ev);
+    established(local, link, peer);
     return;
   }
   if (errno == EINPROGRESS) {
@@ -515,28 +394,28 @@ void SocketNetwork::start_connect(Loop& loop, Link& link, ProcessId peer,
     epoll_event ev{};
     ev.events = EPOLLOUT;
     ev.data.u64 = make_tag(kTagLink, link.gen, peer);
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+    ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_ADD, fd, &ev);
     return;
   }
   ::close(fd);
   link.policy.on_connect_failed(now);
 }
 
-void SocketNetwork::on_connect_writable(Loop& loop, Link& link,
+void SocketNetwork::on_connect_writable(Local& local, Link& link,
                                         ProcessId peer) {
   int err = 0;
   socklen_t len = sizeof(err);
   if (::getsockopt(link.fd, SOL_SOCKET, SO_ERROR, &err, &len) != 0 ||
       err != 0) {
-    link_down(loop, link, peer, /*was_ready=*/false);
+    link_down(link);
     return;
   }
   link.state = LinkState::Ready;  // established() fills in the rest
-  established(loop, link, peer);
+  established(local, link, peer);
 }
 
-void SocketNetwork::established(Loop& loop, Link& link, ProcessId peer) {
-  const TimePoint now = now_ticks();
+void SocketNetwork::established(Local& local, Link& link, ProcessId peer) {
+  const TimePoint now = EventLoop::now();
   link.state = LinkState::Ready;
   link.want_writable = false;
   link.policy.on_established(now);
@@ -550,20 +429,18 @@ void SocketNetwork::established(Loop& loop, Link& link, ProcessId peer) {
     // this connection to a link until it arrives.
     link.peer_identified = false;
     SendEntry hello;
-    Handshake hs{loop.id, config_.cluster_size};
+    Handshake hs{local.id, config_.cluster_size};
     Bytes encoded = hs.encode();
     encode_frame_header(static_cast<std::uint32_t>(encoded.size()),
                         hello.header);
     hello.payload = SharedBytes(std::move(encoded));
     link.sendq.push_front(std::move(hello));
   }
-  update_epoll(loop, link, peer);
-  flush_link(loop, link, peer);
+  update_epoll(local, link, peer);
+  flush_link(local, link, peer);
 }
 
-void SocketNetwork::link_down(Loop& loop, Link& link, ProcessId peer,
-                              bool was_ready) {
-  (void)was_ready;
+void SocketNetwork::link_down(Link& link) {
   if (link.fd >= 0) {
     ::close(link.fd);
     link.fd = -1;
@@ -580,24 +457,22 @@ void SocketNetwork::link_down(Loop& loop, Link& link, ProcessId peer,
     link.sendq.pop_front();
   }
   if (link.dialer) {
-    link.policy.on_connect_failed(now_ticks());
+    link.policy.on_connect_failed(EventLoop::now());
   }
-  (void)loop;
-  (void)peer;
 }
 
 // --- Accept path -------------------------------------------------------------
 
-void SocketNetwork::accept_ready(Loop& loop) {
+void SocketNetwork::accept_ready(Local& local) {
   for (;;) {
-    int fd = ::accept4(loop.listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
+    int fd = ::accept4(local.listen_fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (fd < 0) return;  // EAGAIN or transient error: epoll will re-arm
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
     // Identify ourselves immediately; a fresh socket buffer always has
     // room for the 18-byte hello, so a short write means a broken peer.
-    Handshake hs{loop.id, config_.cluster_size};
+    Handshake hs{local.id, config_.cluster_size};
     const Bytes body = hs.encode();
     FrameHeader hdr;
     encode_frame_header(static_cast<std::uint32_t>(body.size()), hdr);
@@ -610,39 +485,39 @@ void SocketNetwork::accept_ready(Loop& loop) {
     }
 
     std::size_t slot = 0;
-    while (slot < loop.pendings.size() && loop.pendings[slot] &&
-           loop.pendings[slot]->fd >= 0) {
+    while (slot < local.pendings.size() && local.pendings[slot] &&
+           local.pendings[slot]->fd >= 0) {
       ++slot;
     }
-    if (slot == loop.pendings.size()) {
-      loop.pendings.push_back(
+    if (slot == local.pendings.size()) {
+      local.pendings.push_back(
           std::make_unique<PendingAccept>(config_.max_frame_bytes));
-    } else if (!loop.pendings[slot]) {
-      loop.pendings[slot] =
+    } else if (!local.pendings[slot]) {
+      local.pendings[slot] =
           std::make_unique<PendingAccept>(config_.max_frame_bytes);
     }
-    PendingAccept& p = *loop.pendings[slot];
+    PendingAccept& p = *local.pendings[slot];
     p.fd = fd;
     ++p.gen;
     p.reader = FrameReader(config_.max_frame_bytes);
-    p.accepted_at = now_ticks();
+    p.accepted_at = EventLoop::now();
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 =
         make_tag(kTagPending, p.gen, static_cast<std::uint32_t>(slot));
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev);
+    ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_ADD, fd, &ev);
   }
 }
 
-void SocketNetwork::drop_pending(Loop& loop, std::size_t slot) {
-  PendingAccept& p = *loop.pendings[slot];
+void SocketNetwork::drop_pending(Local& local, std::size_t slot) {
+  PendingAccept& p = *local.pendings[slot];
   if (p.fd >= 0) ::close(p.fd);
   p.fd = -1;
   ++p.gen;
 }
 
-void SocketNetwork::pending_readable(Loop& loop, std::size_t slot) {
-  PendingAccept& p = *loop.pendings[slot];
+void SocketNetwork::pending_readable(Local& local, std::size_t slot) {
+  PendingAccept& p = *local.pendings[slot];
   for (;;) {
     std::uint8_t* dst = p.reader.prepare(512);
     const ssize_t r = ::recv(p.fd, dst, 512, 0);
@@ -653,33 +528,33 @@ void SocketNetwork::pending_readable(Loop& loop, std::size_t slot) {
     }
     p.reader.commit(0);
     if (r == 0 || errno != EAGAIN) {
-      drop_pending(loop, slot);
+      drop_pending(local, slot);
       return;
     }
     break;
   }
   auto frame = p.reader.next();
   if (p.reader.error()) {
-    loop.stats.bump(loop.stats.handshake_rejects);
-    drop_pending(loop, slot);
+    local.stats.bump(local.stats.handshake_rejects);
+    drop_pending(local, slot);
     return;
   }
   if (!frame) return;  // handshake not complete yet
   Handshake hs;
   const auto result = Handshake::decode(*frame, hs);
   if (result != Handshake::Result::Ok || hs.sender >= total_size() ||
-      hs.sender == loop.id) {
-    loop.stats.bump(loop.stats.handshake_rejects);
-    drop_pending(loop, slot);
+      hs.sender == local.id) {
+    local.stats.bump(local.stats.handshake_rejects);
+    drop_pending(local, slot);
     return;
   }
-  adopt_pending(loop, slot, hs);
+  adopt_pending(local, slot, hs);
 }
 
-void SocketNetwork::adopt_pending(Loop& loop, std::size_t slot,
+void SocketNetwork::adopt_pending(Local& local, std::size_t slot,
                                   const Handshake& hs) {
-  PendingAccept& p = *loop.pendings[slot];
-  Link& link = *loop.links[hs.sender];
+  PendingAccept& p = *local.pendings[slot];
+  Link& link = *local.links[hs.sender];
   if (link.fd >= 0) {
     // The peer reconnected before we noticed the old connection die (or
     // a rule-breaking double dial): newest wins.
@@ -698,21 +573,21 @@ void SocketNetwork::adopt_pending(Loop& loop, std::size_t slot,
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.u64 = make_tag(kTagLink, link.gen, hs.sender);
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, link.fd, &ev);
+  ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_MOD, link.fd, &ev);
 
-  established(loop, link, hs.sender);
+  established(local, link, hs.sender);
   link.peer_identified = true;
-  if (parse_frames(loop, link, hs.sender)) {
+  if (parse_frames(local, link, hs.sender)) {
     if (link.state == LinkState::Ready && !link.sendq.empty() &&
         !link.want_writable) {
-      flush_link(loop, link, hs.sender);
+      flush_link(local, link, hs.sender);
     }
   }
 }
 
 // --- Established I/O ---------------------------------------------------------
 
-void SocketNetwork::link_readable(Loop& loop, Link& link, ProcessId peer) {
+void SocketNetwork::link_readable(Local& local, Link& link, ProcessId peer) {
   const std::size_t chunk = config_.read_chunk_bytes;
   bool down = false;
   for (;;) {
@@ -728,12 +603,12 @@ void SocketNetwork::link_readable(Loop& loop, Link& link, ProcessId peer) {
     if (r == 0 || errno != EAGAIN) down = true;
     break;
   }
-  if (!parse_frames(loop, link, peer)) return;  // link went down in parse
-  if (down) link_down(loop, link, peer, /*was_ready=*/true);
+  if (!parse_frames(local, link, peer)) return;  // link went down in parse
+  if (down) link_down(link);
 }
 
-bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
-  const TimePoint now = now_ticks();
+bool SocketNetwork::parse_frames(Local& local, Link& link, ProcessId peer) {
+  const TimePoint now = EventLoop::now();
   while (auto frame = link.reader.next()) {
     link.policy.on_rx(now);
     if (!link.peer_identified) {
@@ -741,7 +616,7 @@ bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
       const auto result = Handshake::decode(*frame, hs);
       if (result != Handshake::Result::Ok || hs.sender != peer) {
         link.stats.bump(link.stats.handshake_rejects);
-        link_down(loop, link, peer, /*was_ready=*/true);
+        link_down(link);
         return false;
       }
       link.peer_identified = true;
@@ -752,29 +627,30 @@ bool SocketNetwork::parse_frames(Loop& loop, Link& link, ProcessId peer) {
       continue;
     }
     link.stats.bump(link.stats.frames_in);
-    deliver(loop, link, peer, *frame);
-    // FIFO contract with ThreadedNetwork: a task the handler just posted
-    // (e.g. SlotMux's deferred apply) runs before the NEXT message is
-    // handled. Sockets batch many frames per readiness round, so without
-    // this drain a deferred window-advance systematically loses the race
-    // against the next slot's proposal sitting right behind it in the
-    // read buffer — and the engine drops that proposal as beyond-window,
-    // stalling the slot until its view-change timeout.
-    drain_tasks(loop);
+    deliver(local, link, peer, *frame);
+    // FIFO contract (net/event_loop.hpp): a task the handler just posted
+    // or a timer it deferred (e.g. SlotMux's deferred apply) runs before
+    // the NEXT message is handled. Sockets batch many frames per readiness
+    // round, so without this a deferred window-advance systematically
+    // loses the race against the next slot's proposal sitting right
+    // behind it in the read buffer — and the engine drops that proposal
+    // as beyond-window, stalling the slot until its view-change timeout.
+    local.loop.run_due();
     if (link.fd < 0) return false;  // handler-triggered teardown
   }
   if (link.reader.error()) {
     link.stats.bump(link.stats.decode_errors);
-    link_down(loop, link, peer, /*was_ready=*/true);
+    link_down(link);
     return false;
   }
   return true;
 }
 
-void SocketNetwork::deliver(Loop& loop, Link& link, ProcessId from,
+void SocketNetwork::deliver(Local& local, Link& link, ProcessId from,
                             ByteView frame) {
-  loop.guard.check("deliver: handlers run on the owning loop thread only");
-  if (!handlers_[loop.id]) return;
+  FASTBFT_DASSERT(local.loop.affinity_ok(),
+                  "deliver: handlers run on the owning loop thread only");
+  if (!handlers_[local.id]) return;
   // ReceiveHandler takes `const Bytes&`, so inbound frames cost exactly
   // one copy — into this connection's recycled delivery buffer, which is
   // alloc-free once its capacity has warmed up.
@@ -785,23 +661,23 @@ void SocketNetwork::deliver(Loop& loop, Link& link, ProcessId from,
   }
   link.delivery_buf.assign(frame.begin(), frame.end());
   delivered_.fetch_add(1, std::memory_order_relaxed);
-  handlers_[loop.id](from, link.delivery_buf);
+  handlers_[local.id](from, link.delivery_buf);
 }
 
-void SocketNetwork::update_epoll(Loop& loop, Link& link, ProcessId peer) {
+void SocketNetwork::update_epoll(Local& local, Link& link, ProcessId peer) {
   if (link.fd < 0) return;
   epoll_event ev{};
   ev.events = EPOLLIN | (link.want_writable ? EPOLLOUT : 0u);
   ev.data.u64 = make_tag(kTagLink, link.gen, peer);
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, link.fd, &ev);
+  ::epoll_ctl(local.loop.epoll_fd(), EPOLL_CTL_MOD, link.fd, &ev);
 }
 
-void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
+void SocketNetwork::flush_link(Local& local, Link& link, ProcessId peer) {
   // Under emulated link latency only frames past their ready_at may leave.
   // FIFO order is preserved: a not-yet-due frame blocks everything behind
   // it, and a partially written frame (offset > 0) is already on the wire
   // so it always completes.
-  const TimePoint due_now = config_.tx_delay_us > 0 ? now_ticks() : 0;
+  const TimePoint due_now = config_.tx_delay_us > 0 ? EventLoop::now() : 0;
   while (link.state == LinkState::Ready && link.fd >= 0 &&
          !link.sendq.empty()) {
     // Scatter-gather up to writev_batch_frames pending frames: one iovec
@@ -841,17 +717,17 @@ void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         if (!link.want_writable) {
           link.want_writable = true;
-          update_epoll(loop, link, peer);
+          update_epoll(local, link, peer);
         }
         return;
       }
-      link_down(loop, link, peer, /*was_ready=*/true);
+      link_down(link);
       return;
     }
     link.stats.bump(link.stats.writev_calls);
     link.stats.bump(link.stats.bytes_out,
                     static_cast<std::uint64_t>(written));
-    link.policy.on_tx(now_ticks());
+    link.policy.on_tx(EventLoop::now());
     std::size_t remaining = static_cast<std::size_t>(written);
     std::uint64_t completed = 0;
     while (remaining > 0 && !link.sendq.empty()) {
@@ -868,7 +744,6 @@ void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
       }
     }
     link.stats.bump(link.stats.frames_out, completed);
-    link.stats.bump(link.stats.writev_frames, completed);
   }
 }
 
@@ -876,18 +751,19 @@ void SocketNetwork::flush_link(Loop& loop, Link& link, ProcessId peer) {
 
 SocketCounters SocketNetwork::link_stats(ProcessId id, ProcessId peer) const {
   SocketCounters out;
-  if (id < loops_.size() && loops_[id] && peer < loops_[id]->links.size()) {
-    out = loops_[id]->links[peer]->stats.snapshot();
+  if (id < locals_.size() && locals_[id] &&
+      peer < locals_[id]->links.size()) {
+    out = locals_[id]->links[peer]->stats.snapshot();
   }
   return out;
 }
 
 SocketCounters SocketNetwork::stats() const {
   SocketCounters out;
-  for (const auto& loop : loops_) {
-    if (!loop) continue;
-    out.merge(loop->stats.snapshot());
-    for (const auto& link : loop->links) {
+  for (const auto& local : locals_) {
+    if (!local) continue;
+    out.merge(local->stats.snapshot());
+    for (const auto& link : local->links) {
       out.merge(link->stats.snapshot());
     }
   }
@@ -896,24 +772,26 @@ SocketCounters SocketNetwork::stats() const {
 
 std::string SocketNetwork::stats_summary() const {
   std::ostringstream out;
-  for (const auto& loop : loops_) {
-    if (!loop) continue;
-    out << "endpoint " << loop->id << ":\n";
-    for (ProcessId peer = 0; peer < loop->links.size(); ++peer) {
-      const SocketCounters c = loop->links[peer]->stats.snapshot();
+  std::uint64_t timers_fired = 0;
+  for (const auto& local : locals_) {
+    if (!local) continue;
+    timers_fired += local->loop.timers_fired();
+    out << "endpoint " << local->id << ":\n";
+    for (ProcessId peer = 0; peer < local->links.size(); ++peer) {
+      const SocketCounters c = local->links[peer]->stats.snapshot();
       if (c.connects_attempted == 0 && c.frames_in == 0 && c.frames_out == 0 &&
           c.connects_established == 0) {
         continue;
       }
       out << " link -> " << peer << ":\n" << c.summary("   ");
     }
-    const SocketCounters lc = loop->stats.snapshot();
+    const SocketCounters lc = local->stats.snapshot();
     if (lc.handshake_rejects > 0) {
       out << " loop: " << lc.handshake_rejects << " handshake rejects\n";
     }
   }
   out << "delivered: " << delivered_count()
-      << " messages, timers fired: " << timers_fired() << "\n";
+      << " messages, timers fired: " << timers_fired << "\n";
   return out.str();
 }
 

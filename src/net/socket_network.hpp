@@ -1,19 +1,13 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
-#include "common/thread_guard.hpp"
+#include "net/event_loop.hpp"
 #include "net/frame.hpp"
 #include "net/link_policy.hpp"
 #include "net/stats.hpp"
@@ -21,12 +15,13 @@
 
 /// \file socket_network.hpp
 /// Real TCP transport: the multi-process sibling of ThreadedNetwork.
-/// Each locally attached endpoint gets one epoll readiness-loop thread
-/// that owns its sockets, timers, tasks and receive handler — the same
-/// single-threaded-replica discipline and the same surface
-/// (attach/endpoint/post/arm_timer/cancel_timer/now_ticks), so
-/// engine::BasicThreadedHost, SmrNode, smr::ClientSession, sharding,
-/// snapshots and the adaptive controller run over sockets unchanged.
+/// Each locally attached endpoint gets one net::EventLoop thread; this
+/// file is only that loop's wire backend — links, accept and framing on
+/// the loop's epoll set. The loop owns the timers, posted tasks and the
+/// receive handler's thread (net/event_loop.hpp), exactly as it does for
+/// ThreadedNetwork, so engine::LoopHost, SmrNode, smr::ClientSession,
+/// sharding, snapshots and the adaptive controller run over sockets
+/// unchanged.
 ///
 /// Wire protocol: length-prefixed frames (net/frame.hpp) with a
 /// magic+version+ProcessId handshake opening each direction; empty frames
@@ -50,8 +45,9 @@
 ///
 /// Unit tests never touch this file (morphling idiom): framing, backoff
 /// and heartbeat policy are tested in memory (tests/test_frame.cpp);
-/// sockets enter only via the integration test (tests/test_socket_transport),
-/// the smr_server/smr_client tools and bench E15.
+/// sockets enter only via the integration tests
+/// (tests/test_socket_transport, tests/test_event_loop), the
+/// smr_server/smr_client tools and bench E15.
 
 namespace fastbft::net {
 
@@ -122,14 +118,10 @@ struct SocketNetworkConfig {
 
 /// Multi-process TCP transport. Construct with the full cluster address
 /// map, attach() the locally hosted ids, start(). Each attached id runs
-/// its own epoll loop thread; cross-thread entry points (send from
-/// another local endpoint, post) funnel through a task queue woken by an
-/// eventfd.
+/// its own event loop; cross-thread entry points (a send from another
+/// thread) funnel through that loop's task queue.
 class SocketNetwork {
  public:
-  using Clock = std::chrono::steady_clock;
-  using TimerKey = std::pair<TimePoint, std::uint64_t>;
-
   explicit SocketNetwork(SocketNetworkConfig config);
   ~SocketNetwork();
 
@@ -142,33 +134,18 @@ class SocketNetwork {
 
   std::unique_ptr<SocketEndpoint> endpoint(ProcessId id);
 
-  /// Binds/adopts listen sockets and spawns one loop thread per attached
+  /// Local id `id`'s event loop: its clock, timers and task queue (what
+  /// engine::LoopHost adapts). Exists once `id` is attach()ed.
+  EventLoop& loop(ProcessId id) { return local_of(id).loop; }
+
+  /// Binds/adopts listen sockets and starts one event loop per attached
   /// id. Dials start immediately (with backoff until peers appear).
   void start();
 
-  /// Joins loop threads and closes every socket. Safe to call twice.
+  /// Stops the loops and closes every socket. Safe to call twice.
   void stop();
 
   void send(ProcessId from, ProcessId to, SharedBytes payload);
-
-  /// Runs `fn` on `id`'s loop thread, interleaved with its handlers and
-  /// timers. Thread-safe; tasks run in post order.
-  void post(ProcessId id, std::function<void()> fn);
-
-  /// Microseconds since construction (same tick unit as ThreadedNetwork).
-  TimePoint now_ticks() const;
-
-  /// Same-thread timer contract as ThreadedNetwork::arm_timer (asserted).
-  TimerKey arm_timer(ProcessId id, TimePoint at_ticks,
-                     std::function<void()> fn);
-  void cancel_timer(ProcessId id, TimerKey key);
-
-  /// Same contract query as ThreadedNetwork::affinity_ok — what
-  /// engine::SocketHost reports to the engine's affinity checks.
-  bool affinity_ok(ProcessId id) const {
-    const auto& guard = loop_of(id)->guard;
-    return !guard.bound() || guard.held();
-  }
 
   std::uint32_t size() const { return config_.cluster_size; }
   std::uint32_t total_size() const {
@@ -176,7 +153,6 @@ class SocketNetwork {
   }
 
   std::uint64_t delivered_count() const { return delivered_.load(); }
-  std::uint64_t timers_fired() const { return timers_fired_.load(); }
 
   /// Actual listening port of a local id (after start()); 0 if `id` does
   /// not listen. Lets callers bind port 0 and publish the real port.
@@ -234,73 +210,52 @@ class SocketNetwork {
     explicit PendingAccept(std::size_t max_frame) : reader(max_frame) {}
   };
 
-  /// Everything one attached endpoint's loop thread owns.
-  struct Loop {
-    ProcessId id = kNoProcess;
-    int epoll_fd = -1;
-    int wake_fd = -1;    // eventfd
+  /// One attached endpoint: the wire backend of its event loop. Links,
+  /// pendings and the listen socket are touched by the loop thread only
+  /// (asserted in invariant builds via EventLoop::affinity_ok).
+  struct Local final : EventLoop::Backend {
+    Local(SocketNetwork& net, ProcessId id) : net(net), id(id) {}
+
+    void service(TimePoint now) override;
+    TimePoint next_deadline(TimePoint now) override;
+    void on_io(std::uint64_t tag, std::uint32_t events) override;
+
+    SocketNetwork& net;
+    ProcessId id;
     int listen_fd = -1;
     std::vector<std::unique_ptr<Link>> links;  // indexed by peer id
     std::vector<std::unique_ptr<PendingAccept>> pendings;  // slot vector
-
-    std::mutex task_mutex;
-    std::deque<std::function<void()>> tasks;
-    /// True whenever `tasks` may be non-empty. drain_tasks runs after
-    /// every delivery and timer (the FIFO contract), so the common "no
-    /// tasks" case must cost one relaxed load, not a mutex round trip.
-    std::atomic<bool> has_tasks{false};
-
-    std::map<TimerKey, std::function<void()>> timers;
-    std::uint64_t next_timer_seq = 0;
-
-    /// Functional owner id: send() branches on it to run inline on the
-    /// loop thread instead of paying an eventfd round trip, so it exists
-    /// in every build type.
-    std::atomic<std::thread::id> owner{};
-    /// Contract enforcement (invariant builds only): loop-owned state —
-    /// links, timers, send queues — is touched exclusively by the loop
-    /// thread; a misrouted direct call is a hard failure instead of a
-    /// silent data race. Bound by run_loop, unbound by stop() after join.
-    FASTBFT_GUARD_MEMBER(guard);
     SocketStats stats;  // loop-level events (rejected accepts, ...)
+    EventLoop loop{*this};
   };
 
-  Loop* loop_of(ProcessId id) const;
-  void run_loop(Loop& loop);
-  void loop_round(Loop& loop);
-  void drain_tasks(Loop& loop);
-  void service_links(Loop& loop, TimePoint now);
-  TimePoint next_deadline(Loop& loop, TimePoint now) const;
+  Local& local_of(ProcessId id) const;
+  void service_links(Local& local, TimePoint now);
+  TimePoint next_deadline(const Local& local, TimePoint now) const;
+  void on_io(Local& local, std::uint64_t tag, std::uint32_t events);
 
-  void start_connect(Loop& loop, Link& link, ProcessId peer, TimePoint now);
-  void on_connect_writable(Loop& loop, Link& link, ProcessId peer);
-  void established(Loop& loop, Link& link, ProcessId peer);
-  void link_down(Loop& loop, Link& link, ProcessId peer, bool was_ready);
-  void accept_ready(Loop& loop);
-  void pending_readable(Loop& loop, std::size_t slot);
-  void adopt_pending(Loop& loop, std::size_t slot, const Handshake& hs);
-  void drop_pending(Loop& loop, std::size_t slot);
-  void link_readable(Loop& loop, Link& link, ProcessId peer);
-  bool parse_frames(Loop& loop, Link& link, ProcessId peer);
-  void enqueue_frame(Loop& loop, Link& link, ProcessId peer,
-                     SharedBytes payload, bool heartbeat);
-  void flush_link(Loop& loop, Link& link, ProcessId peer);
-  void deliver(Loop& loop, Link& link, ProcessId from, ByteView frame);
-  void send_on_loop(Loop& loop, ProcessId to, SharedBytes payload);
-  void wake(Loop& loop);
-  void update_epoll(Loop& loop, Link& link, ProcessId peer);
-  void assert_timer_owner(const Loop& loop) const;
+  void start_connect(Local& local, Link& link, ProcessId peer, TimePoint now);
+  void on_connect_writable(Local& local, Link& link, ProcessId peer);
+  void established(Local& local, Link& link, ProcessId peer);
+  void link_down(Link& link);
+  void accept_ready(Local& local);
+  void pending_readable(Local& local, std::size_t slot);
+  void adopt_pending(Local& local, std::size_t slot, const Handshake& hs);
+  void drop_pending(Local& local, std::size_t slot);
+  void link_readable(Local& local, Link& link, ProcessId peer);
+  bool parse_frames(Local& local, Link& link, ProcessId peer);
+  void enqueue_frame(Link& link, SharedBytes payload, bool heartbeat);
+  void flush_link(Local& local, Link& link, ProcessId peer);
+  void deliver(Local& local, Link& link, ProcessId from, ByteView frame);
+  void send_on_loop(Local& local, ProcessId to, SharedBytes payload);
+  void update_epoll(Local& local, Link& link, ProcessId peer);
 
   SocketNetworkConfig config_;
-  Clock::time_point epoch_ = Clock::now();
-  std::vector<ReceiveHandler> handlers_;      // indexed by id, empty if remote
-  std::vector<std::unique_ptr<Loop>> loops_;  // indexed by id, null if remote
-  std::vector<std::thread> threads_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
+  std::vector<ReceiveHandler> handlers_;       // indexed by id, empty if remote
+  std::vector<std::unique_ptr<Local>> locals_;  // indexed by id, null if remote
   bool started_ = false;
+  bool stopped_ = false;
   std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
   std::vector<std::uint16_t> listen_ports_;
 };
 

@@ -120,7 +120,6 @@ SocketCounters& SocketCounters::merge(const SocketCounters& o) {
   bytes_in += o.bytes_in;
   bytes_out += o.bytes_out;
   writev_calls += o.writev_calls;
-  writev_frames += o.writev_frames;
   frames_dropped += o.frames_dropped;
   decode_errors += o.decode_errors;
   delivery_allocs += o.delivery_allocs;
@@ -136,10 +135,9 @@ std::string SocketCounters::summary(const std::string& indent) const {
       << " (" << bytes_in << "/" << bytes_out << " bytes)\n";
   out << indent << "heartbeats in/out: " << heartbeats_in << "/"
       << heartbeats_out << "\n";
-  out << indent << "writev: " << writev_calls << " calls, " << writev_frames
-      << " frames";
+  out << indent << "writev: " << writev_calls << " calls";
   if (writev_calls > 0) {
-    out << " (" << (static_cast<double>(writev_frames) /
+    out << " (" << (static_cast<double>(frames_out) /
                     static_cast<double>(writev_calls))
         << " frames/call)";
   }
@@ -174,7 +172,6 @@ SocketCounters SocketStats::snapshot() const {
   c.bytes_in = get(bytes_in);
   c.bytes_out = get(bytes_out);
   c.writev_calls = get(writev_calls);
-  c.writev_frames = get(writev_frames);
   c.frames_dropped = get(frames_dropped);
   c.decode_errors = get(decode_errors);
   c.delivery_allocs = get(delivery_allocs);

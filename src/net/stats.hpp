@@ -97,7 +97,6 @@ struct SocketCounters {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::uint64_t writev_calls = 0;      // frames_out / writev_calls = batching
-  std::uint64_t writev_frames = 0;     // frames completed by those calls
   std::uint64_t frames_dropped = 0;    // send-queue cap overflow
   std::uint64_t decode_errors = 0;     // oversized/garbage inbound framing
   /// Zero-copy invariant pair (mirrors PayloadStats envelope accounting):
@@ -132,7 +131,6 @@ class SocketStats {
   std::atomic<std::uint64_t> bytes_in{0};
   std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> writev_calls{0};
-  std::atomic<std::uint64_t> writev_frames{0};
   std::atomic<std::uint64_t> frames_dropped{0};
   std::atomic<std::uint64_t> decode_errors{0};
   std::atomic<std::uint64_t> delivery_allocs{0};

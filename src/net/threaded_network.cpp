@@ -13,13 +13,9 @@ std::uint32_t ThreadedEndpoint::cluster_size() const { return net_.size(); }
 ThreadedNetwork::ThreadedNetwork(std::uint32_t n,
                                  ThreadedNetworkConfig config,
                                  std::uint32_t extra_endpoints)
-    : n_(n),
-      config_(config),
-      handlers_(n + extra_endpoints),
-      disconnected_(n + extra_endpoints) {
-  for (std::uint32_t i = 0; i < n + extra_endpoints; ++i) {
-    inboxes_.push_back(std::make_unique<Inbox>());
-    disconnected_[i].store(false);
+    : n_(n), config_(config), handlers_(n + extra_endpoints) {
+  for (ProcessId id = 0; id < n + extra_endpoints; ++id) {
+    inboxes_.push_back(std::make_unique<Inbox>(*this, id));
   }
 }
 
@@ -43,88 +39,52 @@ void ThreadedNetwork::start() {
                    "every process needs a handler before start()");
   }
   started_ = true;
-  workers_.reserve(total_size());
-  for (ProcessId id = 0; id < total_size(); ++id) {
-    workers_.emplace_back([this, id] { run_worker(id); });
-  }
+  for (auto& inbox : inboxes_) inbox->loop.start();
 }
 
 void ThreadedNetwork::stop() {
-  if (!started_ || stopping_.exchange(true)) {
-    // Either never started or someone else is already stopping.
-    for (auto& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    stopped_.store(true);
-    return;
-  }
-  for (auto& inbox : inboxes_) {
-    std::lock_guard<std::mutex> lock(inbox->mutex);
-    inbox->cv.notify_all();
-  }
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  // Workers are joined: ownership of every inbox (timers included)
-  // returns to whichever thread is tearing the network down.
-  for (auto& inbox : inboxes_) inbox->guard.unbind();
-  stopped_.store(true);
+  stopping_.store(true);
+  for (auto& inbox : inboxes_) inbox->loop.stop();
 }
 
 void ThreadedNetwork::disconnect(ProcessId id) {
   FASTBFT_ASSERT(id < total_size(), "disconnect: id out of range");
-  disconnected_[id].store(true);
   Inbox& inbox = *inboxes_[id];
   {
-    // Drop undelivered traffic NOW, not when the worker next parks: a
-    // rejoin task posted right after this call outranks the disconnected
-    // branch in the worker loop, and must not find pre-crash envelopes to
-    // hand to the fresh incarnation. (Timers cannot be cleared here —
-    // they are touched lock-free by the delivery thread — but stale timer
-    // closures are liveness-guarded and swept when the worker parks.)
+    // Drop undelivered traffic NOW: a rejoin task posted right after
+    // this call must not find pre-crash envelopes to hand to the fresh
+    // incarnation.
     std::lock_guard<std::mutex> lock(inbox.mutex);
+    inbox.disconnected.store(true);
     inbox.queue.clear();
   }
-  inbox.cv.notify_all();
+  // Timers are loop-thread state, so the loop drops them itself — ahead
+  // of any task posted later, such as a rejoin arming fresh ones.
+  inbox.loop.post([&loop = inbox.loop] { loop.clear_timers(); });
 }
 
 void ThreadedNetwork::reconnect(ProcessId id) {
   FASTBFT_ASSERT(id < total_size(), "reconnect: id out of range");
-  disconnected_[id].store(false);
-  inboxes_[id]->cv.notify_all();
-}
-
-void ThreadedNetwork::post(ProcessId id, std::function<void()> fn) {
-  FASTBFT_ASSERT(id < total_size(), "post: id out of range");
-  Inbox& inbox = *inboxes_[id];
-  {
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    inbox.tasks.push_back(std::move(fn));
-  }
-  inbox.cv.notify_one();
-}
-
-TimePoint ThreadedNetwork::now_ticks() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
-                                                               epoch_)
-      .count();
+  inboxes_[id]->disconnected.store(false);
 }
 
 void ThreadedNetwork::send(ProcessId from, ProcessId to, SharedBytes payload) {
   FASTBFT_ASSERT(from < total_size() && to < total_size(),
                  "send: id out of range");
   if (stopping_.load()) return;
-  if (disconnected_[from].load() || disconnected_[to].load()) return;
-  TimePoint at = now_ticks();
-  if (from != to) at += config_.link_delay.count();
   Inbox& inbox = *inboxes_[to];
+  if (inboxes_[from]->disconnected.load() || inbox.disconnected.load()) {
+    return;
+  }
+  TimePoint at = EventLoop::now();
+  if (from != to) at += config_.link_delay.count();
   {
     std::lock_guard<std::mutex> lock(inbox.mutex);
     // Re-check under the inbox lock: disconnect() clears the queue under
     // this same lock, so without the re-check a send that passed the
     // unlocked test above could enqueue AFTER the clear and hand a
     // pre-crash envelope to a rejoined fresh incarnation.
-    if (disconnected_[to].load()) return;
+    if (inbox.disconnected.load()) return;
     auto key = std::make_pair(at, inbox.next_env_seq++);
     if (!inbox.spare_nodes.empty()) {
       // Recycle a retired queue node instead of allocating a fresh one.
@@ -139,115 +99,33 @@ void ThreadedNetwork::send(ProcessId from, ProcessId to, SharedBytes payload) {
       PayloadStats::record_envelope_alloc();
     }
   }
-  inbox.cv.notify_one();
+  inbox.loop.notify();
 }
 
-void ThreadedNetwork::assert_timer_owner(ProcessId id) const {
-  // Before start() the setup thread owns everything (guard unbound);
-  // after stop() the delivery threads are joined and stop() unbound the
-  // guards; in between only the delivery thread itself may touch its
-  // timers (TimerHandle carries no synchronization).
-  inboxes_[id]->guard.check(
-      "timers are same-thread only: arm/cancel on the owning delivery "
-      "thread");
-}
-
-std::pair<TimePoint, std::uint64_t> ThreadedNetwork::arm_timer(
-    ProcessId id, TimePoint at_ticks, std::function<void()> fn) {
-  FASTBFT_ASSERT(id < total_size(), "arm_timer: id out of range");
-  assert_timer_owner(id);
-  Inbox& inbox = *inboxes_[id];
-  auto key = std::make_pair(at_ticks, inbox.next_timer_seq++);
-  inbox.timers.emplace(key, std::move(fn));
-  return key;
-}
-
-void ThreadedNetwork::cancel_timer(ProcessId id,
-                                   std::pair<TimePoint, std::uint64_t> key) {
-  FASTBFT_ASSERT(id < total_size(), "cancel_timer: id out of range");
-  assert_timer_owner(id);
-  inboxes_[id]->timers.erase(key);
-}
-
-void ThreadedNetwork::run_worker(ProcessId id) {
-  Inbox& inbox = *inboxes_[id];
-  inbox.guard.bind();
-  while (true) {
-    std::function<void()> task_fn;
-    std::function<void()> timer_fn;
+void ThreadedNetwork::Inbox::service(TimePoint now) {
+  while (!net.stopping_.load(std::memory_order_relaxed)) {
     Envelope env;
-    bool have_env = false;
     {
-      std::unique_lock<std::mutex> lock(inbox.mutex);
-      for (;;) {
-        if (stopping_.load()) return;
-        // Posted tasks outrank everything and run even while crashed:
-        // they are harness control flow (e.g. a rejoin swapping in a
-        // fresh process object), not network traffic.
-        if (!inbox.tasks.empty()) {
-          task_fn = std::move(inbox.tasks.front());
-          inbox.tasks.pop_front();
-          break;
-        }
-        if (disconnected_[id].load()) {
-          // A crashed process goes silent: inbox and pending timers are
-          // dropped, so even after a reconnect nothing of the crashed
-          // incarnation ever fires. Park until shutdown, a rejoin task,
-          // or a reconnect.
-          inbox.queue.clear();
-          inbox.timers.clear();
-          inbox.cv.wait(lock, [&] {
-            return stopping_.load() || !inbox.tasks.empty() ||
-                   !disconnected_[id].load();
-          });
-          continue;
-        }
-        TimePoint now = now_ticks();
-        // Due timers run before due messages: deadlines are promises to
-        // the protocol layer, queue drain is best-effort anyway.
-        if (!inbox.timers.empty() &&
-            inbox.timers.begin()->first.first <= now) {
-          timer_fn = std::move(inbox.timers.begin()->second);
-          inbox.timers.erase(inbox.timers.begin());
-          break;
-        }
-        if (!inbox.queue.empty() && inbox.queue.begin()->first.first <= now) {
-          auto node = inbox.queue.extract(inbox.queue.begin());
-          env = std::move(node.mapped());
-          have_env = true;
-          if (inbox.spare_nodes.size() < kSpareNodeCap) {
-            // Pool the node for the next send; clear the moved-from
-            // envelope so no payload reference lingers in the pool.
-            node.mapped() = Envelope{};
-            inbox.spare_nodes.push_back(std::move(node));
-          }
-          break;
-        }
-        TimePoint next = kTimeInfinity;
-        if (!inbox.timers.empty()) {
-          next = inbox.timers.begin()->first.first;
-        }
-        if (!inbox.queue.empty()) {
-          next = std::min(next, inbox.queue.begin()->first.first);
-        }
-        if (next == kTimeInfinity) {
-          inbox.cv.wait(lock);
-        } else {
-          inbox.cv.wait_until(lock,
-                              epoch_ + std::chrono::microseconds(next));
-        }
+      std::lock_guard<std::mutex> lock(mutex);
+      if (queue.empty() || queue.begin()->first.first > now) return;
+      auto node = queue.extract(queue.begin());
+      env = std::move(node.mapped());
+      if (spare_nodes.size() < kSpareNodeCap) {
+        // Pool the node for the next send; clear the moved-from envelope
+        // so no payload reference lingers in the pool.
+        node.mapped() = Envelope{};
+        spare_nodes.push_back(std::move(node));
       }
     }
-    if (task_fn) {
-      task_fn();
-    } else if (have_env) {
-      delivered_.fetch_add(1);
-      handlers_[id](env.from, env.payload);
-    } else if (timer_fn) {
-      timers_fired_.fetch_add(1);
-      timer_fn();
-    }
+    net.delivered_.fetch_add(1);
+    net.handlers_[id](env.from, env.payload);
+    loop.run_due();
   }
+}
+
+TimePoint ThreadedNetwork::Inbox::next_deadline(TimePoint /*now*/) {
+  std::lock_guard<std::mutex> lock(mutex);
+  return queue.empty() ? kTimeInfinity : queue.begin()->first.first;
 }
 
 }  // namespace fastbft::net

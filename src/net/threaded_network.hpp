@@ -2,43 +2,31 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/thread_guard.hpp"
+#include "net/event_loop.hpp"
 #include "net/transport.hpp"
 
 /// \file threaded_network.hpp
-/// Real-concurrency transport: one OS thread per process, lock-protected
-/// inboxes, actual wall-clock time. This is the "networking boilerplate"
-/// path that demonstrates the protocol engines are not simulation-bound:
-/// the same consensus::Replica runs unmodified over this transport
-/// (tests/test_threaded.cpp, examples/realtime_quickstart.cpp), and the
-/// pipelined SMR engine runs over it through the engine::Host seam
-/// (runtime::ThreadedSmrCluster).
+/// Real-concurrency transport: one net::EventLoop thread per process,
+/// lock-protected in-memory inboxes, actual wall-clock time. This is the
+/// "networking boilerplate" path that demonstrates the protocol engines
+/// are not simulation-bound: the same consensus::Replica runs unmodified
+/// over this transport (tests/test_threaded.cpp,
+/// examples/realtime_quickstart.cpp), and the pipelined SMR engine runs
+/// over it through engine::LoopHost (runtime::ThreadedSmrCluster).
 ///
 /// Scope: in-process message passing modelling a low-latency LAN (an
-/// optional fixed `link_delay` models the LAN round-trip explicitly). Each
-/// process's handler runs exclusively on that process's delivery thread,
-/// so replica code stays single-threaded (the same discipline a production
-/// event-loop-per-peer deployment would use).
-///
-/// Timers: each delivery thread owns a steady-clock timer queue; timer
-/// callbacks fire interleaved with message handlers ON THAT SAME THREAD,
-/// preserving the single-threaded-replica discipline. This is the clock
-/// source the wall-clock engine host (engine::ThreadedHost) adapts to
-/// sim::TimerService, which is what lets view synchronizers — and with
-/// them leader-rotating, view-changing SMR — run over real threads.
-/// Arm/cancel are same-thread-only by contract (asserted): only the
-/// owning delivery thread (or the setup thread before start() / after
-/// stop()) may touch a process's timers.
+/// optional fixed `link_delay` models the LAN round-trip explicitly).
+/// This file is only the wire: each process's inbox is the
+/// EventLoop::Backend of that process's loop, which owns the thread,
+/// the timers and the posted tasks (net/event_loop.hpp). Handlers, timers
+/// and tasks of one process all run on its loop thread, so replica code
+/// stays single-threaded.
 
 namespace fastbft::net {
 
@@ -69,14 +57,12 @@ struct ThreadedNetworkConfig {
 
 class ThreadedNetwork {
  public:
-  using Clock = std::chrono::steady_clock;
-
   /// `n` is the replica cluster size (what endpoints report as
   /// cluster_size(), i.e. what broadcasts cover); `extra_endpoints` adds
   /// client endpoints with ids n .. n + extra - 1. A client endpoint gets
-  /// its own delivery thread, inbox and timer queue exactly like a
-  /// replica — engine::ThreadedHost works for it unchanged — but it is
-  /// never a broadcast target and is invisible to consensus membership.
+  /// its own loop and inbox exactly like a replica — engine::LoopHost
+  /// works for it unchanged — but it is never a broadcast target and is
+  /// invisible to consensus membership.
   explicit ThreadedNetwork(std::uint32_t n, ThreadedNetworkConfig config = {},
                            std::uint32_t extra_endpoints = 0);
   ~ThreadedNetwork();
@@ -89,10 +75,16 @@ class ThreadedNetwork {
 
   std::unique_ptr<ThreadedEndpoint> endpoint(ProcessId id);
 
-  /// Spawns one delivery thread per process.
+  /// Process `id`'s event loop: its clock, timers and task queue (what
+  /// engine::LoopHost adapts). post() on it is the only safe way to touch
+  /// a process's protocol objects from outside mid-run, and it runs even
+  /// while the process is disconnected.
+  EventLoop& loop(ProcessId id) { return inboxes_.at(id)->loop; }
+
+  /// Starts one event loop per process.
   void start();
 
-  /// Drains and joins all threads. Safe to call twice; called by the
+  /// Stops and joins every loop. Safe to call twice; called by the
   /// destructor. Pending timers are dropped.
   void stop();
 
@@ -105,46 +97,11 @@ class ThreadedNetwork {
   /// clean network slate). Thread-safe; a no-op if not disconnected.
   ///
   /// A rejoin that also replaces the process object must sequence the
-  /// swap with this call on the delivery thread via post() — see
+  /// swap with this call on the loop thread via loop(id).post() — see
   /// runtime::ThreadedSmrCluster::restart.
   void reconnect(ProcessId id);
 
-  /// Runs `fn` on process `id`'s delivery thread, interleaved with its
-  /// message handlers and timers — even while the process is
-  /// disconnected. This is the only safe way to touch a process's
-  /// protocol objects (or its timers, per the same-thread contract) from
-  /// outside mid-run. Thread-safe; tasks run in post order.
-  void post(ProcessId id, std::function<void()> fn);
-
   void send(ProcessId from, ProcessId to, SharedBytes payload);
-
-  // --- Wall-clock timers (same-thread contract) -----------------------------
-
-  /// Microseconds since this network's construction; the tick unit of every
-  /// timer deadline below and of engine::ThreadedHost clocks.
-  TimePoint now_ticks() const;
-
-  /// Arms `fn` to fire at `at_ticks` on process `id`'s delivery thread.
-  /// Returns the key needed to cancel. MUST be called on that same
-  /// delivery thread (or before start() / after stop()) — asserted.
-  std::pair<TimePoint, std::uint64_t> arm_timer(ProcessId id,
-                                                TimePoint at_ticks,
-                                                std::function<void()> fn);
-
-  /// Eagerly drops a timer armed with arm_timer. No-op if it already fired
-  /// or was cancelled. Same-thread contract as arm_timer.
-  void cancel_timer(ProcessId id, std::pair<TimePoint, std::uint64_t> key);
-
-  /// True when the calling thread may act as `id`'s delivery thread under
-  /// the same-thread contract: the delivery thread itself, or the
-  /// setup/teardown phases while no delivery thread owns the inbox. What
-  /// engine::BasicThreadedHost reports to the engine's affinity checks
-  /// (Host::affinity_ok); permissive (always true) when invariant
-  /// checking is compiled out.
-  bool affinity_ok(ProcessId id) const {
-    const auto& guard = inboxes_[id]->guard;
-    return !guard.bound() || guard.held();
-  }
 
   /// Replica cluster size (broadcast scope). Client endpoints not counted.
   std::uint32_t size() const { return n_; }
@@ -155,7 +112,6 @@ class ThreadedNetwork {
   }
 
   std::uint64_t delivered_count() const { return delivered_.load(); }
-  std::uint64_t timers_fired() const { return timers_fired_.load(); }
 
  private:
   using QueueMap = std::map<std::pair<TimePoint, std::uint64_t>, Envelope>;
@@ -166,51 +122,33 @@ class ThreadedNetwork {
   /// PayloadStats::envelope_allocs/envelope_reuses).
   static constexpr std::size_t kSpareNodeCap = 64;
 
-  struct Inbox {
+  /// One process's wire: the envelope queue its loop drains.
+  struct Inbox final : EventLoop::Backend {
+    Inbox(ThreadedNetwork& net, ProcessId id) : net(net), id(id) {}
+
+    void service(TimePoint now) override;
+    TimePoint next_deadline(TimePoint now) override;
+
+    ThreadedNetwork& net;
+    ProcessId id;
     std::mutex mutex;
-    std::condition_variable cv;
     /// (delivery time, arrival sequence) -> message: delivery-time order
     /// with FIFO tie-break, so zero-delay self-sends overtake delayed
     /// remote traffic exactly as they do on the simulator.
     QueueMap queue;
     std::uint64_t next_env_seq = 0;
-
     /// Recycled queue nodes (payload refs dropped), guarded by `mutex`.
     std::vector<QueueMap::node_type> spare_nodes;
-
-    /// Owned by the delivery thread (plus pre-start/post-stop setup, which
-    /// is ordered by thread creation/join): no lock needed for the
-    /// contract-abiding caller, but the worker reads it under `mutex`
-    /// while computing its wait deadline, which is harmless same-thread.
-    std::map<std::pair<TimePoint, std::uint64_t>, std::function<void()>>
-        timers;
-    std::uint64_t next_timer_seq = 0;
-
-    /// Closures posted via post(): drained ahead of timers and messages,
-    /// and the only work a disconnected worker still performs.
-    std::deque<std::function<void()>> tasks;
-
-    /// Affinity contract: the delivery thread binds this as it starts and
-    /// stop() unbinds after joining, so timer arm/cancel and handler
-    /// execution are checked against the owning thread in invariant builds
-    /// (common::ThreadGuard; zero state and zero code in Release).
-    FASTBFT_GUARD_MEMBER(guard);
+    std::atomic<bool> disconnected{false};
+    EventLoop loop{*this};
   };
-
-  void run_worker(ProcessId id);
-  void assert_timer_owner(ProcessId id) const;
 
   std::uint32_t n_;
   ThreadedNetworkConfig config_;
-  Clock::time_point epoch_ = Clock::now();
   std::vector<ReceiveHandler> handlers_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
-  std::vector<std::thread> workers_;
-  std::vector<std::atomic<bool>> disconnected_;
   std::atomic<bool> stopping_{false};
-  std::atomic<bool> stopped_{false};
   std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> timers_fired_{0};
   bool started_ = false;
 };
 

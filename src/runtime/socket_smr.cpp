@@ -38,7 +38,12 @@ SocketSmrServer::SocketSmrServer(SocketClusterConfig config, ProcessId id)
   // than halved command throughput on a loaded loopback cluster).
   smr_options.eager_windows = false;
 
-  host_ = std::make_unique<engine::SocketHost>(net_, id_);
+  // Attaching creates the id's event loop, which the host adapts; the
+  // handler reads node_ only at delivery time.
+  net_.attach(id_, [this](ProcessId from, const Bytes& payload) {
+    node_->on_message(from, payload);
+  });
+  host_ = std::make_unique<engine::LoopHost>(net_.loop(id_));
   engine::EngineContext ectx{config_.cfg, id_,        keys_,
                              leader_of_,  /*group=*/0, /*stats=*/nullptr,
                              /*verify_cache=*/nullptr};
@@ -60,9 +65,6 @@ SocketSmrServer::SocketSmrServer(SocketClusterConfig config, ProcessId id)
         }
         snapshot_installs_.fetch_add(1, std::memory_order_relaxed);
       });
-  net_.attach(id_, [this](ProcessId from, const Bytes& payload) {
-    node_->on_message(from, payload);
-  });
 }
 
 SocketSmrServer::~SocketSmrServer() { stop(); }
@@ -86,9 +88,7 @@ std::string SocketSmrServer::stats_summary() const {
   const auto engine = engine_stats();
   out << "engine: depth " << engine.effective_depth << ", batch "
       << engine.effective_batch << ", parked high-water "
-      << engine.parked_high_water << "; net delivered "
-      << net_.delivered_count() << ", timers fired " << net_.timers_fired()
-      << "\n";
+      << engine.parked_high_water << "\n";
   out << net_.stats_summary();
   return out.str();
 }
@@ -109,7 +109,10 @@ SocketSmrClient::SocketSmrClient(SocketClusterConfig config,
                  "client ids exceed the cluster's endpoint table");
   for (std::uint32_t k = 0; k < options_.sessions; ++k) {
     const ProcessId pid = options_.first_client_id + k;
-    hosts_.push_back(std::make_unique<engine::SocketHost>(net_, pid));
+    net_.attach(pid, [this, k](ProcessId from, const Bytes& payload) {
+      sessions_[k]->on_message(from, payload);
+    });
+    hosts_.push_back(std::make_unique<engine::LoopHost>(net_.loop(pid)));
     smr::SessionConfig scfg;
     scfg.n = config_.cfg.n;
     scfg.f = config_.cfg.f;
@@ -121,9 +124,6 @@ SocketSmrClient::SocketSmrClient(SocketClusterConfig config,
     scfg.keys = keys_;
     sessions_.push_back(std::make_unique<smr::ClientSession>(
         *hosts_[k], net_.endpoint(pid), scfg));
-    net_.attach(pid, [this, k](ProcessId from, const Bytes& payload) {
-      sessions_[k]->on_message(from, payload);
-    });
   }
 }
 

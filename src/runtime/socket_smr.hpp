@@ -8,7 +8,7 @@
 #include "consensus/config.hpp"
 #include "consensus/types.hpp"
 #include "crypto/signer.hpp"
-#include "engine/socket_host.hpp"
+#include "engine/loop_host.hpp"
 #include "net/socket_network.hpp"
 #include "smr/session.hpp"
 #include "smr/smr_node.hpp"
@@ -83,7 +83,7 @@ class SocketSmrServer {
   net::SocketNetwork net_;
   std::shared_ptr<const crypto::KeyStore> keys_;
   consensus::LeaderFn leader_of_;
-  std::unique_ptr<engine::SocketHost> host_;
+  std::unique_ptr<engine::LoopHost> host_;
   std::unique_ptr<smr::SmrNode> node_;
   std::atomic<std::uint64_t> applied_{0};
   std::atomic<std::uint64_t> snapshot_installs_{0};
@@ -133,7 +133,7 @@ class SocketSmrClient {
   SocketClientOptions options_;
   net::SocketNetwork net_;
   std::shared_ptr<const crypto::KeyStore> keys_;
-  std::vector<std::unique_ptr<engine::SocketHost>> hosts_;
+  std::vector<std::unique_ptr<engine::LoopHost>> hosts_;
   std::vector<std::unique_ptr<smr::ClientSession>> sessions_;
   bool started_ = false;
 };

@@ -28,7 +28,7 @@ ThreadedSmrCluster::ThreadedSmrCluster(consensus::QuorumConfig cfg,
   smr_options_.num_clients = options_.num_clients;
 
   for (ProcessId id = 0; id < cfg.n; ++id) {
-    hosts_.push_back(std::make_unique<engine::ThreadedHost>(net_, id));
+    hosts_.push_back(std::make_unique<engine::LoopHost>(net_.loop(id)));
     nodes_.push_back(make_node(id));
     stats_nodes_.push_back(nodes_.back().get());
     // The handler reads nodes_[id] at delivery time, so restart() can swap
@@ -93,9 +93,9 @@ void ThreadedSmrCluster::restart(ProcessId id) {
   // The swap, the reconnect and start() all run on `id`'s own delivery
   // thread: the old node is destroyed where its timers live (same-thread
   // contract), and no message can reach the fresh node before it exists.
-  // While still disconnected the worker only runs posted tasks, so the
+  // While still disconnected the loop only runs posted tasks, so the
   // reconnect-inside-the-task ordering is race-free.
-  net_.post(id, [this, id] {
+  net_.loop(id).post([this, id] {
     auto fresh = make_node(id);
     {
       // Republish the stats pointer BEFORE destroying the old node:
@@ -172,6 +172,14 @@ std::vector<Slot> ThreadedSmrCluster::applied_slots(ProcessId id,
                                                     GroupId group) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return applied_slots_[id][group];
+}
+
+std::uint64_t ThreadedSmrCluster::timers_fired() {
+  std::uint64_t sum = 0;
+  for (ProcessId id = 0; id < net_.total_size(); ++id) {
+    sum += net_.loop(id).timers_fired();
+  }
+  return sum;
 }
 
 bool ThreadedSmrCluster::is_faulty(ProcessId id) const {

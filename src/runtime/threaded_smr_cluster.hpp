@@ -6,17 +6,17 @@
 #include <mutex>
 #include <vector>
 
-#include "engine/threaded_host.hpp"
+#include "engine/loop_host.hpp"
+#include "net/threaded_network.hpp"
 #include "smr/smr_node.hpp"
 
 /// \file threaded_smr_cluster.hpp
 /// Pipelined, leader-rotating, view-changing state machine replication
 /// over real OS threads and wall-clock time: the host-agnostic SMR engine
-/// (engine::SlotMux and friends) running on one engine::ThreadedHost per
+/// (engine::SlotMux and friends) running on one engine::LoopHost per
 /// process. Each process's consensus instances, view synchronizers and
-/// timers all execute on its single ThreadedNetwork delivery thread, so
-/// protocol code is identical to the simulator runs — only the Host
-/// changes.
+/// timers all execute on its single event-loop thread, so protocol code
+/// is identical to the simulator runs — only the Host changes.
 ///
 /// Unlike runtime::ThreadedCluster (single-shot, no clock source, fast
 /// path only), this cluster has wall-clock timers, so a crashed leader is
@@ -73,8 +73,8 @@ class ThreadedSmrCluster {
   /// transfer once snapshot_interval is set; docs/CATCHUP.md). Clears the
   /// faulty mark, so wait_applied() and correct_stores_agree() hold the
   /// rejoined replica to the same bar as everyone else. The node swap and
-  /// start() run on the process's own delivery thread (via
-  /// ThreadedNetwork::post) to honour the same-thread timer contract.
+  /// start() run on the process's own loop thread (via a posted task) to
+  /// honour the same-thread timer contract.
   /// Thread-safe.
   void restart(ProcessId id);
 
@@ -108,7 +108,8 @@ class ThreadedSmrCluster {
 
   bool is_faulty(ProcessId id) const;
   std::uint64_t delivered_messages() const { return net_.delivered_count(); }
-  std::uint64_t timers_fired() const { return net_.timers_fired(); }
+  /// Timers fired across every process's loop.
+  std::uint64_t timers_fired();
 
   /// Snapshots this process installed via state transfer (counted across
   /// restarts).
@@ -154,7 +155,7 @@ class ThreadedSmrCluster {
   std::shared_ptr<const crypto::KeyStore> keys_;
   consensus::LeaderFn leader_of_;
   smr::SmrOptions smr_options_;  // resolved (wall-clock sync timeout applied)
-  std::vector<std::unique_ptr<engine::ThreadedHost>> hosts_;
+  std::vector<std::unique_ptr<engine::LoopHost>> hosts_;
   std::vector<std::unique_ptr<smr::SmrNode>> nodes_;
 
   mutable std::mutex mutex_;

@@ -22,9 +22,9 @@ namespace fastbft::sim {
 /// Same-thread contract: a handle carries no synchronization. It must only
 /// be used (cancel() / active()) on the thread that owns the TimerService
 /// that minted it — the simulator thread for sim runs, the process's
-/// delivery thread for wall-clock hosts. Cross-thread cancellation is a
+/// event-loop thread for wall-clock hosts. Cross-thread cancellation is a
 /// data race by construction; hosts assert the contract at their service
-/// boundary (see net::ThreadedNetwork::arm_timer).
+/// boundary (see net::EventLoop::arm_timer).
 class TimerHandle {
  public:
   TimerHandle() = default;

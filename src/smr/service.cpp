@@ -4,7 +4,7 @@
 #include <thread>
 
 #include "common/assert.hpp"
-#include "engine/threaded_host.hpp"
+#include "engine/loop_host.hpp"
 #include "runtime/cluster.hpp"
 #include "runtime/threaded_smr_cluster.hpp"
 
@@ -180,7 +180,7 @@ class ThreadedService final : public Service {
     for (std::uint32_t k = 0; k < config_.num_sessions; ++k) {
       ProcessId pid = cfg.n + k;
       hosts_.push_back(
-          std::make_unique<engine::ThreadedHost>(cluster_->net(), pid));
+          std::make_unique<engine::LoopHost>(cluster_->net().loop(pid)));
       auto session = std::make_unique<ClientSession>(
           *hosts_.back(), cluster_->net().endpoint(pid),
           make_session_config(config_, k, timeout, cluster_->keys()));
@@ -240,7 +240,7 @@ class ThreadedService final : public Service {
  private:
   ServiceConfig config_;
   std::unique_ptr<runtime::ThreadedSmrCluster> cluster_;
-  std::vector<std::unique_ptr<engine::ThreadedHost>> hosts_;
+  std::vector<std::unique_ptr<engine::LoopHost>> hosts_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
 };
 

@@ -36,7 +36,7 @@
 /// ProcessContext constructor runs it on the deterministic simulator
 /// (owning a SimHost), while the Host constructor runs the identical code
 /// over any execution context — runtime::ThreadedSmrCluster uses it with
-/// a wall-clock ThreadedHost per delivery thread.
+/// a wall-clock LoopHost per event-loop thread.
 ///
 /// Wire protocol:
 ///  * Requests reach every replica as SMR_REQUEST; whichever process leads

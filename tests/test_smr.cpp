@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "net/tags.hpp"
-#include "smr/client.hpp"
 #include "smr/smr_node.hpp"
 
 /// SMR layer: command/batch codecs, the KV state machine, and full
@@ -765,100 +764,6 @@ TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
   }
 }
 
-
-// --- Client sessions ----------------------------------------------------------------
-
-TEST(ClientTest, CompletesAfterFPlusOneReports) {
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.max_batch = 4;
-  smr_options.target_commands = 3;
-
-  std::vector<SmrNode*> nodes(4, nullptr);
-  runtime::ClusterOptions options = SmrCluster::make_options(cfg, 1);
-  sim::Scheduler* sched = nullptr;
-  std::unique_ptr<Client> client;
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    if (!client) {
-      sched = ctx.scheduler;
-      client = std::make_unique<Client>(7, cfg.f, *ctx.scheduler);
-    }
-    auto node = std::make_unique<SmrNode>(ctx, smr_options,
-                                          client->subscription());
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(4, Value::of_string("-")));
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
-    client->submit(*nodes[0], Command::put("a", "1"));
-    client->submit(*nodes[0], Command::put("b", "2"));
-    client->submit(*nodes[0], Command::del("a"));
-  });
-  cluster.run_until(100'000);
-
-  ASSERT_TRUE(client->all_complete());
-  ASSERT_EQ(client->completions().size(), 3u);
-  auto stats = client->latency_stats();
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GT(stats->min, 0);
-  EXPECT_GE(stats->max, stats->median);
-  // Sequences were assigned 1..3 and completed in submission order here.
-  EXPECT_EQ(client->completions()[0].command.key, "a");
-  EXPECT_EQ(client->completions()[2].command.kind, OpKind::Del);
-}
-
-TEST(ClientTest, SingleReportIsNotCompletion) {
-  sim::Scheduler sched;
-  Client client(9, /*f=*/1, sched);
-  Command cmd = Command::put("k", "v");
-  cmd.client_id = 9;
-  cmd.sequence = 1;
-
-  // Inject reports directly: one replica reporting is not enough at f = 1.
-  auto subscription = client.subscription();
-  // Simulate a submit without a gateway (register in-flight by hand is not
-  // exposed; go through a throwaway node-less path: the subscription
-  // simply ignores unknown sequences).
-  subscription(0, /*group=*/0, 1, {cmd});
-  EXPECT_TRUE(client.completions().empty());
-  EXPECT_EQ(client.pending(), 0u) << "unknown sequences are ignored";
-}
-
-TEST(ClientTest, CompletionSurvivesReplicaCrash) {
-  auto cfg = consensus::QuorumConfig::create(7, 2, 1);
-  SmrOptions smr_options;
-  smr_options.max_batch = 4;
-  smr_options.target_commands = 4;
-
-  std::vector<SmrNode*> nodes(7, nullptr);
-  runtime::ClusterOptions options = SmrCluster::make_options(cfg, 3);
-  std::unique_ptr<Client> client;
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    if (!client) client = std::make_unique<Client>(5, cfg.f, *ctx.scheduler);
-    auto node = std::make_unique<SmrNode>(ctx, smr_options,
-                                          client->subscription());
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(7, Value::of_string("-")));
-  cluster.crash_at(6, 400);
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
-    for (int i = 0; i < 4; ++i) {
-      client->submit(*nodes[1], Command::put("k" + std::to_string(i), "v"));
-    }
-  });
-  cluster.run_until(2'000'000);
-  EXPECT_TRUE(client->all_complete());
-  EXPECT_EQ(client->completions().size(), 4u);
-}
 
 }  // namespace
 }  // namespace fastbft::smr

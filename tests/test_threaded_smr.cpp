@@ -7,7 +7,7 @@
 
 /// The pipelined SMR engine over real OS threads and wall-clock time: the
 /// identical engine code that runs on the deterministic simulator, driven
-/// through engine::ThreadedHost. These tests cover the properties that
+/// through engine::LoopHost. These tests cover the properties that
 /// need a clock to even exist on the threaded runtime — wall-clock view
 /// change under a crashed leader, in-slot-order apply with a deep
 /// pipeline, and watermark-based catch-up GC.
