@@ -5,6 +5,7 @@
 namespace fastbft::crypto {
 
 HmacSha256::HmacSha256(ByteView key) {
+  constexpr std::size_t kBlockSize = Sha256::kBlockSize;
   // Keys longer than one block are hashed down first (RFC 2104).
   std::array<std::uint8_t, kBlockSize> block{};
   if (key.size() > kBlockSize) {
@@ -15,19 +16,19 @@ HmacSha256::HmacSha256(ByteView key) {
   }
 
   std::array<std::uint8_t, kBlockSize> ipad;
+  std::array<std::uint8_t, kBlockSize> opad;
   for (std::size_t i = 0; i < kBlockSize; ++i) {
     ipad[i] = block[i] ^ 0x36;
-    opad_[i] = block[i] ^ 0x5c;
+    opad[i] = block[i] ^ 0x5c;
   }
   inner_.update(ipad.data(), ipad.size());
+  outer_.update(opad.data(), opad.size());
 }
 
 Digest HmacSha256::finalize() {
   Digest inner_digest = inner_.finalize();
-  Sha256 outer;
-  outer.update(opad_.data(), opad_.size());
-  outer.update(inner_digest.data(), inner_digest.size());
-  return outer.finalize();
+  outer_.update(inner_digest.data(), inner_digest.size());
+  return outer_.finalize();
 }
 
 Digest hmac_sha256(ByteView key, ByteView message) {

@@ -12,6 +12,12 @@ namespace fastbft::crypto {
 /// MAC a multi-part preimage (domain tag, length prefixes, payload) without
 /// concatenating it into a temporary buffer first. One instance is
 /// single-use: construct, update*, finalize.
+///
+/// A freshly constructed instance holds the two keyed states — SHA-256
+/// after the key^ipad and key^opad blocks — and nothing else, so a copy of
+/// it MACs under the same key without touching the key again. KeyStore
+/// keeps one such instance per process; each signature copies it and pays
+/// only the frame and outer-digest compressions.
 class HmacSha256 {
  public:
   explicit HmacSha256(ByteView key);
@@ -25,10 +31,8 @@ class HmacSha256 {
   Digest finalize();
 
  private:
-  static constexpr std::size_t kBlockSize = 64;
-
-  Sha256 inner_;
-  std::array<std::uint8_t, kBlockSize> opad_;
+  Sha256 inner_;  // has absorbed key ^ ipad
+  Sha256 outer_;  // has absorbed key ^ opad
 };
 
 /// Computes HMAC-SHA-256(key, message).

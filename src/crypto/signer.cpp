@@ -16,9 +16,11 @@ KeyStore::KeyStore(std::uint64_t master_seed, std::uint32_t num_processes) {
   enc.u64(master_seed);
   Bytes master = sha256_bytes(enc.view());
   keys_.reserve(num_processes);
+  keyed_macs_.reserve(num_processes);
   Sha256 fp;
   for (std::uint32_t i = 0; i < num_processes; ++i) {
     keys_.push_back(derive_key(master, "process-key", i));
+    keyed_macs_.emplace_back(keys_.back());
     fp.update(keys_.back());
   }
   Digest fp_digest = fp.finalize();
@@ -30,6 +32,11 @@ const Bytes& KeyStore::secret_of(ProcessId id) const {
   return keys_[id];
 }
 
+const HmacSha256& KeyStore::keyed_mac(ProcessId id) const {
+  FASTBFT_ASSERT(id < keyed_macs_.size(), "process id out of range in KeyStore");
+  return keyed_macs_[id];
+}
+
 namespace {
 
 inline ByteView domain_view(const std::string& domain) {
@@ -39,11 +46,12 @@ inline ByteView domain_view(const std::string& domain) {
 
 /// MACs the short signing frame: str(domain) ‖ digest. The digest is fixed
 /// width, so the frame is injective without a second length prefix. Two
-/// SHA-256 data blocks regardless of how large the original message was —
+/// SHA-256 compressions on top of the precomputed key states (frame block,
+/// outer digest block) regardless of how large the original message was —
 /// that is the whole point of hash-then-MAC.
-Digest mac_frame(const Bytes& secret, const std::string& domain,
+Digest mac_frame(const HmacSha256& keyed, const std::string& domain,
                  const Digest& digest) {
-  HmacSha256 mac(secret);
+  HmacSha256 mac = keyed;
   mac.update_u32(static_cast<std::uint32_t>(domain.size()));
   mac.update(domain_view(domain));
   mac.update(digest.data(), digest.size());
@@ -60,15 +68,15 @@ Signature Signer::sign(const std::string& domain, ByteView message) const {
 
 Signature Signer::sign_digest(const std::string& domain,
                               const Digest& digest) const {
-  Digest d = mac_frame(keys_->secret_of(id_), domain, digest);
+  Digest d = mac_frame(keys_->keyed_mac(id_), domain, digest);
   return Signature{Bytes(d.begin(), d.end())};
 }
 
-bool Verifier::verify_digest_uncached(const Bytes& secret,
+bool Verifier::verify_digest_uncached(ProcessId signer,
                                       const std::string& domain,
                                       const Digest& digest,
                                       const Signature& sig) const {
-  Digest d = mac_frame(secret, domain, digest);
+  Digest d = mac_frame(keys_->keyed_mac(signer), domain, digest);
   return bytes_equal(sig.bytes, ByteView(d.data(), d.size()));
 }
 
@@ -82,8 +90,7 @@ bool Verifier::verify_digest(ProcessId signer, const std::string& domain,
                              const Signature& sig) const {
   if (signer >= keys_->size()) return false;
   if (sig.bytes.size() != kSignatureSize) return false;
-  return verify_digest_uncached(keys_->secret_of(signer), domain, digest,
-                                sig);
+  return verify_digest_uncached(signer, domain, digest, sig);
 }
 
 bool Verifier::verify_digest_memo(ProcessId signer, const std::string& domain,
@@ -92,14 +99,12 @@ bool Verifier::verify_digest_memo(ProcessId signer, const std::string& domain,
   if (signer >= keys_->size()) return false;
   if (sig.bytes.size() != kSignatureSize) return false;
   if (!cache_) {
-    return verify_digest_uncached(keys_->secret_of(signer), domain, digest,
-                                  sig);
+    return verify_digest_uncached(signer, domain, digest, sig);
   }
   VerifyKey key = VerifyKey::make(keys_->fingerprint(), signer, domain,
                                   digest, sig.bytes);
   if (auto verdict = cache_->lookup(key)) return *verdict;
-  bool ok = verify_digest_uncached(keys_->secret_of(signer), domain, digest,
-                                   sig);
+  bool ok = verify_digest_uncached(signer, domain, digest, sig);
   cache_->insert(key, ok);
   return ok;
 }

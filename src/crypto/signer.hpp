@@ -18,7 +18,10 @@
 /// a cluster `KeyStore` derives one 32-byte secret per process from a master
 /// seed, and a signature is HMAC-SHA-256(secret_i, domain ‖ SHA-256(message))
 /// — hash-then-MAC, the same shape as real sign-the-digest schemes.
-/// Verification re-derives the per-process secret. Within the simulated
+/// The KeyStore keys one HMAC per process once, when it is built (the
+/// SHA-256 states after the ipad and opad key blocks); signing and
+/// verification copy that keyed state, so a MAC over the short signing
+/// frame costs two SHA-256 compressions. Within the simulated
 /// adversary model signatures are unforgeable by construction — none of the
 /// implemented Byzantine behaviours fabricate another process's signature,
 /// mirroring the paper's computationally bounded adversary. Signature size
@@ -61,6 +64,10 @@ class KeyStore {
   std::uint32_t size() const { return static_cast<std::uint32_t>(keys_.size()); }
   const Bytes& secret_of(ProcessId id) const;
 
+  /// HMAC keyed with `secret_of(id)`, computed once at construction. Copy
+  /// it, feed the message and finalize the copy.
+  const HmacSha256& keyed_mac(ProcessId id) const;
+
   /// Cheap identity of this key material (digest of all secrets). Baked
   /// into every VerificationCache key, so cached verdicts are unreachable
   /// the moment a verifier runs against different keys.
@@ -68,6 +75,7 @@ class KeyStore {
 
  private:
   std::vector<Bytes> keys_;
+  std::vector<HmacSha256> keyed_macs_;
   std::uint64_t fingerprint_ = 0;
 };
 
@@ -102,9 +110,9 @@ class Signer {
 /// Verification handle; any process can verify any other process's
 /// signatures. Optionally backed by a shared VerificationCache: verifiers
 /// of all pipelined slots on one node share it, so a signature re-presented
-/// in another certificate (or another slot) costs one SHA-256 key
-/// derivation instead of a full HMAC. The cache key covers the signer's
-/// secret, so verdicts can never survive a key change.
+/// in another certificate (or another slot) costs one hash-table probe
+/// instead of an HMAC. The cache key covers the signer's secret, so
+/// verdicts can never survive a key change.
 class Verifier {
  public:
   explicit Verifier(std::shared_ptr<const KeyStore> keys,
@@ -132,7 +140,7 @@ class Verifier {
   const std::shared_ptr<VerificationCache>& cache() const { return cache_; }
 
  private:
-  bool verify_digest_uncached(const Bytes& secret, const std::string& domain,
+  bool verify_digest_uncached(ProcessId signer, const std::string& domain,
                               const Digest& digest,
                               const Signature& sig) const;
 

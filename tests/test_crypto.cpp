@@ -36,25 +36,92 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
-TEST(Sha256, IncrementalMatchesOneShot) {
-  Bytes data;
-  for (int i = 0; i < 1000; ++i) data.push_back(static_cast<std::uint8_t>(i));
-  Sha256 h;
-  // Uneven chunking crosses block boundaries in awkward places.
-  std::size_t offsets[] = {0, 1, 7, 64, 65, 200, 511, 999, 1000};
-  for (std::size_t i = 0; i + 1 < std::size(offsets); ++i) {
-    h.update(data.data() + offsets[i], offsets[i + 1] - offsets[i]);
+// Reference digest built only from the portable compressor, padding by
+// hand: independent of Sha256's buffering and of the dispatched kernel.
+Digest reference_sha256(ByteView data) {
+  std::array<std::uint32_t, 8> state = {
+      0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+      0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  Bytes padded(data.begin(), data.end());
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
   }
-  EXPECT_EQ(h.finalize(), sha256(data));
+  detail::compress_portable(state.data(), padded.data(), padded.size() / 64);
+  Digest d;
+  for (std::size_t i = 0; i < 32; ++i) {
+    d[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return d;
+}
+
+Bytes counting_bytes(std::size_t len) {
+  Bytes data(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return data;
+}
+
+TEST(Sha256, IncrementalMatchesOneShot) {
+  Bytes data = counting_bytes(1000);
+  const Digest expected = reference_sha256(data);
+  // Uneven chunking crosses block boundaries in awkward places: partial
+  // blocks topped up, whole blocks hashed straight from the caller's
+  // buffer with a staged head or tail, and multi-block direct runs.
+  const std::vector<std::vector<std::size_t>> splits = {
+      {0, 1, 7, 64, 65, 200, 511, 999, 1000},
+      {0, 63, 127, 128, 320, 321, 1000},
+      {0, 5, 133, 197, 640, 703, 1000},
+      {0, 64, 128, 256, 768, 1000},
+      {0, 1000},
+  };
+  for (const auto& offsets : splits) {
+    Sha256 h;
+    for (std::size_t i = 0; i + 1 < offsets.size(); ++i) {
+      h.update(data.data() + offsets[i], offsets[i + 1] - offsets[i]);
+    }
+    EXPECT_EQ(h.finalize(), expected) << "split starting " << offsets[1];
+  }
+  // Byte-at-a-time feeds exercise the staging path alone.
+  Sha256 bytewise;
+  for (std::uint8_t b : data) bytewise.update(&b, 1);
+  EXPECT_EQ(bytewise.finalize(), expected);
 }
 
 TEST(Sha256, ExactBlockBoundaryLengths) {
-  // Lengths around the 64-byte block and the 56-byte padding threshold.
-  for (std::size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    Bytes data(len, 0xab);
-    Sha256 h;
-    h.update(data);
-    EXPECT_EQ(h.finalize(), sha256(data)) << "len=" << len;
+  // Every length through three blocks: covers the 56-byte padding
+  // threshold (one vs two padding compressions) at each block, and every
+  // staged-tail size after the direct whole-block path.
+  for (std::size_t len = 0; len <= 200; ++len) {
+    Bytes data = counting_bytes(len);
+    EXPECT_EQ(sha256(data), reference_sha256(data)) << "len=" << len;
+  }
+}
+
+TEST(Sha256, ShaNiKernelMatchesPortable) {
+  const detail::CompressFn sha_ni = detail::sha_ni_compressor();
+  if (sha_ni == nullptr) GTEST_SKIP() << "CPU has no SHA extensions";
+  std::uint64_t x = 0x9e3779b97f4a7c15ULL;  // xorshift64* stream
+  auto next = [&x] {
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    return x * 0x2545f4914f6cdd1dULL;
+  };
+  for (std::size_t blocks : {1u, 1u, 2u, 3u, 7u, 16u}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      std::array<std::uint32_t, 8> portable;
+      for (auto& w : portable) w = static_cast<std::uint32_t>(next());
+      std::array<std::uint32_t, 8> kernel = portable;
+      Bytes data(blocks * 64);
+      for (auto& b : data) b = static_cast<std::uint8_t>(next());
+      detail::compress_portable(portable.data(), data.data(), blocks);
+      sha_ni(kernel.data(), data.data(), blocks);
+      EXPECT_EQ(kernel, portable) << "blocks=" << blocks << " trial=" << trial;
+    }
   }
 }
 
@@ -88,6 +155,25 @@ TEST(Hmac, Rfc4231Case3) {
   Bytes data(50, 0xdd);
   EXPECT_EQ(digest_hex(hmac_sha256(key, data)),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe");
+}
+
+TEST(Hmac, CopiedKeyedStateReproducesRfc4231) {
+  // KeyStore's precomputation: key once, then MAC by copying the keyed
+  // instance. Each copy must be independent of the prototype and of the
+  // other copies.
+  const HmacSha256 keyed_case1(Bytes(20, 0x0b));
+  const HmacSha256 keyed_case2(to_bytes("Jefe"));
+  for (int round = 0; round < 2; ++round) {
+    HmacSha256 mac1 = keyed_case1;
+    mac1.update(to_bytes("Hi There"));
+    EXPECT_EQ(digest_hex(mac1.finalize()),
+              "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
+    HmacSha256 mac2 = keyed_case2;
+    mac2.update(to_bytes("what do ya want "));
+    mac2.update(to_bytes("for nothing?"));
+    EXPECT_EQ(digest_hex(mac2.finalize()),
+              "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+  }
 }
 
 TEST(Hmac, Rfc4231Case6LongKey) {
@@ -161,6 +247,28 @@ TEST_F(SignerTest, DistinctProcessesDistinctKeys) {
       EXPECT_FALSE(bytes_equal(keys.secret_of(i), keys.secret_of(j)))
           << i << " vs " << j;
     }
+  }
+}
+
+TEST_F(SignerTest, KeyedMacMatchesPlainHmacForEveryProcess) {
+  // The precomputed per-process key states must MAC exactly like a fresh
+  // HMAC over the process secret: the signing frame is
+  // u32(|domain|) ‖ domain ‖ digest.
+  const std::string domain = "certack";
+  const Digest digest = message_digest(to_bytes("statement"));
+  Encoder frame;
+  frame.u32(static_cast<std::uint32_t>(domain.size()));
+  frame.raw(ByteView(reinterpret_cast<const std::uint8_t*>(domain.data()),
+                     domain.size()));
+  frame.raw(ByteView(digest.data(), digest.size()));
+  for (ProcessId i = 0; i < keys_->size(); ++i) {
+    const Digest expected = hmac_sha256(keys_->secret_of(i), frame.view());
+    HmacSha256 mac = keys_->keyed_mac(i);
+    mac.update(frame.view());
+    EXPECT_EQ(mac.finalize(), expected) << "process " << i;
+    Signature sig = Signer(keys_, i).sign_digest(domain, digest);
+    EXPECT_TRUE(bytes_equal(sig.bytes, ByteView(expected.data(), expected.size())))
+        << "process " << i;
   }
 }
 
