@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hpp"
 
@@ -9,7 +10,8 @@
 /// Tiny leveled logger. Deterministic simulations produce identical logs for
 /// identical seeds, which makes `Debug` level genuinely useful for protocol
 /// forensics. Logging is globally off by default so tests and benchmarks
-/// stay quiet.
+/// stay quiet; hot-path call sites pass lambdas so that a disabled level
+/// costs one comparison and no string formatting.
 
 namespace fastbft {
 
@@ -26,14 +28,36 @@ class Log {
                     const std::string& msg);
 };
 
-inline void log_error(const std::string& component, const std::string& msg) {
-  if (Log::level >= LogLevel::Error) Log::write(LogLevel::Error, component, msg);
+namespace detail {
+/// A log argument is either text or a callable returning it; the callable
+/// runs only after the level check, so a disabled line formats nothing.
+template <class T>
+decltype(auto) log_text(const T& arg) {
+  if constexpr (std::is_invocable_v<const T&>) {
+    return arg();
+  } else {
+    return (arg);
+  }
 }
-inline void log_info(const std::string& component, const std::string& msg) {
-  if (Log::level >= LogLevel::Info) Log::write(LogLevel::Info, component, msg);
+}  // namespace detail
+
+template <class Component, class Message>
+void log_at(LogLevel lvl, const Component& component, const Message& msg) {
+  if (Log::level >= lvl) {
+    Log::write(lvl, detail::log_text(component), detail::log_text(msg));
+  }
 }
-inline void log_debug(const std::string& component, const std::string& msg) {
-  if (Log::level >= LogLevel::Debug) Log::write(LogLevel::Debug, component, msg);
+template <class Component, class Message>
+void log_error(const Component& component, const Message& msg) {
+  log_at(LogLevel::Error, component, msg);
+}
+template <class Component, class Message>
+void log_info(const Component& component, const Message& msg) {
+  log_at(LogLevel::Info, component, msg);
+}
+template <class Component, class Message>
+void log_debug(const Component& component, const Message& msg) {
+  log_at(LogLevel::Debug, component, msg);
 }
 
 }  // namespace fastbft

@@ -50,7 +50,8 @@ class Value {
   friend bool operator==(const Value& a, const Value& b) {
     return a.buf_ == b.buf_ || *a.buf_ == *b.buf_;
   }
-  friend auto operator<=>(const Value& a, const Value& b) {
+  friend std::strong_ordering operator<=>(const Value& a, const Value& b) {
+    if (a.buf_ == b.buf_) return std::strong_ordering::equal;
     return *a.buf_ <=> *b.buf_;
   }
 

@@ -4,12 +4,14 @@ namespace fastbft::consensus {
 
 namespace {
 
+/// Encodes into a pooled scratch buffer and copies out once: one
+/// exact-size allocation per message instead of a growth chain.
 template <typename Body>
 Bytes with_tag(std::uint8_t tag, const Body& body) {
-  Encoder enc;
+  Encoder enc = Encoder::scratch();
   enc.u8(tag);
   body(enc);
-  return std::move(enc).take();
+  return enc.view().to_bytes();
 }
 
 }  // namespace

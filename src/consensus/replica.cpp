@@ -8,7 +8,26 @@
 namespace fastbft::consensus {
 
 namespace {
-std::string who(ProcessId id) { return "replica-" + std::to_string(id); }
+/// Adds `id` to the sorted, duplicate-free `ids`.
+void add_sender(std::vector<ProcessId>& ids, ProcessId id) {
+  auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it == ids.end() || *it != id) ids.insert(it, id);
+}
+
+/// Adds a signed ack to the signer-sorted `sigs`; the first one counts.
+void add_ack_sig(std::vector<SignatureEntry>& sigs, ProcessId signer,
+                 const crypto::Signature& sig) {
+  auto it = std::lower_bound(
+      sigs.begin(), sigs.end(), signer,
+      [](const SignatureEntry& e, ProcessId id) { return e.signer < id; });
+  if (it != sigs.end() && it->signer == signer) return;
+  sigs.insert(it, SignatureEntry{signer, sig});
+}
+
+/// Log component, formatted only when a line is actually written.
+auto who(ProcessId id) {
+  return [id] { return "replica-" + std::to_string(id); };
+}
 }  // namespace
 
 Replica::Replica(QuorumConfig cfg, ProcessId id, Value input,
@@ -30,7 +49,9 @@ Replica::Replica(QuorumConfig cfg, ProcessId id, Value input,
 
 void Replica::start() {
   if (leader_of_(1) == id_) {
-    log_debug(who(id_), "view 1 leader proposing input " + input_.to_string());
+    log_debug(who(id_), [&] {
+      return "view 1 leader proposing input " + input_.to_string();
+    });
     send_proposal(input_, ProgressCert{});
   }
 }
@@ -118,7 +139,7 @@ void Replica::handle(ProcessId from, const Message& msg) {
 
 void Replica::enter_view(View v) {
   if (v <= view_) return;
-  log_debug(who(id_), "entering view " + std::to_string(v));
+  log_debug(who(id_), [v] { return "entering view " + std::to_string(v); });
   view_ = v;
   leader_state_.reset();
 
@@ -147,7 +168,7 @@ void Replica::send_vote_to(ProcessId leader, View v) {
 
 const crypto::Digest& Replica::xv_digest(View v, const Value& x) {
   if (!xv_digest_memo_ || xv_digest_memo_->first.first != v ||
-      xv_digest_memo_->first.second != x.bytes()) {
+      xv_digest_memo_->first.second != x) {
     xv_digest_memo_.emplace(key_of(v, x), xv_preimage_digest(x, v));
   }
   return xv_digest_memo_->second;
@@ -205,18 +226,18 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
     // completes the commit quorum (peers' acksigs can arrive before a
     // delayed proposal does), so check for assembly here too.
     auto key = key_of(msg.v, msg.x);
-    ack_sigs_[key].emplace(id_, sig.phi_ack);
+    Tally& tally = tallies_[key];
+    add_ack_sig(tally.ack_sigs, id_, sig.phi_ack);
     transport_.broadcast(sig.serialize());
-    maybe_assemble_commit_cert(key);
+    maybe_assemble_commit_cert(key, tally);
   }
 }
 
 void Replica::handle_ack(ProcessId from, const AckMsg& msg) {
   if (decision_) return;  // quorum bookkeeping is over
   if (msg.x.empty() || msg.v == kNoView) return;
-  auto key = key_of(msg.v, msg.x);
-  auto& ackers = acks_[key];
-  ackers.insert(from);
+  auto& ackers = tallies_[key_of(msg.v, msg.x)].ackers;
+  add_sender(ackers, from);
   if (ackers.size() >= cfg_.fast_quorum()) {
     decide(msg.x, msg.v, /*slow=*/false);
   }
@@ -228,7 +249,6 @@ void Replica::handle_ack_sig(ProcessId from, const AckSigMsg& msg) {
   if (!options_.slow_path) return;
   // Our own signature was recorded at signing time (handle_propose); the
   // loopback — or anything forged onto the self channel — is ignored.
-  // (Checked before building the value-sized map key: this exit is free.)
   if (from == id_) return;
   if (msg.x.empty() || msg.v == kNoView) return;
   auto key = key_of(msg.v, msg.x);
@@ -238,29 +258,30 @@ void Replica::handle_ack_sig(ProcessId from, const AckSigMsg& msg) {
   // (see SlotMux). But once OUR Commit went out, further signed acks for
   // this (view, value) buy nothing: skip their HMACs. Peers' signatures
   // check against the shared (x, v) digest, hashed once per proposal
-  // instead of once per message.
-  if (commit_sent_.contains(key)) return;
+  // instead of once per message. Only a verified signature may create a
+  // tally.
+  auto it = tallies_.find(key);
+  if (it != tallies_.end() && it->second.commit_sent) return;
   if (!verifier_.verify_digest(from, kDomAck, xv_digest(msg.v, msg.x),
                                msg.phi_ack)) {
     return;
   }
-  ack_sigs_[key].emplace(from, msg.phi_ack);
-  maybe_assemble_commit_cert(key);
+  if (it == tallies_.end()) it = tallies_.try_emplace(key).first;
+  add_ack_sig(it->second.ack_sigs, from, msg.phi_ack);
+  maybe_assemble_commit_cert(key, it->second);
 }
 
-void Replica::maybe_assemble_commit_cert(const ValueKey& key) {
-  const auto& sigs = ack_sigs_[key];
+void Replica::maybe_assemble_commit_cert(const ValueKey& key, Tally& tally) {
+  const auto& sigs = tally.ack_sigs;
   if (sigs.size() < cfg_.commit_quorum()) return;
-  if (commit_sent_.contains(key)) return;
-  commit_sent_.insert(key);
+  if (tally.commit_sent) return;
+  tally.commit_sent = true;
 
   CommitCert cc;
   cc.v = key.first;
-  cc.x = Value(key.second);
-  for (const auto& [signer, sig] : sigs) {
-    cc.sigs.push_back(SignatureEntry{signer, sig});
-    if (cc.sigs.size() == cfg_.commit_quorum()) break;
-  }
+  cc.x = key.second;
+  // The lowest commit_quorum() signers, as certificates list them.
+  cc.sigs.assign(sigs.begin(), sigs.begin() + cfg_.commit_quorum());
   adopt_cc(cc);
 
   CommitMsg msg;
@@ -280,9 +301,8 @@ void Replica::handle_commit(ProcessId from, const CommitMsg& msg) {
   if (msg.cc.x != msg.x || msg.cc.v != msg.v) return;
   if (!verify_commit_cert(verifier_, cfg_, msg.cc)) return;
   adopt_cc(msg.cc);
-  auto key = key_of(msg.v, msg.x);
-  auto& senders = commit_senders_[key];
-  senders.insert(from);
+  auto& senders = tallies_[key_of(msg.v, msg.x)].commit_senders;
+  add_sender(senders, from);
   if (senders.size() >= cfg_.commit_quorum()) {
     decide(msg.x, msg.v, /*slow=*/true);
   }
@@ -297,7 +317,9 @@ void Replica::handle_vote(ProcessId from, const VoteMsg& msg) {
   if (msg.record.voter != from) return;
   if (!options_.slow_path && msg.record.cc) return;
   if (!validate_vote_record(verifier_, cfg_, leader_of_, msg.record, msg.v)) {
-    log_debug(who(id_), "rejecting invalid vote from " + std::to_string(from));
+    log_debug(who(id_), [from] {
+      return "rejecting invalid vote from " + std::to_string(from);
+    });
     return;
   }
   leader_state_->votes.insert({from, msg.record});
@@ -326,12 +348,14 @@ void Replica::try_select() {
   }
   st.cert_requested = true;
 
-  log_debug(who(id_), "view " + std::to_string(view_) + " selected " +
-                          st.selected.to_string() +
-                          (result.equivocation_detected
-                               ? " (equivocation by " +
-                                     std::to_string(result.equivocator) + ")"
-                               : ""));
+  log_debug(who(id_), [&] {
+    return "view " + std::to_string(view_) + " selected " +
+           st.selected.to_string() +
+           (result.equivocation_detected
+                ? " (equivocation by " + std::to_string(result.equivocator) +
+                      ")"
+                : "");
+  });
 
   CertReqMsg req;
   req.v = view_;
@@ -363,8 +387,10 @@ void Replica::handle_cert_req(ProcessId from, const CertReqMsg& msg) {
     }
   }
   if (!selection_admits(cfg_, msg.votes, leader_of_, msg.x)) {
-    log_debug(who(id_), "CertReq from " + std::to_string(from) +
-                            " does not justify " + msg.x.to_string());
+    log_debug(who(id_), [&] {
+      return "CertReq from " + std::to_string(from) + " does not justify " +
+             msg.x.to_string();
+    });
     return;
   }
 
@@ -401,8 +427,10 @@ void Replica::handle_cert_ack(ProcessId from, const CertAckMsg& msg) {
 void Replica::decide(const Value& x, View v, bool slow) {
   if (decision_) return;
   decision_ = DecisionRecord{x, v, slow};
-  log_info(who(id_), "decided " + x.to_string() + " in view " +
-                         std::to_string(v) + (slow ? " (slow path)" : ""));
+  log_info(who(id_), [&] {
+    return "decided " + x.to_string() + " in view " + std::to_string(v) +
+           (slow ? " (slow path)" : "");
+  });
   if (on_decide_) on_decide_(*decision_);
 }
 

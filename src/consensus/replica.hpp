@@ -99,7 +99,17 @@ class Replica {
     bool proposed = false;
   };
 
-  using ValueKey = std::pair<View, Bytes>;
+  /// Quorum bookkeeping key. Value orders by content, so equal values in
+  /// distinct buffers share one entry; the key only shares the buffer.
+  using ValueKey = std::pair<View, Value>;
+
+  /// Quorum bookkeeping per (view, value), one map node for all of it.
+  struct Tally {
+    std::vector<ProcessId> ackers;  ///< fast-path acks; sorted, distinct
+    std::vector<SignatureEntry> ack_sigs;  ///< slow path; sorted by signer
+    std::vector<ProcessId> commit_senders;  ///< valid Commits; sorted
+    bool commit_sent = false;  ///< our own Commit went out
+  };
 
   void handle(ProcessId from, const Message& msg);
   void handle_propose(ProcessId from, const ProposeMsg& msg);
@@ -120,7 +130,7 @@ class Replica {
 
   void send_vote_to(ProcessId leader, View v);
   void decide(const Value& x, View v, bool slow);
-  void maybe_assemble_commit_cert(const ValueKey& key);
+  void maybe_assemble_commit_cert(const ValueKey& key, Tally& tally);
   void adopt_cc(const CommitCert& cc);
 
   bool buffer_if_future(ProcessId from, const Message& msg, ByteView payload);
@@ -132,9 +142,7 @@ class Replica {
   /// preimage — compute it once per (view, value) instead of per message.
   const crypto::Digest& xv_digest(View v, const Value& x);
 
-  static ValueKey key_of(View v, const Value& x) {
-    return {v, x.bytes()};
-  }
+  static ValueKey key_of(View v, const Value& x) { return {v, x}; }
 
   QuorumConfig cfg_;
   ProcessId id_;
@@ -154,17 +162,7 @@ class Replica {
   /// Views in which a proposal was already accepted (first one wins).
   std::set<View> proposal_accepted_;
 
-  /// Fast-path ack bookkeeping: (view, value) -> ackers.
-  std::map<ValueKey, std::set<ProcessId>> acks_;
-
-  /// Slow-path signed acks: (view, value) -> signer -> signature.
-  std::map<ValueKey, std::map<ProcessId, crypto::Signature>> ack_sigs_;
-
-  /// Slow-path Commit senders: (view, value) -> senders with a valid cc.
-  std::map<ValueKey, std::set<ProcessId>> commit_senders_;
-
-  /// (view, value) pairs for which we already broadcast Commit.
-  std::set<ValueKey> commit_sent_;
+  std::map<ValueKey, Tally> tallies_;
 
   std::optional<LeaderState> leader_state_;
 

@@ -153,10 +153,11 @@ std::vector<Bytes> CatchUpPolicy::snapshot_chunks() {
     // Requesters reject anything over the transfer budget, so serving it
     // would only produce silently-dropped responses. Surface the config
     // error instead (state too large for snapshot_chunk_bytes transfers).
-    log_error("catchup",
-              "snapshot at slot " + std::to_string(snap_below_) +
-                  " exceeds the transfer budget (" +
-                  std::to_string(snap_body_.size()) + " bytes); not served");
+    log_error("catchup", [&] {
+      return "snapshot at slot " + std::to_string(snap_below_) +
+             " exceeds the transfer budget (" +
+             std::to_string(snap_body_.size()) + " bytes); not served";
+    });
     return {};
   }
   // Every well-formed request earns one full chunk sequence. Holder-side

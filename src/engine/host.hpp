@@ -31,7 +31,9 @@ class Host : public sim::TimerService {
   /// Runs `fn` after the currently-executing handler returns, on the host
   /// thread. Used to defer teardown out of a protocol object's own
   /// callback (e.g. destroying a replica from its decide handler).
-  void defer(std::function<void()> fn) { schedule_after(0, std::move(fn)); }
+  virtual void defer(std::function<void()> fn) {
+    schedule_after(0, std::move(fn));
+  }
 
   /// Cross-thread submission: runs `fn` on the host thread, interleaved
   /// with its handlers and timers. Unlike defer()/schedule_after (which
@@ -65,9 +67,12 @@ class SimHost final : public Host {
                                   std::function<void()> fn) override {
     return sched_.schedule_after(delay, std::move(fn));
   }
-  void post(std::function<void()> fn) override {
-    sched_.schedule_after(0, std::move(fn));
+  /// Deferred closures are never cancelled: they take the scheduler's
+  /// handle-free entry point, in the same order schedule_after(0) would.
+  void defer(std::function<void()> fn) override {
+    sched_.post_at(sched_.now(), std::move(fn));
   }
+  void post(std::function<void()> fn) override { defer(std::move(fn)); }
 
  private:
   sim::Scheduler& sched_;

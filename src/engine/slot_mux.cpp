@@ -174,7 +174,7 @@ void SlotMux::replay_parked() {
 
 Value SlotMux::make_input(Slot slot) {
   std::vector<smr::Command> batch = pending_.claim(slot, effective_batch());
-  if (batch.empty()) batch.push_back(smr::Command::noop());
+  if (batch.empty()) return noop_input_;
   return smr::encode_batch(batch);
 }
 

@@ -352,6 +352,10 @@ class SlotMux {
   PendingQueue pending_;
   CatchUpPolicy catchup_;
 
+  /// The one-noop batch every idle slot proposes, encoded once per engine
+  /// (not process-wide: engines on different threads share no buffers).
+  const Value noop_input_ = smr::encode_batch({smr::Command::noop()});
+
   /// AIMD depth/batch sizing; null unless options_.adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
 

@@ -134,13 +134,26 @@ void SimNetwork::clear_link_fault(ProcessId from, ProcessId to) {
 }
 
 void SimNetwork::deliver_at(TimePoint at, Envelope env) {
-  sched_.schedule_at(at, [this, env = std::move(env)]() mutable {
-    if (disconnected_[env.to]) return;
-    ++delivered_;
-    FASTBFT_ASSERT(static_cast<bool>(handlers_[env.to]),
-                   "message delivered to a process with no handler");
-    handlers_[env.to](env.from, env.payload);
-  });
+  std::uint32_t slot;
+  if (inflight_free_.empty()) {
+    slot = static_cast<std::uint32_t>(inflight_.size());
+    inflight_.push_back(std::move(env));
+  } else {
+    slot = inflight_free_.back();
+    inflight_free_.pop_back();
+    inflight_[slot] = std::move(env);
+  }
+  sched_.post_at(at, [this, slot] { deliver(slot); });
+}
+
+void SimNetwork::deliver(std::uint32_t slot) {
+  Envelope env = std::move(inflight_[slot]);
+  inflight_free_.push_back(slot);
+  if (disconnected_[env.to]) return;
+  ++delivered_;
+  FASTBFT_ASSERT(static_cast<bool>(handlers_[env.to]),
+                 "message delivered to a process with no handler");
+  handlers_[env.to](env.from, env.payload);
 }
 
 void SimNetwork::disconnect(ProcessId id) {

@@ -165,6 +165,7 @@ class SimNetwork {
 
  private:
   void deliver_at(TimePoint at, Envelope env);
+  void deliver(std::uint32_t slot);
 
   sim::Scheduler& sched_;
   std::uint32_t n_;
@@ -176,6 +177,11 @@ class SimNetwork {
   std::vector<ReceiveHandler> handlers_;
   std::vector<bool> disconnected_;
   std::vector<Envelope> parked_;
+  /// In-flight envelopes, recycled through `inflight_free_`: a delivery
+  /// event captures only its slot index, which keeps the closure inside
+  /// std::function's inline buffer.
+  std::vector<Envelope> inflight_;
+  std::vector<std::uint32_t> inflight_free_;
   DeliveryScript script_;
   Observer observer_;
   NetworkStats stats_;

@@ -38,22 +38,21 @@ std::uint64_t NetworkStats::messages_for_slot(Slot slot) const {
 
 void NetworkStats::note_inflight_slots(ProcessId node,
                                        std::uint32_t inflight) {
+  if (node >= inflight_by_node_.size()) inflight_by_node_.resize(node + 1);
   inflight_by_node_[node] = inflight;
   if (inflight > max_inflight_slots_) max_inflight_slots_ = inflight;
 }
 
 std::uint32_t NetworkStats::inflight_slots(ProcessId node) const {
-  auto it = inflight_by_node_.find(node);
-  return it == inflight_by_node_.end() ? 0 : it->second;
+  return node < inflight_by_node_.size() ? inflight_by_node_[node] : 0;
 }
 
 std::uint64_t NetworkStats::messages_of(std::uint8_t tag) const {
-  auto it = by_type_.find(tag);
-  return it == by_type_.end() ? 0 : it->second.count;
+  return by_type_[tag].count;
 }
 
 void NetworkStats::reset() {
-  by_type_.clear();
+  by_type_ = {};
   by_slot_.clear();
   total_messages_ = 0;
   total_bytes_ = 0;
@@ -64,9 +63,11 @@ void NetworkStats::reset() {
 std::string NetworkStats::summary() const {
   std::ostringstream out;
   out << "total: " << total_messages_ << " msgs, " << total_bytes_ << " bytes\n";
-  for (const auto& [tag, ts] : by_type_) {
-    out << "  " << tag_name(tag) << ": " << ts.count << " msgs, " << ts.bytes
-        << " bytes\n";
+  for (std::size_t tag = 0; tag < by_type_.size(); ++tag) {
+    const TypeStats& ts = by_type_[tag];
+    if (ts.count == 0) continue;
+    out << "  " << tag_name(static_cast<std::uint8_t>(tag)) << ": "
+        << ts.count << " msgs, " << ts.bytes << " bytes\n";
   }
   if (!by_slot_.empty()) {
     out << "  SMR slots touched: " << by_slot_.size()

@@ -1,9 +1,11 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -36,15 +38,11 @@ class NetworkStats {
 
   std::uint64_t total_messages() const { return total_messages_; }
   std::uint64_t total_bytes() const { return total_bytes_; }
-  const std::map<std::uint8_t, TypeStats>& by_type() const { return by_type_; }
 
   /// Messages of one tag (0 if none seen).
   std::uint64_t messages_of(std::uint8_t tag) const;
 
   // --- Per-slot accounting (SMR_WRAPPED traffic) ----------------------------
-
-  /// Wrapped consensus traffic broken out by slot index.
-  const std::map<Slot, TypeStats>& by_slot() const { return by_slot_; }
 
   /// Wrapped messages attributed to one slot (0 if none seen).
   std::uint64_t messages_for_slot(Slot slot) const;
@@ -67,11 +65,12 @@ class NetworkStats {
   std::string summary() const;
 
  private:
-  std::map<std::uint8_t, TypeStats> by_type_;
-  std::map<Slot, TypeStats> by_slot_;
+  /// Indexed by tag; a tag was seen iff its count is non-zero.
+  std::array<TypeStats, 256> by_type_{};
+  std::unordered_map<Slot, TypeStats> by_slot_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::map<ProcessId, std::uint32_t> inflight_by_node_;
+  std::vector<std::uint32_t> inflight_by_node_;
   std::uint32_t max_inflight_slots_ = 0;
 };
 

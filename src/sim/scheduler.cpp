@@ -1,14 +1,15 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 
 namespace fastbft::sim {
 
 TimerHandle Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
-  FASTBFT_ASSERT(at >= now_, "scheduling into the past");
   auto flag = std::make_shared<bool>(false);
-  queue_.push(Event{at, next_seq_++, std::move(fn), flag});
+  push(at, std::move(fn), flag);
   return TimerHandle(std::move(flag));
 }
 
@@ -17,15 +18,75 @@ TimerHandle Scheduler::schedule_after(Duration delay, std::function<void()> fn) 
   return schedule_at(now_ + delay, std::move(fn));
 }
 
+void Scheduler::post_at(TimePoint at, std::function<void()> fn) {
+  push(at, std::move(fn), nullptr);
+}
+
+void Scheduler::push(TimePoint at, std::function<void()> fn,
+                     std::shared_ptr<bool> cancelled) {
+  FASTBFT_ASSERT(at >= now_, "scheduling into the past");
+  std::uint32_t body;
+  if (free_.empty()) {
+    body = static_cast<std::uint32_t>(bodies_.size());
+    FASTBFT_ASSERT(body < (1u << kBodyBits), "too many pending events");
+    bodies_.push_back(Body{std::move(fn), std::move(cancelled)});
+  } else {
+    body = free_.back();
+    free_.pop_back();
+    bodies_[body] = Body{std::move(fn), std::move(cancelled)};
+  }
+  FASTBFT_ASSERT(next_seq_ < (std::uint64_t{1} << (64 - kBodyBits)),
+                 "event sequence space exhausted");
+  Key key{at, (next_seq_++ << kBodyBits) | body};
+  std::size_t i = queue_.size();
+  queue_.push_back(key);
+  while (i > 0 && earlier(key, queue_[(i - 1) / 4])) {
+    queue_[i] = queue_[(i - 1) / 4];
+    i = (i - 1) / 4;
+  }
+  queue_[i] = key;
+}
+
+std::function<void()> Scheduler::pop() {
+  std::uint32_t body = queue_.front().body();
+  Key last = queue_.back();
+  queue_.pop_back();
+  if (!queue_.empty()) {
+    // Sift the last key down from the root into the hole.
+    std::size_t i = 0;
+    const std::size_t n = queue_.size();
+    for (std::size_t first = 1; first < n; first = 4 * i + 1) {
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < std::min(first + 4, n); ++c) {
+        if (earlier(queue_[c], queue_[best])) best = c;
+      }
+      if (!earlier(queue_[best], last)) break;
+      queue_[i] = queue_[best];
+      i = best;
+    }
+    queue_[i] = last;
+  }
+  Body& slot = bodies_[body];
+  std::function<void()> fn = std::move(slot.fn);
+  slot.fn = nullptr;
+  slot.cancelled.reset();
+  free_.push_back(body);
+  return fn;
+}
+
 bool Scheduler::step() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    if (*ev.cancelled) continue;
-    now_ = ev.at;
+    if (cancelled(queue_.front())) {
+      pop();
+      continue;
+    }
+    now_ = queue_.front().at;
+    // Moved out before running: the callback may schedule, which can
+    // reuse this slot or grow the slab under it.
+    std::function<void()> fn = pop();
     Log::now_hint = now_;
     ++executed_;
-    ev.fn();
+    fn();
     return true;
   }
   return false;
@@ -33,12 +94,11 @@ bool Scheduler::step() {
 
 void Scheduler::run_until(TimePoint limit) {
   while (!queue_.empty()) {
-    const Event& top = queue_.top();
-    if (*top.cancelled) {
-      queue_.pop();
+    if (cancelled(queue_.front())) {
+      pop();
       continue;
     }
-    if (top.at > limit) break;
+    if (queue_.front().at > limit) break;
     step();
   }
   if (now_ < limit) {

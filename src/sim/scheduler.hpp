@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -91,6 +90,10 @@ class Scheduler final : public TimerService {
   /// Schedules `fn` after `delay` ticks.
   TimerHandle schedule_after(Duration delay, std::function<void()> fn) override;
 
+  /// Fire-and-forget form of schedule_at: no handle, so no cancellation
+  /// flag is allocated. Shares the (time, sequence) order with timers.
+  void post_at(TimePoint at, std::function<void()> fn);
+
   /// Runs the earliest pending event. Returns false if none are pending.
   bool step();
 
@@ -106,20 +109,41 @@ class Scheduler final : public TimerService {
   std::uint64_t executed_events() const { return executed_; }
 
  private:
-  struct Event {
+  /// Heap entries are 16-byte keys; the callbacks live in a recycled slab
+  /// (`bodies_`, free slots in `free_`), so reordering the heap never moves
+  /// a std::function and a steady-state event allocates nothing. `order`
+  /// packs the insertion sequence over the body's slab index: sequences
+  /// are unique, so comparing `order` compares sequences.
+  static constexpr int kBodyBits = 24;
+  struct Key {
     TimePoint at;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    std::shared_ptr<bool> cancelled;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
+    std::uint64_t order;
+    std::uint32_t body() const {
+      return static_cast<std::uint32_t>(order & ((1u << kBodyBits) - 1));
     }
   };
+  static bool earlier(const Key& a, const Key& b) {
+    return a.at != b.at ? a.at < b.at : a.order < b.order;
+  }
+  struct Body {
+    std::function<void()> fn;
+    std::shared_ptr<bool> cancelled;  ///< null for post_at events
+  };
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  void push(TimePoint at, std::function<void()> fn,
+            std::shared_ptr<bool> cancelled);
+  bool cancelled(const Key& key) const {
+    const auto& flag = bodies_[key.body()].cancelled;
+    return flag && *flag;
+  }
+  /// Pops the top key and frees its body slot; returns the callback.
+  std::function<void()> pop();
+
+  /// 4-ary min-heap of keys: half the depth of a binary heap, and the four
+  /// children of a node span at most two cache lines.
+  std::vector<Key> queue_;
+  std::vector<Body> bodies_;
+  std::vector<std::uint32_t> free_;
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

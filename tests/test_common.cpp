@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
 #include "common/logging.hpp"
@@ -153,6 +155,40 @@ TEST(Logging, LevelGating) {
   Log::level = LogLevel::Error;
   log_error("test", "error line");
   log_debug("test", "suppressed");
+  Log::level = saved;
+}
+
+TEST(Logging, LazyArgumentsFormatOnlyWhenEnabled) {
+  LogLevel saved = Log::level;
+  int formatted = 0;
+  auto component = [&] {
+    ++formatted;
+    return std::string("replica-") + std::to_string(7);
+  };
+  auto message = [&] {
+    ++formatted;
+    return "decided " + std::to_string(42);
+  };
+
+  Log::level = LogLevel::Off;
+  log_error(component, message);
+  log_info(component, message);
+  log_debug(component, message);
+  Log::level = LogLevel::Info;
+  log_debug(component, message);
+  EXPECT_EQ(formatted, 0) << "a disabled level must not run the callables";
+
+  // An enabled lazy line is byte-identical to the eager one.
+  Log::level = LogLevel::Debug;
+  testing::internal::CaptureStderr();
+  log_info("replica-7", "decided 42");
+  std::string eager = testing::internal::GetCapturedStderr();
+  testing::internal::CaptureStderr();
+  log_info(component, message);
+  std::string lazy = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(formatted, 2);
+  EXPECT_EQ(lazy, eager);
+  EXPECT_NE(eager.find("replica-7] decided 42"), std::string::npos);
   Log::level = saved;
 }
 

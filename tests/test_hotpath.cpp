@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
@@ -20,8 +23,34 @@
 /// invariants layered on them: per-group broadcasts still allocate once,
 /// and a node's group engines share one verification cache.
 
+// --- Allocation counting ------------------------------------------------------
+//
+// This binary replaces the global operator new/delete so a test can count
+// heap allocations across a code path. The array, nothrow and sized forms
+// default to these two; aligned allocations are not counted.
+
+namespace {
+std::atomic<std::uint64_t> g_news{0};
+}  // namespace
+
+// Out of line, so that GCC does not inline free() into callers of new and
+// flag the (deliberate) pairing as -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace fastbft {
 namespace {
+
+std::uint64_t heap_allocations() {
+  return g_news.load(std::memory_order_relaxed);
+}
 
 // --- ByteView / codec --------------------------------------------------------
 
@@ -357,6 +386,36 @@ TEST(PayloadStats, UnicastSendsAllocatePerSend) {
   endpoint->send(1, Bytes(10, 0x01));
   endpoint->send(2, Bytes(10, 0x02));
   EXPECT_EQ(net::PayloadStats::allocs() - allocs, 2u);
+}
+
+TEST(PayloadStats, SteadyStateDeliveryAllocatesOnlyThePayload) {
+  // send -> scheduler step -> receive handler: once the event heap, the
+  // event slab and the in-flight envelope slab have grown, the only heap
+  // allocation left is the sender's one shared payload buffer.
+  sim::Scheduler sched;
+  net::SimNetwork network(sched, 2, net::SimNetworkConfig{});
+  std::size_t received = 0;
+  for (ProcessId id = 0; id < 2; ++id) {
+    network.attach(id, [&](ProcessId, const Bytes& payload) {
+      received += payload.size();
+    });
+  }
+  auto endpoint = network.endpoint(0);
+  for (int i = 0; i < 4; ++i) {  // warm-up
+    endpoint->send(1, Bytes(16, 0x01));
+    ASSERT_TRUE(sched.step());
+  }
+  for (ProcessId to : {1u, 0u, 1u}) {  // a remote and a self delivery
+    Bytes payload(16, 0xab);
+    std::uint64_t news = heap_allocations();
+    std::uint64_t payload_allocs = net::PayloadStats::allocs();
+    std::size_t before = received;
+    endpoint->send(to, std::move(payload));
+    ASSERT_TRUE(sched.step());
+    EXPECT_EQ(received - before, 16u);
+    EXPECT_EQ(net::PayloadStats::allocs() - payload_allocs, 1u);
+    EXPECT_EQ(heap_allocations() - news, 1u);
+  }
 }
 
 // --- Sharded SMR hot-path invariants -----------------------------------------

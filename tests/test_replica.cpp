@@ -232,6 +232,71 @@ TEST_F(ReplicaTest, ForgedCommitCertIgnored) {
   EXPECT_FALSE(decided_.has_value());
 }
 
+TEST_F(ReplicaTest, QuorumsMatchValuesByContentNotBuffer) {
+  // Every wire message decodes into a buffer of its own, and the proposal's
+  // value seeds our own entries (loopback ack aside, our signed ack is
+  // recorded at signing time). Equal values in distinct buffers must land
+  // on one (view, value) quorum; a different value in the same view must
+  // stay apart.
+  const Value x_copy = Value::of_string("X");
+  ASSERT_EQ(x_copy, x_);
+  ASSERT_NE(&x_copy.bytes(), &x_.bytes());
+  auto acksig_wire = [&](ProcessId p, const Value& x) {
+    return AckSigMsg{1, x, sign(p, kDomAck, ack_preimage(x, 1))}.serialize();
+  };
+
+  {  // Fast path: n - t = 3 acks.
+    auto r = make_replica(1, y_);
+    r->on_message(0, propose_wire(0, x_, 1));
+    r->on_message(2, ack_wire(y_, 1));
+    r->on_message(1, ack_wire(x_copy, 1));
+    r->on_message(0, ack_wire(x_copy, 1));
+    EXPECT_FALSE(decided_.has_value());
+    r->on_message(3, ack_wire(x_copy, 1));
+    ASSERT_TRUE(decided_.has_value());
+    EXPECT_EQ(decided_->value, x_);
+    EXPECT_FALSE(decided_->via_slow_path);
+  }
+  decided_.reset();
+  transport_.take_outbox();
+
+  {  // Signed acks: ours from the proposal plus two peers' make 3.
+    auto r = make_replica(1, y_);
+    r->on_message(0, propose_wire(0, x_, 1));
+    r->on_message(2, acksig_wire(2, y_));
+    r->on_message(3, acksig_wire(3, x_copy));
+    EXPECT_TRUE(sent_of(net::tags::kCommit).empty());
+    r->on_message(0, acksig_wire(0, x_copy));
+    EXPECT_EQ(sent_of(net::tags::kCommit).size(), kN);
+    ASSERT_TRUE(r->latest_cc().has_value());
+    EXPECT_EQ(r->latest_cc()->x, x_);
+    EXPECT_TRUE(verify_commit_cert(verifier_, cfg_, *r->latest_cc()));
+  }
+  decided_.reset();
+  transport_.take_outbox();
+
+  {  // Commits: 3 senders with a valid certificate each.
+    auto commit_wire = [&](const Value& x) {
+      CommitCert cc;
+      cc.x = x;
+      cc.v = 1;
+      for (ProcessId p : {0u, 2u, 3u}) {
+        cc.sigs.push_back(SignatureEntry{p, sign(p, kDomAck, ack_preimage(x, 1))});
+      }
+      return CommitMsg{1, x, cc}.serialize();
+    };
+    auto r = make_replica(1, y_);
+    r->on_message(0, commit_wire(x_));
+    r->on_message(2, commit_wire(x_copy));
+    r->on_message(3, commit_wire(y_));
+    EXPECT_FALSE(decided_.has_value());
+    r->on_message(3, commit_wire(x_copy));
+    ASSERT_TRUE(decided_.has_value());
+    EXPECT_EQ(decided_->value, x_);
+    EXPECT_TRUE(decided_->via_slow_path);
+  }
+}
+
 // --- View change -----------------------------------------------------------------
 
 TEST_F(ReplicaTest, EnteringViewSendsVoteToNewLeader) {
