@@ -43,18 +43,20 @@ void Encoder::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
+// Fixed-width integers grow the buffer once, then store the bytes
+// little-endian into the new tail.
 void Encoder::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  std::size_t at = buf_.size();
+  buf_.resize(at + 4);
+  std::uint8_t* out = buf_.data() + at;
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void Encoder::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v & 0xff));
-    v >>= 8;
-  }
+  std::size_t at = buf_.size();
+  buf_.resize(at + 8);
+  std::uint8_t* out = buf_.data() + at;
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
 }
 
 void Encoder::bytes(ByteView b) {
@@ -64,7 +66,10 @@ void Encoder::bytes(ByteView b) {
 
 void Encoder::str(std::string_view s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  buf_.insert(buf_.end(), s.begin(), s.end());
+  // Through uint8_t pointers, so the insert is one memmove rather than a
+  // per-byte char -> uint8_t conversion loop.
+  const auto* first = reinterpret_cast<const std::uint8_t*>(s.data());
+  buf_.insert(buf_.end(), first, first + s.size());
 }
 
 void Encoder::raw(ByteView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
@@ -117,7 +122,7 @@ ByteView Decoder::bytes_view() {
 
 std::string Decoder::str() {
   ByteView b = bytes_view();
-  return std::string(b.begin(), b.end());
+  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
 }  // namespace fastbft

@@ -109,17 +109,25 @@ std::optional<Bytes> CatchUpPolicy::reply_for(Slot slot, ProcessId to,
 
 // --- Snapshots ---------------------------------------------------------------
 
-void CatchUpPolicy::note_snapshot(Slot applied_below, Bytes body) {
-  crypto::Digest digest = crypto::sha256(body);
-  note_snapshot(applied_below, std::move(body), digest);
-}
-
 void CatchUpPolicy::note_snapshot(Slot applied_below, Bytes body,
                                   const crypto::Digest& digest) {
-  if (!snap_body_.empty() && applied_below <= snap_below_) return;  // stale
-  snap_below_ = applied_below;
+  if (!adopt_snapshot(applied_below)) return;
   snap_body_ = std::move(body);
   snap_digest_ = digest;
+  snap_build_ = nullptr;
+}
+
+void CatchUpPolicy::defer_snapshot(Slot applied_below,
+                                   std::function<Bytes()> build) {
+  if (!adopt_snapshot(applied_below)) return;
+  snap_body_ = Bytes();  // frees the superseded body now
+  snap_build_ = std::move(build);
+}
+
+bool CatchUpPolicy::adopt_snapshot(Slot applied_below) {
+  // snap_below_ starts at 1 (no snapshot yet), so any real one is newer.
+  if (applied_below <= snap_below_) return false;  // stale
+  snap_below_ = applied_below;
   // Anything we were fetching at or below this coverage is now pointless.
   for (auto it = snap_fetch_.begin();
        it != snap_fetch_.end() && it->first.first <= snap_below_;) {
@@ -129,6 +137,7 @@ void CatchUpPolicy::note_snapshot(Slot applied_below, Bytes body,
   // while a crashed peer's watermark is frozen lower: that is exactly the
   // retention unpinning this subsystem exists for.
   raise_floor(applied_below);
+  return true;
 }
 
 void CatchUpPolicy::note_peer_snapshot_floor(ProcessId peer, Slot floor) {
@@ -148,6 +157,11 @@ bool CatchUpPolicy::should_request_snapshot(ProcessId peer, Slot peer_floor,
 }
 
 std::vector<Bytes> CatchUpPolicy::snapshot_chunks() {
+  if (snap_build_) {
+    snap_body_ = snap_build_();
+    snap_digest_ = crypto::sha256(snap_body_);
+    snap_build_ = nullptr;  // drops the frozen image
+  }
   if (snap_body_.empty()) return {};
   if (snap_body_.size() > kMaxSnapshotBytes) {
     // Requesters reject anything over the transfer budget, so serving it

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -29,9 +30,13 @@
 ///  * Snapshot floors: a crashed (or Byzantine, lying-low) peer freezes its
 ///    watermark and would pin retention from its crash point on. Once the
 ///    engine hands this policy a state snapshot covering every slot <
-///    applied_below (note_snapshot), the prune floor rises to applied_below
-///    regardless of stale watermarks: anyone who still needs those slots
-///    recovers through full-state transfer instead of per-slot replay.
+///    applied_below (note_snapshot / defer_snapshot), the prune floor rises
+///    to applied_below regardless of stale watermarks: anyone who still
+///    needs those slots recovers through full-state transfer instead of
+///    per-slot replay.
+///
+/// Snapshots the engine takes itself arrive unbuilt (defer_snapshot), so a
+/// replica nobody asks pays nothing for them beyond freezing the state.
 ///
 /// Snapshot transfer protocol (SNAPSHOT_REQUEST / SNAPSHOT_RESPONSE):
 /// peers gossip their snapshot floor alongside the watermark; a replica
@@ -118,13 +123,18 @@ class CatchUpPolicy {
   // --- Snapshots (full-state transfer) ---------------------------------------
 
   /// Adopts `body` — the canonical smr::Snapshot encoding covering every
-  /// slot < applied_below — as the latest local snapshot, whether freshly
-  /// taken or just installed. Unpins retention: the prune floor rises to
-  /// applied_below even while crashed peers' watermarks lag behind. The
-  /// digest overload skips re-hashing when the caller already verified it.
-  void note_snapshot(Slot applied_below, Bytes body);
+  /// slot < applied_below, with its already-verified `digest` — as the
+  /// latest local snapshot (an installed one). Unpins retention: the prune
+  /// floor rises to applied_below even while crashed peers' watermarks lag
+  /// behind.
   void note_snapshot(Slot applied_below, Bytes body,
                      const crypto::Digest& digest);
+
+  /// Like note_snapshot, but the body is not built yet: `build` returns
+  /// the canonical encoding and runs at most once, on the first
+  /// snapshot_chunks() call, which also hashes it. The prune floor rises
+  /// now. A newer snapshot replaces this one without building it.
+  void defer_snapshot(Slot applied_below, std::function<Bytes()> build);
 
   /// applied_below of the latest snapshot (1 = none yet). Gossiped in
   /// SMR_WRAPPED so laggards know when per-slot catch-up cannot work.
@@ -180,6 +190,10 @@ class CatchUpPolicy {
   /// (monotonic; no-op unless the floor actually rises).
   void raise_floor(Slot candidate);
 
+  /// Moves the snapshot floor to `applied_below` and raises the prune
+  /// floor with it; false (and no change) for a stale snapshot.
+  bool adopt_snapshot(Slot applied_below);
+
   std::uint32_t threshold_;
   std::uint32_t chunk_bytes_;
   GroupId group_;
@@ -195,10 +209,12 @@ class CatchUpPolicy {
   Slot floor_ = 1;
   std::uint64_t pruned_ = 0;
 
-  // Latest local snapshot (holder side).
+  // Latest local snapshot (holder side). While snap_build_ is set, the
+  // body and digest are not built yet.
   Slot snap_below_ = 1;
   Bytes snap_body_;
   crypto::Digest snap_digest_{};
+  std::function<Bytes()> snap_build_;
   std::uint64_t snapshots_served_ = 0;
 
   // In-flight fetch (requester side).

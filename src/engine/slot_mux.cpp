@@ -283,12 +283,17 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   Slot boundary = just_applied + 1;
   pending_.prune_applied_before(boundary > horizon ? boundary - horizon : 1);
 
+  // Capture the boundary's metadata and a frozen state image now; the
+  // canonical body is encoded (and hashed) only if a peer asks for it.
   smr::Snapshot snap;
   snap.applied_below = boundary;
   snap.applied_commands = applied_commands_;
-  snap.kv_state = hooks_.state();
   snap.applied_ids = pending_.applied_ids();
-  catchup_.note_snapshot(snap.applied_below, snap.encode());
+  catchup_.defer_snapshot(
+      boundary, [snap = std::move(snap), image = hooks_.state()]() mutable {
+        snap.kv_state = image();
+        return snap.encode();
+      });
   ++snapshots_taken_;
 }
 
@@ -296,10 +301,10 @@ void SlotMux::apply_value(Slot slot, const Value& value) {
   auto batch = smr::decode_batch(value);
   std::vector<smr::Command> applied;
   if (batch) {
-    for (const auto& cmd : *batch) {
+    for (auto& cmd : *batch) {
       if (cmd.kind == smr::OpKind::Noop) continue;
       if (!pending_.applied(cmd, slot)) continue;  // duplicate
-      applied.push_back(cmd);
+      applied.push_back(std::move(cmd));
     }
   }
   // A decided value that is not a valid batch is treated as a no-op (can

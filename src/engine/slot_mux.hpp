@@ -149,12 +149,15 @@ struct SlotMuxOptions {
 };
 
 /// The engine's two touch points with the state machine it replicates but
-/// does not own: `state` serializes it for a snapshot (KvStore::serialize
-/// in the SMR shell), `install` restores it from a verified transferred
+/// does not own: `state` freezes it at a snapshot boundary and returns a
+/// maker for its serialized image (KvStore::freeze in the SMR shell); the
+/// engine calls the maker only if a peer asks for the snapshot, possibly
+/// many applies later, and it must still yield the boundary's bytes.
+/// `install` restores the state machine from a verified transferred
 /// snapshot. Both optional — without `state` no snapshots are taken,
 /// without `install` none can be adopted.
 struct SnapshotHooks {
-  std::function<Bytes()> state;
+  std::function<std::function<Bytes()>()> state;
   std::function<void(const smr::Snapshot&)> install;
 };
 

@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "crypto/sha256.hpp"
 #include "smr/command.hpp"
@@ -12,6 +15,11 @@
 /// Deterministic key-value state machine replicated by the SMR layer.
 /// Identical command sequences produce identical `state_digest()`s, which
 /// the tests use to check replica convergence.
+///
+/// Values live in immutable shared buffers: a write installs a new buffer
+/// and never touches the old one. That makes `freeze()` a by-reference
+/// snapshot — it copies keys and pointers, not values — and lets a frozen
+/// image be serialized long after the live store has moved on.
 
 namespace fastbft::smr {
 
@@ -32,7 +40,23 @@ struct ExecResult {
 };
 
 class KvStore {
+  using ValuePtr = std::shared_ptr<const std::string>;
+
  public:
+  /// The state at one instant, holding the value buffers by reference.
+  /// Later writes to the store replace its pointers and leave the frozen
+  /// buffers alone, so serialize() returns exactly the bytes the store's
+  /// serialize() returned when the image was taken.
+  class Frozen {
+   public:
+    Bytes serialize() const;
+
+   private:
+    friend class KvStore;
+    std::uint64_t applied_ = 0;
+    std::vector<std::pair<std::string, ValuePtr>> entries_;  // sorted by key
+  };
+
   /// Applies one decided command and returns its execution result.
   ExecResult apply(const Command& cmd);
 
@@ -53,8 +77,11 @@ class KvStore {
   /// leaves the store untouched on malformed input.
   bool restore(const Bytes& image);
 
+  /// A by-reference image of the current state; see Frozen.
+  Frozen freeze() const;
+
  private:
-  std::map<std::string, std::string> data_;
+  std::map<std::string, ValuePtr> data_;
   std::uint64_t applied_ = 0;
 };
 

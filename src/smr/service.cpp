@@ -1,6 +1,7 @@
 #include "smr/service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <thread>
 
 #include "common/assert.hpp"
@@ -134,12 +135,13 @@ class SimService final : public Service {
   net::SimNetwork* sim_network() override { return &cluster_->network(); }
 
   bool stores_agree() const override {
-    const SmrNode* first = nullptr;
+    std::optional<crypto::Digest> first;
     for (ProcessId id = 0; id < config_.cluster.n; ++id) {
       if (cluster_->is_faulty(id)) continue;
-      if (first == nullptr) {
-        first = nodes_[id];
-      } else if (nodes_[id]->state_digest() != first->state_digest()) {
+      crypto::Digest digest = nodes_[id]->state_digest();
+      if (!first) {
+        first = digest;
+      } else if (digest != *first) {
         return false;
       }
     }

@@ -76,7 +76,9 @@ void SmrNode::init_groups(engine::Host& host) {
                                 : options_.target_commands;
 
     engine::SnapshotHooks hooks;
-    hooks.state = [grp] { return grp->store.serialize(); };
+    hooks.state = [grp]() -> std::function<Bytes()> {
+      return [image = grp->store.freeze()] { return image.serialize(); };
+    };
     hooks.install = [this, grp, g](const Snapshot& snap) {
       bool restored = grp->store.restore(snap.kv_state);
       // The body already passed digest verification against f + 1

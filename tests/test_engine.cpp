@@ -188,6 +188,13 @@ smr::Snapshot test_snapshot(Slot applied_below) {
   return snap;
 }
 
+/// Adopts test_snapshot(applied_below) eagerly, as an install does.
+void note_test_snapshot(CatchUpPolicy& policy, Slot applied_below) {
+  Bytes body = test_snapshot(applied_below).encode();
+  crypto::Digest digest = crypto::sha256(body);
+  policy.note_snapshot(applied_below, std::move(body), digest);
+}
+
 TEST(CatchUpPolicySnapshot, SnapshotUnpinsRetentionFromFrozenWatermark) {
   CatchUpPolicy policy(/*threshold=*/2, /*cluster_size=*/4);
   for (Slot s = 1; s <= 12; ++s) {
@@ -202,14 +209,14 @@ TEST(CatchUpPolicySnapshot, SnapshotUnpinsRetentionFromFrozenWatermark) {
 
   // A snapshot covering slots < 9 supersedes per-slot retention below it:
   // the floor jumps past the frozen watermark and the values are pruned.
-  policy.note_snapshot(9, test_snapshot(9).encode());
+  note_test_snapshot(policy, 9);
   EXPECT_EQ(policy.prune_floor(), 9u);
   EXPECT_EQ(policy.snapshot_floor(), 9u);
   EXPECT_EQ(policy.decided_count(), 4u);  // slots 9..12 retained
   EXPECT_EQ(policy.decided(5), nullptr);
 
   // A stale (older) snapshot never regresses anything.
-  policy.note_snapshot(4, test_snapshot(4).encode());
+  note_test_snapshot(policy, 4);
   EXPECT_EQ(policy.snapshot_floor(), 9u);
 }
 
@@ -226,7 +233,7 @@ TEST(CatchUpPolicySnapshot, RequestDedupsButServingAnswersEveryRequest) {
 
   // Serving: nothing before a snapshot exists.
   EXPECT_TRUE(policy.snapshot_chunks().empty());
-  policy.note_snapshot(9, test_snapshot(9).encode());
+  note_test_snapshot(policy, 9);
   auto chunks = policy.snapshot_chunks();
   EXPECT_FALSE(chunks.empty());
   EXPECT_EQ(policy.snapshots_served(), 1u);
@@ -314,6 +321,58 @@ TEST(CatchUpPolicySnapshot, StaleAndMalformedChunksAreRejected) {
   ASSERT_GT(body.size(), 8u);
   EXPECT_FALSE(tight.add_snapshot_chunk(1, 5, digest, 0, 1, Bytes(body), 1)
                    .has_value());
+}
+
+TEST(CatchUpPolicySnapshot, DeferredBodyIsBuiltOnceOnFirstServe) {
+  CatchUpPolicy eager(/*threshold=*/2, /*cluster_size=*/4,
+                      /*snapshot_chunk_bytes=*/8);
+  note_test_snapshot(eager, 9);
+  const std::vector<Bytes> expected = eager.snapshot_chunks();
+  ASSERT_GT(expected.size(), 1u) << "the fixture must actually chunk";
+
+  CatchUpPolicy policy(/*threshold=*/2, /*cluster_size=*/4,
+                       /*snapshot_chunk_bytes=*/8);
+  for (Slot s = 1; s <= 12; ++s) {
+    policy.record_decided(s, val("v" + std::to_string(s)));
+  }
+  int builds = 0;
+  auto counting = [&builds](Slot applied_below) {
+    return [&builds, applied_below] {
+      ++builds;
+      return test_snapshot(applied_below).encode();
+    };
+  };
+
+  // The floors rise at once; the body is not built yet.
+  policy.defer_snapshot(9, counting(9));
+  EXPECT_EQ(policy.snapshot_floor(), 9u);
+  EXPECT_EQ(policy.prune_floor(), 9u);
+  EXPECT_EQ(policy.decided(5), nullptr);
+  EXPECT_EQ(builds, 0);
+
+  // A stale deferred snapshot is ignored, unbuilt.
+  policy.defer_snapshot(4, counting(4));
+  EXPECT_EQ(policy.snapshot_floor(), 9u);
+  EXPECT_EQ(builds, 0);
+
+  // First serve builds once; repeated serves reuse the body. The chunks
+  // match the eager path's byte for byte (same body, same digest).
+  EXPECT_EQ(policy.snapshot_chunks(), expected);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(policy.snapshot_chunks(), expected);
+  EXPECT_EQ(builds, 1);
+  EXPECT_EQ(policy.snapshots_served(), 2u);
+
+  // A newer snapshot replaces the built one; an install replaces that
+  // pending image without ever building it.
+  policy.defer_snapshot(17, counting(17));
+  note_test_snapshot(policy, 25);
+  EXPECT_EQ(policy.snapshot_floor(), 25u);
+  CatchUpPolicy installed(/*threshold=*/2, /*cluster_size=*/4,
+                          /*snapshot_chunk_bytes=*/8);
+  note_test_snapshot(installed, 25);
+  EXPECT_EQ(policy.snapshot_chunks(), installed.snapshot_chunks());
+  EXPECT_EQ(builds, 1);
 }
 
 // --- AdaptiveController ------------------------------------------------------

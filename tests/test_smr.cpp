@@ -95,6 +95,35 @@ TEST(KvStoreTest, SerializeRestoreRoundtrip) {
   EXPECT_EQ(b.state_digest(), digest);
 }
 
+TEST(KvStore, FreezeIsUnaffectedByLaterWrites) {
+  KvStore store;
+  store.apply(Command::put("a", "1"));
+  store.apply(Command::put("b", "2"));
+  store.apply(Command::put("c", "3"));
+  const Bytes at_capture = store.serialize();
+  const KvStore::Frozen frozen = store.freeze();
+  EXPECT_EQ(frozen.serialize(), at_capture);
+
+  // Every kind of write on the live store: overwrite, delete, a CAS that
+  // replaces a value, a failed CAS, a new key — then a wholesale restore.
+  store.apply(Command::put("a", "1-new"));
+  store.apply(Command::del("b"));
+  store.apply(Command::cas("c", "3", "3-new"));
+  store.apply(Command::cas("c", "wrong", "never"));
+  store.apply(Command::put("d", "4"));
+  ASSERT_NE(store.serialize(), at_capture);
+  EXPECT_EQ(frozen.serialize(), at_capture);
+
+  KvStore other;
+  other.apply(Command::put("z", "26"));
+  ASSERT_TRUE(store.restore(other.serialize()));
+  EXPECT_EQ(store.get("z"), "26");
+  EXPECT_EQ(frozen.serialize(), at_capture);
+
+  // The streamed digest hashes exactly the canonical encoding.
+  EXPECT_EQ(store.state_digest(), crypto::sha256(store.serialize()));
+}
+
 // --- Snapshot codec --------------------------------------------------------------
 
 TEST(SnapshotTest, EncodeDecodeRoundtripAndDigest) {
