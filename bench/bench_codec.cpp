@@ -2,7 +2,6 @@
 
 #include "consensus/messages.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/threaded_cluster.hpp"
 #include "smr/batch.hpp"
 
 /// Experiment E9b (DESIGN.md §5): wall-clock cost of message
@@ -130,26 +129,6 @@ void BM_FullConsensusSimulation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullConsensusSimulation)->Arg(1)->Arg(2)->Arg(4);
-
-
-void BM_ThreadedConsensus(benchmark::State& state) {
-  // Wall-clock latency of one consensus instance over real OS threads
-  // (net::ThreadedNetwork) — the non-simulated execution path.
-  const auto f = static_cast<std::uint32_t>(state.range(0));
-  const std::uint32_t n = 5 * f - 1;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    auto cfg = QuorumConfig::vanilla(n, f);
-    std::vector<Value> inputs(n, Value::of_string("in"));
-    runtime::ThreadedCluster cluster(cfg, std::move(inputs),
-                                     ReplicaOptions{.slow_path = false},
-                                     seed++);
-    cluster.start();
-    bool ok = cluster.wait_all_correct_decided(std::chrono::seconds(10));
-    benchmark::DoNotOptimize(ok);
-  }
-}
-BENCHMARK(BM_ThreadedConsensus)->Arg(1)->Arg(2)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace fastbft::consensus

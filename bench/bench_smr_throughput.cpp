@@ -18,7 +18,6 @@
 #include "common/histogram.hpp"
 #include "net/stats.hpp"
 #include "runtime/socket_smr.hpp"
-#include "runtime/threaded_smr_cluster.hpp"
 #include "smr/service.hpp"
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
@@ -32,8 +31,9 @@
 /// and a reorder buffer keeps the apply order sequential.
 ///
 /// Experiment E9 repeats the pipeline-depth sweep on the threaded runtime
-/// (runtime::ThreadedSmrCluster): real OS threads, steady-clock timers, a
-/// fixed per-link delivery delay modelling a LAN — wall-clock seconds
+/// (smr::Service's threaded backend, commands injected into every replica
+/// before start, no client traffic): real OS threads, steady-clock timers,
+/// a fixed per-link delivery delay modelling a LAN — wall-clock seconds
 /// instead of simulated Delta.
 ///
 /// Experiment E11 is the client's-eye view: k concurrent ClientSessions
@@ -278,6 +278,16 @@ void batch_sweep() {
   }
 }
 
+/// Pre-start injection of `cmd` into every replica's pending queue, so
+/// the first window's proposals already carry real batches (what an
+/// SMR_REQUEST broadcast delivers, minus the wire hop).
+void inject(Service& service, const Command& cmd) {
+  Bytes payload = SmrNode::encode_request(cmd);
+  for (ProcessId id = 0; id < service.quorum().n; ++id) {
+    service.replica(id).on_message(0, payload);
+  }
+}
+
 void wall_clock_pipeline_sweep() {
   using namespace std::chrono;
   constexpr std::uint64_t kCommands = 400;
@@ -291,26 +301,26 @@ void wall_clock_pipeline_sweep() {
               "cmds/sec", "slots", "msgs", "speedup");
   double baseline_ms = 0;
   for (std::uint32_t depth : {1u, 2u, 4u, 8u}) {
-    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-    runtime::ThreadedSmrClusterOptions options;
-    options.smr.max_batch = 8;
-    options.smr.target_commands = kCommands;
-    options.smr.pipeline_depth = depth;
-    options.link_delay = kLinkDelay;
-    runtime::ThreadedSmrCluster cluster(cfg, options);
+    auto config = ServiceConfig{}
+                      .with_cluster(4, 1, 1)
+                      .with_batch(8)
+                      .with_pipeline_depth(depth)
+                      .with_link_delay(kLinkDelay);
+    config.smr.target_commands = kCommands;
+    auto service = make_threaded_service(config);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
-      cluster.submit(Command::put("key" + std::to_string(i % 64),
-                                  "value-" + std::to_string(i), 1, i));
+      inject(*service, Command::put("key" + std::to_string(i % 64),
+                                    "value-" + std::to_string(i), 1, i));
     }
     std::uint64_t allocs_before = net::PayloadStats::allocs();
     std::uint64_t alloc_bytes_before = net::PayloadStats::alloc_bytes();
     auto begin = steady_clock::now();
-    cluster.start();
-    bool done = cluster.wait_applied(kCommands, seconds(60));
+    service->start();
+    bool done = service->await_applied(kCommands, seconds(60));
     double ms = duration_cast<duration<double, std::milli>>(
                     steady_clock::now() - begin)
                     .count();
-    cluster.stop();
+    service->stop();
     if (!done) {
       std::printf("%-8u (incomplete after 60s)\n", depth);
       continue;
@@ -319,15 +329,15 @@ void wall_clock_pipeline_sweep() {
     std::printf("%-8u %-14.1f %-14.0f %-10llu %-12llu %-10.2f\n", depth, ms,
                 static_cast<double>(kCommands) / (ms / 1000.0),
                 static_cast<unsigned long long>(
-                    cluster.node(0).current_slot()),
+                    service->replica(0).current_slot()),
                 static_cast<unsigned long long>(
-                    cluster.delivered_messages()),
+                    service->delivered_messages()),
                 baseline_ms > 0 ? baseline_ms / ms : 0.0);
     g_recorder.add(
         "E9",
         config_json(4, 1, 1, 8, depth, kCommands, kLinkDelay.count()),
         static_cast<double>(kCommands) / (ms / 1000.0), 0, ms,
-        cluster.delivered_messages(), 0,
+        service->delivered_messages(), 0,
         net::PayloadStats::allocs() - allocs_before,
         net::PayloadStats::alloc_bytes() - alloc_bytes_before);
   }
@@ -348,51 +358,49 @@ void snapshot_recovery_sweep() {
               "retained max", "floor p0");
 
   for (std::uint64_t interval : {0ull, 8ull, 32ull}) {
-    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-    runtime::ThreadedSmrClusterOptions options;
-    options.smr.max_batch = 1;  // one slot per command: retention visible
-    options.smr.pipeline_depth = 4;
-    options.smr.target_commands = 0;  // keep gossip alive for the rejoiner
-    options.smr.snapshot_interval = interval;
-    options.link_delay = microseconds(100);
-    runtime::ThreadedSmrCluster cluster(cfg, options);
+    auto config = ServiceConfig{}
+                      .with_cluster(4, 1, 1)
+                      .with_batch(1)  // one slot per command: retention visible
+                      .with_pipeline_depth(4)
+                      .with_snapshots(interval)
+                      .with_link_delay(microseconds(100));
+    auto service = make_threaded_service(config);
 
-    auto put = [](std::uint64_t i) {
-      return Command::put("key" + std::to_string(i % 64),
-                          "value-" + std::to_string(i), 1, i);
-    };
-    for (std::uint64_t i = 1; i <= kTotal / 2; ++i) cluster.submit(put(i));
-    cluster.start();
-    cluster.wait_applied(kTotal / 4, seconds(30));
-    cluster.crash(3);
-    Slot crash_slot = cluster.applied_slots(3).empty()
-                          ? 1
-                          : cluster.applied_slots(3).back();
-
-    // Survivors keep deciding well past the crash point while p3 is down.
-    for (std::uint64_t i = kTotal / 2 + 1; i <= kTotal; ++i) {
-      cluster.submit(put(i), /*gateway=*/0);
+    auto key = [](std::uint64_t i) { return "key" + std::to_string(i % 64); };
+    auto value = [](std::uint64_t i) { return "value-" + std::to_string(i); };
+    for (std::uint64_t i = 1; i <= kTotal / 2; ++i) {
+      inject(*service, Command::put(key(i), value(i), 1, i));
     }
-    bool survivors_done = cluster.wait_applied(kTotal, seconds(60));
+    service->start();
+    service->await_applied(kTotal / 4, seconds(30));
+    service->crash(3);
+    Slot crash_slot = service->engine_stats(3).apply_watermark - 1;
+
+    // Survivors keep deciding well past the crash point while p3 is down
+    // (the session's gateway is p0).
+    for (std::uint64_t i = kTotal / 2 + 1; i <= kTotal; ++i) {
+      service->session(0).put(key(i), value(i));
+    }
+    bool survivors_done = service->await_applied(kTotal, seconds(60));
 
     // Rejoin as a state-free fresh process. Without snapshots the pruned
     // prefix is unrecoverable, so bound the wait instead of hanging.
     auto begin = steady_clock::now();
-    cluster.restart(3);
+    service->restart(3);
     bool recovered =
         survivors_done &&
-        cluster.wait_applied(kTotal, interval == 0 ? seconds(3)
-                                                   : seconds(60));
+        service->await_applied(kTotal, interval == 0 ? seconds(3)
+                                                     : seconds(60));
     double rejoin_ms = duration_cast<duration<double, std::milli>>(
                            steady_clock::now() - begin)
                            .count();
-    std::uint64_t installs = cluster.snapshots_installed(3);
-    cluster.stop();
+    std::uint64_t installs = service->engine_stats(3).snapshots_installed;
+    service->stop();
 
     std::size_t retained_max = 0;
     for (ProcessId id = 0; id < 3; ++id) {
       retained_max = std::max(retained_max,
-                              cluster.node(id).engine().catchup()
+                              service->replica(id).engine().catchup()
                                   .decided_count());
     }
     char rejoin[24];
@@ -407,7 +415,7 @@ void snapshot_recovery_sweep() {
                 recovered ? "yes" : "no", rejoin,
                 static_cast<unsigned long long>(installs), retained_max,
                 static_cast<unsigned long long>(
-                    cluster.node(0).engine().catchup().prune_floor()));
+                    service->replica(0).engine().catchup().prune_floor()));
     char extra[160];
     std::snprintf(extra, sizeof(extra),
                   "\"interval\": %llu, \"recovered\": %s, "
@@ -720,31 +728,31 @@ void sharded_group_sweep() {
   };
   double baseline_ms = 0;
   for (std::uint32_t shards : {1u, 2u, 4u}) {
-    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-    runtime::ThreadedSmrClusterOptions options;
-    options.smr.max_batch = 8;
-    options.smr.pipeline_depth = kDepth;
-    options.smr.num_groups = shards;
-    options.link_delay = kLinkDelay;
+    auto config = ServiceConfig{}
+                      .with_cluster(4, 1, 1)
+                      .with_batch(8)
+                      .with_pipeline_depth(kDepth)
+                      .with_shards(shards)
+                      .with_link_delay(kLinkDelay);
     // Keys hash unevenly across groups, so each group gets its own quota
     // (the shard map is the same pure function the replicas route by).
     std::vector<std::uint64_t> targets(shards, 0);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
       ++targets[shard_of(key_of(i), shards)];
     }
-    options.smr.group_targets = targets;
-    runtime::ThreadedSmrCluster cluster(cfg, options);
+    config.smr.group_targets = targets;
+    auto service = make_threaded_service(config);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
-      cluster.submit(Command::put(key_of(i), "value-" + std::to_string(i), 1,
-                                  i));
+      inject(*service, Command::put(key_of(i), "value-" + std::to_string(i),
+                                    1, i));
     }
     auto begin = steady_clock::now();
-    cluster.start();
-    bool done = cluster.wait_applied(kCommands, seconds(60));
+    service->start();
+    bool done = service->await_applied(kCommands, seconds(60));
     double ms = duration_cast<duration<double, std::milli>>(
                     steady_clock::now() - begin)
                     .count();
-    cluster.stop();
+    service->stop();
     if (!done) {
       std::printf("%-8u (incomplete after 60s)\n", shards);
       continue;
@@ -763,7 +771,7 @@ void sharded_group_sweep() {
     std::printf("%-8u %-14.1f %-14.0f %-14s %-12llu %-10.2f\n", shards, ms,
                 cmds_per_sec, spread,
                 static_cast<unsigned long long>(
-                    cluster.delivered_messages()),
+                    service->delivered_messages()),
                 baseline_ms > 0 ? baseline_ms / ms : 0.0);
     char extra[224];
     std::snprintf(extra, sizeof(extra),
@@ -773,7 +781,7 @@ void sharded_group_sweep() {
                   kDepth, shards, static_cast<unsigned long long>(kCommands),
                   static_cast<long long>(kLinkDelay.count()));
     g_recorder.add("E13", extra, cmds_per_sec, 0, ms,
-                   cluster.delivered_messages(), 0, 0, 0);
+                   service->delivered_messages(), 0, 0, 0);
   }
   std::printf("(one replica process hosts S independent consensus groups "
               "over a hash-partitioned keyspace; at fixed depth the "

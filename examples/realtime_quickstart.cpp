@@ -1,16 +1,15 @@
 #include <chrono>
 #include <cstdio>
 
-#include "runtime/threaded_cluster.hpp"
 #include "smr/service.hpp"
 
-/// The same protocol, real threads, real clock. Part 1: nine OS threads
-/// (one per process), f = t = 2, two of them crashed — wall-clock time to
-/// a single Byzantine-fault-tolerant decision. Part 2: the full client
-/// API over the threaded runtime — two smr::ClientSessions drive a
-/// replicated KV service (typed ops, f + 1 signed-reply quorum per
-/// request), and a replica crash mid-run is absorbed by session failover
-/// plus wall-clock view change.
+/// The same protocol, real threads, real clock. Part 1: nine replica
+/// threads, f = t = 2, two of them crashed — wall-clock time for one
+/// client request to be decided, applied everywhere and confirmed by
+/// f + 1 signed replies. Part 2: the full client API over the threaded
+/// runtime — two smr::ClientSessions drive a replicated KV service (typed
+/// ops, f + 1 signed-reply quorum per request), and a replica crash
+/// mid-run is absorbed by session failover plus wall-clock view change.
 ///
 /// Run: ./build/examples/realtime_quickstart
 
@@ -20,6 +19,41 @@ using namespace std::chrono_literals;
 
 namespace {
 
+/// Part 1: one request through a 9-replica threaded service.
+int run_single_request() {
+  auto config = smr::ServiceConfig{}.with_cluster(/*n=*/9, /*f=*/2, /*t=*/2);
+  auto service = smr::make_threaded_service(config);
+  service->crash(4);
+  service->crash(8);
+
+  auto begin = steady_clock::now();
+  service->start();
+  smr::Future<smr::Reply> put = service->session(0).put("cmd", "decided");
+  bool done = service->await(put, 10'000ms) &&
+              service->await_applied(1, 10'000ms);
+  auto elapsed = duration_cast<microseconds>(steady_clock::now() - begin);
+  service->stop();
+
+  if (!done) {
+    std::printf("no decision within 10s — something is wrong\n");
+    return 1;
+  }
+  std::printf("9 replicas (2 crashed), f = t = 2, real threads:\n");
+  std::printf("  put decided in slot %llu, confirmed by f + 1 = 3 signed "
+              "replies\n",
+              static_cast<unsigned long long>(put.value().slot));
+  std::printf("agreement: %s\n", service->stores_agree() ? "yes" : "NO (bug!)");
+  std::printf("wall-clock time to full decision: %lld us (%llu messages "
+              "delivered)\n",
+              static_cast<long long>(elapsed.count()),
+              static_cast<unsigned long long>(service->delivered_messages()));
+  std::printf("\n(the two-message-delay structure is the same as in the\n"
+              "simulator; here a \"delay\" is an in-process queue hop of a\n"
+              "few microseconds instead of a scripted Delta)\n");
+  return 0;
+}
+
+/// Part 2: two sessions, a deep pipeline and a gateway crash.
 int run_threaded_service() {
   auto config = smr::ServiceConfig{}
                     .with_cluster(/*n=*/6, /*f=*/1, /*t=*/1)
@@ -98,41 +132,6 @@ int run_threaded_service() {
 }  // namespace
 
 int main() {
-  auto cfg = consensus::QuorumConfig::create(/*n=*/9, /*f=*/2, /*t=*/2);
-
-  std::vector<Value> inputs;
-  for (std::uint32_t i = 0; i < cfg.n; ++i) {
-    inputs.push_back(Value::of_string("cmd-" + std::to_string(i)));
-  }
-
-  runtime::ThreadedCluster cluster(cfg, inputs);
-  cluster.crash(4);
-  cluster.crash(8);
-
-  auto begin = steady_clock::now();
-  cluster.start();
-  bool decided = cluster.wait_all_correct_decided(seconds(10));
-  auto elapsed = duration_cast<microseconds>(steady_clock::now() - begin);
-
-  if (!decided) {
-    std::printf("no decision within 10s — something is wrong\n");
-    return 1;
-  }
-
-  std::printf("9 processes (2 crashed), f = t = 2, real threads:\n");
-  for (const auto& [pid, record] : cluster.decisions()) {
-    std::printf("  p%u decided \"%s\" in view %llu\n", pid,
-                record.value.to_string().c_str(),
-                static_cast<unsigned long long>(record.view));
-  }
-  std::printf("agreement: %s\n", cluster.agreement() ? "yes" : "NO (bug!)");
-  std::printf("wall-clock time to full decision: %lld us (%llu messages "
-              "delivered)\n",
-              static_cast<long long>(elapsed.count()),
-              static_cast<unsigned long long>(cluster.delivered_messages()));
-  std::printf("\n(the two-message-delay structure is the same as in the\n"
-              "simulator; here a \"delay\" is an in-process queue hop of a\n"
-              "few microseconds instead of a scripted Delta)\n");
-
-  return run_threaded_service();
+  int status = run_single_request();
+  return status != 0 ? status : run_threaded_service();
 }

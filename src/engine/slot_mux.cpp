@@ -259,8 +259,10 @@ void SlotMux::drain_apply() {
     apply_value(next_apply_, it->second);
     reorder_.erase(it);
     ++next_apply_;
+    slots_applied_.store(slots_applied() + 1, std::memory_order_relaxed);
     maybe_take_snapshot(next_apply_ - 1);
   }
+  apply_watermark_.store(next_apply_, std::memory_order_relaxed);
   // Our own watermark advanced; it participates in the prune floor exactly
   // like gossiped peer watermarks.
   catchup_.note_watermark(ctx_.id, next_apply_);
@@ -287,7 +289,7 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   // canonical body is encoded (and hashed) only if a peer asks for it.
   smr::Snapshot snap;
   snap.applied_below = boundary;
-  snap.applied_commands = applied_commands_;
+  snap.applied_commands = applied_commands();
   snap.applied_ids = pending_.applied_ids();
   catchup_.defer_snapshot(
       boundary, [snap = std::move(snap), image = hooks_.state()]() mutable {
@@ -311,7 +313,8 @@ void SlotMux::apply_value(Slot slot, const Value& value) {
   // only happen if a Byzantine leader proposed garbage — agreement still
   // holds, the state machine just skips it deterministically).
   if (applied.empty()) ++noop_slots_;
-  applied_commands_ += applied.size();
+  applied_commands_.store(applied_commands() + applied.size(),
+                          std::memory_order_relaxed);
   pending_.release(slot);
   if (apply_) apply_(slot, applied);
 }
@@ -514,7 +517,8 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // replacement, so ids the snapshotters already horizon-pruned are
   // forgotten here too (see PendingQueue::restore_applied).
   pending_.restore_applied(snap.applied_ids);
-  applied_commands_ = std::max(applied_commands_, snap.applied_commands);
+  applied_commands_.store(std::max(applied_commands(), snap.applied_commands),
+                          std::memory_order_relaxed);
   next_apply_ = snap.applied_below;
   next_start_ = std::max(next_start_, next_apply_);
 
@@ -524,7 +528,8 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // jumped too.
   catchup_.note_snapshot(snap.applied_below, std::move(body), digest);
   catchup_.note_watermark(ctx_.id, next_apply_);
-  ++snapshots_installed_;
+  snapshots_installed_.store(snapshots_installed() + 1,
+                             std::memory_order_relaxed);
 
   // Restore the state machine before any post-snapshot slot applies.
   if (hooks_.install) hooks_.install(snap);

@@ -24,7 +24,7 @@
 /// The engine is host-agnostic: it runs against the engine::Host seam
 /// (clock + timers + single-threaded executor), so the identical code
 /// drives the deterministic simulator (SimHost) and real OS threads over
-/// wall-clock time (LoopHost + runtime::ThreadedSmrCluster).
+/// wall-clock time (LoopHost, as smr::Service's threaded backend runs it).
 ///
 /// Responsibilities:
 ///  * window management — slot s starts as soon as s < next_apply +
@@ -266,15 +266,31 @@ class SlotMux {
   /// The adaptive controller, when enabled (tests, benchmarks).
   const AdaptiveController* adaptive() const { return adaptive_.get(); }
 
-  std::uint64_t applied_commands() const { return applied_commands_; }
+  /// Commands applied (snapshot installs raise it to the snapshot's
+  /// count). Thread-safe.
+  std::uint64_t applied_commands() const {
+    return applied_commands_.load(std::memory_order_relaxed);
+  }
   std::uint64_t noop_slots() const { return noop_slots_; }
 
   /// Snapshots this engine froze locally at interval boundaries.
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
   /// Verified snapshots adopted via state transfer (each jumped the apply
-  /// cursor past pruned slots).
-  std::uint64_t snapshots_installed() const { return snapshots_installed_; }
+  /// cursor past pruned slots). Thread-safe.
+  std::uint64_t snapshots_installed() const {
+    return snapshots_installed_.load(std::memory_order_relaxed);
+  }
+
+  /// next_to_apply() as of the last drain, and the slots this engine
+  /// applied itself (snapshot installs jump the former, never the
+  /// latter). Thread-safe.
+  Slot apply_watermark() const {
+    return apply_watermark_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t slots_applied() const {
+    return slots_applied_.load(std::memory_order_relaxed);
+  }
 
   const PendingQueue& pending() const { return pending_; }
   const CatchUpPolicy& catchup() const { return catchup_; }
@@ -319,7 +335,7 @@ class SlotMux {
 
   bool done() const {
     return options_.target_commands > 0 &&
-           applied_commands_ >= options_.target_commands;
+           applied_commands() >= options_.target_commands;
   }
 
   void fill_window();
@@ -382,13 +398,15 @@ class SlotMux {
   std::atomic<std::size_t> reorder_high_water_{0};
   std::atomic<std::size_t> parked_high_water_{0};
   std::atomic<std::uint64_t> clamp_stalls_{0};
+  std::atomic<std::uint64_t> applied_commands_{0};
+  std::atomic<std::uint64_t> snapshots_installed_{0};
+  std::atomic<Slot> apply_watermark_{1};
+  std::atomic<std::uint64_t> slots_applied_{0};
 
   Slot next_start_ = 1;
   Slot next_apply_ = 1;
-  std::uint64_t applied_commands_ = 0;
   std::uint64_t noop_slots_ = 0;
   std::uint64_t snapshots_taken_ = 0;
-  std::uint64_t snapshots_installed_ = 0;
 
   /// Deferred snapshot-request probe for small floor gaps (at most the
   /// pipeline window): ordinary skew resolves itself before the probe

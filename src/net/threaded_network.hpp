@@ -15,10 +15,9 @@
 /// Real-concurrency transport: one net::EventLoop thread per process,
 /// lock-protected in-memory inboxes, actual wall-clock time. This is the
 /// "networking boilerplate" path that demonstrates the protocol engines
-/// are not simulation-bound: the same consensus::Replica runs unmodified
-/// over this transport (tests/test_threaded.cpp,
-/// examples/realtime_quickstart.cpp), and the pipelined SMR engine runs
-/// over it through engine::LoopHost (runtime::ThreadedSmrCluster).
+/// are not simulation-bound: the pipelined SMR engine, and with it the
+/// unmodified consensus::Replica of every slot, runs over this transport
+/// through engine::LoopHost (smr::make_threaded_service).
 ///
 /// Scope: in-process message passing modelling a low-latency LAN (an
 /// optional fixed `link_delay` models the LAN round-trip explicitly).
@@ -98,7 +97,7 @@ class ThreadedNetwork {
   ///
   /// A rejoin that also replaces the process object must sequence the
   /// swap with this call on the loop thread via loop(id).post() — see
-  /// runtime::ThreadedSmrCluster::restart.
+  /// the threaded smr::Service's restart().
   void reconnect(ProcessId id);
 
   void send(ProcessId from, ProcessId to, SharedBytes payload);

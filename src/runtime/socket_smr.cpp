@@ -47,24 +47,9 @@ SocketSmrServer::SocketSmrServer(SocketClusterConfig config, ProcessId id)
   engine::EngineContext ectx{config_.cfg, id_,        keys_,
                              leader_of_,  /*group=*/0, /*stats=*/nullptr,
                              /*verify_cache=*/nullptr};
-  node_ = std::make_unique<smr::SmrNode>(
-      *host_, std::move(ectx), net_.endpoint(id_), smr_options,
-      [this](ProcessId, GroupId, Slot,
-             const std::vector<smr::Command>& commands) {
-        applied_.fetch_add(commands.size(), std::memory_order_relaxed);
-      });
-  node_->set_install_callback(
-      [this](ProcessId, GroupId, const smr::Snapshot& snap) {
-        // Installed state subsumes the commands below the boundary; keep
-        // the monotone max so applied_commands() stays comparable with
-        // peers that executed every command themselves.
-        std::uint64_t seen = applied_.load(std::memory_order_relaxed);
-        while (seen < snap.applied_commands &&
-               !applied_.compare_exchange_weak(seen, snap.applied_commands,
-                                               std::memory_order_relaxed)) {
-        }
-        snapshot_installs_.fetch_add(1, std::memory_order_relaxed);
-      });
+  node_ = std::make_unique<smr::SmrNode>(*host_, std::move(ectx),
+                                         net_.endpoint(id_), smr_options,
+                                         /*on_commit=*/nullptr);
 }
 
 SocketSmrServer::~SocketSmrServer() { stop(); }
@@ -73,7 +58,8 @@ void SocketSmrServer::start() {
   FASTBFT_ASSERT(!started_, "already started");
   started_ = true;
   // Seed before the loop thread exists: slot windows open and view-1
-  // timers arm single-threaded, exactly like ThreadedSmrCluster.
+  // timers arm single-threaded, exactly like smr::Service's threaded
+  // backend.
   node_->start();
   net_.start();
 }
@@ -82,10 +68,10 @@ void SocketSmrServer::stop() { net_.stop(); }
 
 std::string SocketSmrServer::stats_summary() const {
   std::ostringstream out;
+  const auto engine = engine_stats();
   out << "replica " << id_ << " applied " << applied_commands()
       << " commands (" << node_->noop_slots() << " noop slots), "
-      << snapshots_installed() << " snapshot installs\n";
-  const auto engine = engine_stats();
+      << engine.snapshots_installed << " snapshot installs\n";
   out << "engine: depth " << engine.effective_depth << ", batch "
       << engine.effective_batch << ", parked high-water "
       << engine.parked_high_water << "\n";

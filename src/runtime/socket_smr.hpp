@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,10 +19,10 @@
 /// shared `key_seed` (crypto::KeyStore is deterministic), so signatures
 /// verify across process boundaries without any key exchange.
 ///
-/// This mirrors runtime::ThreadedSmrCluster's wiring exactly — same
+/// This mirrors smr::Service's threaded wiring exactly — same
 /// EngineContext, same seeding order (node->start() before net.start(),
-/// while no loop thread runs), same commit-callback accounting — the only
-/// difference is that the transport's other endpoints live in other
+/// while no loop thread runs), counters read from the node itself — the
+/// only difference is that the transport's other endpoints live in other
 /// OS processes. Used by tools/smr_server, tools/smr_client and bench E15.
 
 namespace fastbft::runtime {
@@ -62,10 +61,7 @@ class SocketSmrServer {
   ProcessId id() const { return id_; }
 
   /// Commands applied by this replica (all groups; thread-safe).
-  std::uint64_t applied_commands() const { return applied_.load(); }
-  std::uint64_t snapshots_installed() const {
-    return snapshot_installs_.load();
-  }
+  std::uint64_t applied_commands() const { return node_->applied_commands(); }
 
   /// Engine gauges (relaxed atomics inside SmrNode; thread-safe).
   smr::SmrNode::EngineStats engine_stats() const {
@@ -85,8 +81,6 @@ class SocketSmrServer {
   consensus::LeaderFn leader_of_;
   std::unique_ptr<engine::LoopHost> host_;
   std::unique_ptr<smr::SmrNode> node_;
-  std::atomic<std::uint64_t> applied_{0};
-  std::atomic<std::uint64_t> snapshot_installs_{0};
   bool started_ = false;
 };
 

@@ -1,13 +1,14 @@
 #include "smr/service.hpp"
 
 #include <algorithm>
+#include <condition_variable>
+#include <mutex>
 #include <optional>
-#include <thread>
 
 #include "common/assert.hpp"
 #include "engine/loop_host.hpp"
+#include "net/threaded_network.hpp"
 #include "runtime/cluster.hpp"
-#include "runtime/threaded_smr_cluster.hpp"
 
 namespace fastbft::smr {
 
@@ -39,11 +40,24 @@ SessionConfig make_session_config(const ServiceConfig& config,
 
 SmrOptions make_smr_options(const ServiceConfig& config) {
   SmrOptions smr = config.smr;
-  // The service runs open-ended (sessions decide when to stop asking) and
-  // owns the client-endpoint range.
-  smr.target_commands = 0;
-  smr.num_clients = config.num_sessions;
+  smr.num_clients = config.num_sessions;  // the service owns this range
   return smr;
+}
+
+/// Digest agreement over the replicas `faulty` does not exclude.
+template <typename NodeAt, typename Faulty>
+bool digests_agree(std::uint32_t n, NodeAt node_at, Faulty faulty) {
+  std::optional<crypto::Digest> first;
+  for (ProcessId id = 0; id < n; ++id) {
+    if (faulty(id)) continue;
+    crypto::Digest digest = node_at(id).state_digest();
+    if (!first) {
+      first = digest;
+    } else if (digest != *first) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // --- Simulator backend -------------------------------------------------------
@@ -91,7 +105,10 @@ class SimService final : public Service {
     }
   }
 
-  void start() override { cluster_->start(); }
+  void start() override {
+    cluster_->start();
+    started_ = true;
+  }
   void stop() override {}
 
   ClientSession& session(std::uint32_t index) override {
@@ -101,7 +118,13 @@ class SimService final : public Service {
     return static_cast<std::uint32_t>(sessions_.size());
   }
 
-  void crash(ProcessId replica) override { cluster_->crash_now(replica); }
+  void crash(ProcessId replica) override {
+    if (started_) {
+      cluster_->crash_now(replica);
+    } else {
+      cluster_->crash_at(replica, 0);
+    }
+  }
   void restart(ProcessId replica) override {
     cluster_->restart_now(replica);
   }
@@ -135,17 +158,20 @@ class SimService final : public Service {
   net::SimNetwork* sim_network() override { return &cluster_->network(); }
 
   bool stores_agree() const override {
-    std::optional<crypto::Digest> first;
-    for (ProcessId id = 0; id < config_.cluster.n; ++id) {
-      if (cluster_->is_faulty(id)) continue;
-      crypto::Digest digest = nodes_[id]->state_digest();
-      if (!first) {
-        first = digest;
-      } else if (digest != *first) {
-        return false;
-      }
-    }
-    return true;
+    return digests_agree(
+        config_.cluster.n,
+        [this](ProcessId id) -> const SmrNode& { return *nodes_[id]; },
+        [this](ProcessId id) { return cluster_->is_faulty(id); });
+  }
+
+  SmrNode& replica(ProcessId id) override {
+    FASTBFT_ASSERT(nodes_.at(id) != nullptr,
+                   "replica(): simulator replicas exist from start()");
+    return *nodes_[id];
+  }
+
+  std::uint64_t delivered_messages() const override {
+    return cluster_->network().stats().total_messages();
   }
 
  private:
@@ -154,50 +180,82 @@ class SimService final : public Service {
   std::unique_ptr<runtime::Cluster> cluster_;
   std::unique_ptr<engine::SimHost> host_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
+  bool started_ = false;
 };
 
 // --- Threaded backend --------------------------------------------------------
 
+/// One net::ThreadedNetwork event loop per replica and per session. All
+/// of a replica's protocol code runs on its loop thread; the calling
+/// thread reaches a running replica only through live_ (relaxed-atomic
+/// stats, republished under mutex_ by restart) and through replica()
+/// while no loop runs.
 class ThreadedService final : public Service {
  public:
   explicit ThreadedService(ServiceConfig config)
-      : config_(std::move(config)) {
+      : config_(std::move(config)),
+        net_(config_.cluster.n, net::ThreadedNetworkConfig{config_.link_delay},
+             config_.num_sessions),
+        keys_(std::make_shared<const crypto::KeyStore>(config_.key_seed,
+                                                       config_.cluster.n)),
+        leader_of_(consensus::round_robin_leader(config_.cluster.n)),
+        smr_(make_smr_options(config_)),
+        faulty_(config_.cluster.n, false) {
     const auto& cfg = config_.cluster;
     FASTBFT_ASSERT(cfg.satisfies_bound(), "invalid quorum config");
     FASTBFT_ASSERT(config_.num_sessions >= 1, "a service needs sessions");
     FASTBFT_ASSERT(!config_.tune_replica,
                    "tune_replica is simulator-only (chaos harness)");
+    // The simulator-tick default of the view-change timeout means nothing
+    // on a µs clock.
+    smr_.node.sync.base_timeout = config_.sync_base_timeout_us;
 
-    runtime::ThreadedSmrClusterOptions options;
-    options.smr = make_smr_options(config_);
-    options.link_delay = config_.link_delay;
-    options.sync_base_timeout_us = config_.sync_base_timeout_us;
-    options.num_clients = config_.num_sessions;
-    options.key_seed = config_.key_seed;
-    cluster_ = std::make_unique<runtime::ThreadedSmrCluster>(cfg, options);
+    for (ProcessId pid = 0; pid < net_.total_size(); ++pid) {
+      hosts_.push_back(std::make_unique<engine::LoopHost>(net_.loop(pid)));
+    }
+    for (ProcessId id = 0; id < cfg.n; ++id) {
+      nodes_.push_back(make_node(id));
+      live_.push_back(nodes_.back().get());
+      // The handler reads nodes_[id] at delivery time, so restart() can
+      // swap in a fresh node (on this same loop thread) without
+      // re-attaching.
+      net_.attach(id, [this, id](ProcessId from, const Bytes& payload) {
+        nodes_[id]->on_message(from, payload);
+      });
+    }
 
     Duration timeout = config_.request_timeout != 0
                            ? config_.request_timeout
                            : kThreadedDefaultRequestTimeout;
     for (std::uint32_t k = 0; k < config_.num_sessions; ++k) {
       ProcessId pid = cfg.n + k;
-      hosts_.push_back(
-          std::make_unique<engine::LoopHost>(cluster_->net().loop(pid)));
       auto session = std::make_unique<ClientSession>(
-          *hosts_.back(), cluster_->net().endpoint(pid),
-          make_session_config(config_, k, timeout, cluster_->keys()));
-      cluster_->net().attach(
-          pid, [s = session.get()](ProcessId from, const Bytes& payload) {
-            s->on_message(from, payload);
-          });
+          *hosts_[pid], net_.endpoint(pid),
+          make_session_config(config_, k, timeout, keys_));
+      net_.attach(pid,
+                  [s = session.get()](ProcessId from, const Bytes& payload) {
+                    s->on_message(from, payload);
+                  });
       sessions_.push_back(std::move(session));
     }
   }
 
   ~ThreadedService() override { stop(); }
 
-  void start() override { cluster_->start(); }
-  void stop() override { cluster_->stop(); }
+  /// Opens every replica's initial slot window while no loop thread runs
+  /// (crashed-before-start replicas too: their traffic and timers are
+  /// simply never serviced), then starts the loops.
+  void start() override {
+    FASTBFT_ASSERT(!started_, "already started");
+    started_ = true;
+    for (auto& node : nodes_) node->start();
+    net_.start();
+  }
+
+  void stop() override {
+    net_.stop();
+    stopped_ = true;
+  }
 
   ClientSession& session(std::uint32_t index) override {
     return *sessions_.at(index);
@@ -206,44 +264,140 @@ class ThreadedService final : public Service {
     return static_cast<std::uint32_t>(sessions_.size());
   }
 
-  void crash(ProcessId replica) override { cluster_->crash(replica); }
-  void restart(ProcessId replica) override { cluster_->restart(replica); }
+  void crash(ProcessId replica) override {
+    FASTBFT_ASSERT(replica < config_.cluster.n, "crash: id out of range");
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      faulty_[replica] = true;
+    }
+    net_.disconnect(replica);
+    wake();
+  }
+
+  /// The replica rejoins as a FRESH SmrNode; recovering it is the
+  /// protocol's job (catch-up, snapshot state transfer). The swap, the
+  /// reconnect and start() all run on its own loop thread: the old node
+  /// dies where its timers live (same-thread contract), and no message
+  /// reaches the fresh node before it exists. While still disconnected
+  /// the loop only runs posted tasks, so reconnecting inside the task is
+  /// race-free. Until the task runs, the stats accessors still read the
+  /// crashed incarnation.
+  void restart(ProcessId replica) override {
+    FASTBFT_ASSERT(replica < config_.cluster.n, "restart: id out of range");
+    FASTBFT_ASSERT(started_ && !stopped_, "restart: only mid-run");
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      FASTBFT_ASSERT(faulty_[replica], "restart: replica never crashed");
+      faulty_[replica] = false;
+    }
+    net_.loop(replica).post([this, replica] {
+      auto fresh = make_node(replica);
+      {
+        // Republish before the old node dies: readers dereference live_
+        // under this mutex, so none can still hold the old node after.
+        std::lock_guard<std::mutex> lock(mutex_);
+        live_[replica] = fresh.get();
+      }
+      nodes_[replica] = std::move(fresh);
+      net_.reconnect(replica);
+      nodes_[replica]->start();
+    });
+  }
 
   bool run_until(std::function<bool()> done,
                  std::chrono::milliseconds budget) override {
-    auto deadline = std::chrono::steady_clock::now() + budget;
+    using Clock = std::chrono::steady_clock;
+    const auto deadline = Clock::now() + budget;
+    std::unique_lock<std::mutex> lock(wake_mutex_);
     while (!done()) {
-      if (std::chrono::steady_clock::now() >= deadline) return done();
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      const auto now = Clock::now();
+      if (now >= deadline) return false;
+      wake_cv_.wait_until(lock, std::min(deadline, now + kRecheck));
     }
     return true;
   }
 
   const consensus::QuorumConfig& quorum() const override {
-    return cluster_->config();
+    return config_.cluster;
   }
 
   std::uint64_t applied_commands(ProcessId replica) const override {
-    return cluster_->applied_commands(replica);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return live_.at(replica)->applied_commands();
   }
 
   SmrNode::EngineStats engine_stats(ProcessId replica) const override {
-    return cluster_->engine_stats(replica);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return live_.at(replica)->engine_stats();
   }
 
   bool is_faulty(ProcessId replica) const override {
-    return cluster_->is_faulty(replica);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return faulty_.at(replica);
   }
 
   bool stores_agree() const override {
-    return cluster_->correct_stores_agree();
+    FASTBFT_ASSERT(stopped_, "store introspection only after stop()");
+    return digests_agree(
+        config_.cluster.n,
+        [this](ProcessId id) -> const SmrNode& { return *nodes_[id]; },
+        [this](ProcessId id) { return faulty_[id]; });
+  }
+
+  SmrNode& replica(ProcessId id) override {
+    FASTBFT_ASSERT(!started_ || stopped_,
+                   "replica(): only before start() or after stop()");
+    return *nodes_.at(id);
+  }
+
+  std::uint64_t delivered_messages() const override {
+    return net_.delivered_count();
   }
 
  private:
+  /// Longest a run_until sleeps without an apply before re-checking a
+  /// predicate that applies do not signal (session completions, crashes).
+  static constexpr std::chrono::milliseconds kRecheck{1};
+
+  /// Constructor only (no timers armed), so it is safe on the setup
+  /// thread and on the replica's loop thread alike.
+  std::unique_ptr<SmrNode> make_node(ProcessId id) {
+    engine::EngineContext ectx{config_.cluster, id, keys_, leader_of_,
+                               /*group=*/0, /*stats=*/nullptr,
+                               /*verify_cache=*/nullptr};
+    return std::make_unique<SmrNode>(
+        *hosts_[id], std::move(ectx), net_.endpoint(id), smr_,
+        [this](ProcessId, GroupId, Slot, const std::vector<Command>&) {
+          wake();
+        });
+  }
+
+  /// Wakes run_until. Taking wake_mutex_ orders this after a waiter's
+  /// predicate check, so an apply between check and wait is not lost.
+  void wake() {
+    { std::lock_guard<std::mutex> lock(wake_mutex_); }
+    wake_cv_.notify_all();
+  }
+
   ServiceConfig config_;
-  std::unique_ptr<runtime::ThreadedSmrCluster> cluster_;
+  net::ThreadedNetwork net_;
+  std::shared_ptr<const crypto::KeyStore> keys_;
+  consensus::LeaderFn leader_of_;
+  SmrOptions smr_;
+  /// One per endpoint (replicas, then sessions), indexed by ProcessId.
   std::vector<std::unique_ptr<engine::LoopHost>> hosts_;
+  /// Touched only by replica id's loop thread mid-run (the restart swap).
+  std::vector<std::unique_ptr<SmrNode>> nodes_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
+
+  mutable std::mutex mutex_;  // guards live_ and faulty_
+  std::vector<SmrNode*> live_;
+  std::vector<bool> faulty_;
+
+  std::mutex wake_mutex_;
+  std::condition_variable wake_cv_;
+  bool started_ = false;
+  bool stopped_ = false;
 };
 
 }  // namespace

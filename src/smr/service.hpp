@@ -20,9 +20,10 @@
 /// substrate:
 ///  * make_sim_service — the deterministic simulator (runtime::Cluster).
 ///    Drive progress with run_until; simulated time, reproducible runs.
-///  * make_threaded_service — real OS threads and wall-clock time
-///    (runtime::ThreadedSmrCluster). Futures are blockable; run_until
-///    polls.
+///  * make_threaded_service — real OS threads and wall-clock time: one
+///    net::ThreadedNetwork event loop per replica and per session, each
+///    replica an SmrNode over an engine::LoopHost. Futures are blockable;
+///    run_until sleeps until a replica applies a slot.
 ///
 /// Lifecycle: configure -> construct (sessions exist immediately) ->
 /// start() -> submit through sessions / crash() / restart() -> stop().
@@ -36,8 +37,8 @@ struct ServiceConfig {
   std::uint32_t num_sessions = 1;
 
   /// Replication tuning (batching, pipelining, snapshots, leader
-  /// rotation, per-slot consensus knobs). target_commands and num_clients
-  /// are managed by the service itself.
+  /// rotation, per-slot consensus knobs). num_clients is managed by the
+  /// service itself.
   SmrOptions smr;
 
   /// Per-request completion timeout in host ticks (simulator ticks / µs
@@ -183,15 +184,17 @@ class Service {
   virtual ClientSession& session(std::uint32_t index) = 0;
   virtual std::uint32_t num_sessions() const = 0;
 
-  /// Fail-stop / crash-recover a replica mid-run (fault injection; the
-  /// sessions' failover machinery is how clients survive it).
+  /// Fail-stop a replica before start() or mid-run, and crash-recover it
+  /// mid-run (fault injection; the sessions' failover machinery is how
+  /// clients survive it).
   virtual void crash(ProcessId replica) = 0;
   virtual void restart(ProcessId replica) = 0;
 
   /// Drives the service until done() returns true or ~`budget` elapses;
   /// returns done()'s final verdict. On the simulator this steps the
   /// scheduler (1 ms of budget = 1000 simulated ticks); on the threaded
-  /// runtime it polls wall-clock. done() must be safe to call from the
+  /// runtime it re-checks done() whenever a replica applies a slot and at
+  /// least every millisecond. done() must be safe to call from the
   /// driving thread.
   virtual bool run_until(std::function<bool()> done,
                          std::chrono::milliseconds budget) = 0;
@@ -238,6 +241,16 @@ class Service {
   /// True iff every correct replica's KV store digest matches. Threaded
   /// runtime: only valid after stop().
   virtual bool stores_agree() const = 0;
+
+  /// Replica `id` itself (engine window, catch-up policy, KV store, and
+  /// on_message for pre-start request injection). Simulator: exists from
+  /// start() on. Threaded runtime: only before start() or after stop(),
+  /// while no loop thread runs (asserted).
+  virtual SmrNode& replica(ProcessId id) = 0;
+
+  /// Messages the network carried so far (threaded: delivered;
+  /// simulator: NetworkStats::total_messages).
+  virtual std::uint64_t delivered_messages() const = 0;
 
   /// Simulator runtime only: the underlying SimNetwork (fault hooks,
   /// observers, scheduler). nullptr on the threaded runtime — the chaos

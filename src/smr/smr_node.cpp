@@ -79,13 +79,12 @@ void SmrNode::init_groups(engine::Host& host) {
     hooks.state = [grp]() -> std::function<Bytes()> {
       return [image = grp->store.freeze()] { return image.serialize(); };
     };
-    hooks.install = [this, grp, g](const Snapshot& snap) {
+    hooks.install = [grp](const Snapshot& snap) {
       bool restored = grp->store.restore(snap.kv_state);
       // The body already passed digest verification against f + 1
       // vouchers; a malformed KV image here would mean a broken snapshot
       // encoder.
       FASTBFT_ASSERT(restored, "verified snapshot failed to restore");
-      if (on_install_) on_install_(ectx_.id, g, snap);
     };
 
     group->mux = std::make_unique<engine::SlotMux>(
@@ -221,6 +220,10 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
     stats.parked_high_water = std::max(stats.parked_high_water,
                                        mux.parked_high_water());
     stats.clamp_stalls += mux.clamp_stalls();
+    stats.snapshots_installed += mux.snapshots_installed();
+    stats.apply_watermark = std::max(stats.apply_watermark,
+                                     mux.apply_watermark());
+    stats.slots_applied += mux.slots_applied();
   }
   return stats;
 }

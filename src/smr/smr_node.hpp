@@ -35,8 +35,9 @@
 /// The shell is host-agnostic like the engine underneath it: the
 /// ProcessContext constructor runs it on the deterministic simulator
 /// (owning a SimHost), while the Host constructor runs the identical code
-/// over any execution context — runtime::ThreadedSmrCluster uses it with
-/// a wall-clock LoopHost per event-loop thread.
+/// over any execution context — smr::Service's threaded backend and
+/// runtime::SocketSmrServer use it with a wall-clock LoopHost per
+/// event-loop thread.
 ///
 /// Wire protocol:
 ///  * Requests reach every replica as SMR_REQUEST; whichever process leads
@@ -174,12 +175,6 @@ class SmrNode final : public runtime::IProcess {
       std::function<void(ProcessId pid, GroupId group, Slot slot,
                          const std::vector<Command>& commands)>;
 
-  /// Called after a transferred snapshot is installed in `group` (the
-  /// group's store already restored). Lets harnesses account for the
-  /// slots the replica skipped.
-  using InstallCallback = std::function<void(ProcessId pid, GroupId group,
-                                             const Snapshot& snapshot)>;
-
   /// Simulator shell: builds a SimHost over the cluster scheduler and a
   /// SimNetwork endpoint from the process context.
   SmrNode(const runtime::ProcessContext& ctx, SmrOptions options,
@@ -192,11 +187,6 @@ class SmrNode final : public runtime::IProcess {
           std::unique_ptr<net::Transport> endpoint, SmrOptions options,
           CommitCallback on_commit);
   ~SmrNode() override;
-
-  /// Optional snapshot-install notification; set before start().
-  void set_install_callback(InstallCallback on_install) {
-    on_install_ = std::move(on_install);
-  }
 
   void start() override;
   void on_message(ProcessId from, const Bytes& payload) override;
@@ -233,7 +223,7 @@ class SmrNode final : public runtime::IProcess {
     return groups_[group]->mux->highest_started();
   }
 
-  /// Applied commands summed over every group.
+  /// Applied commands summed over every group. Thread-safe.
   std::uint64_t applied_commands() const;
 
   /// No-op slots summed over every group.
@@ -255,6 +245,9 @@ class SmrNode final : public runtime::IProcess {
     std::size_t reorder_high_water = 0;  ///< max over groups
     std::size_t parked_high_water = 0;   ///< max over groups
     std::uint64_t clamp_stalls = 0;      ///< summed
+    std::uint64_t snapshots_installed = 0;  ///< summed
+    Slot apply_watermark = 0;            ///< max over groups
+    std::uint64_t slots_applied = 0;     ///< summed (installs excluded)
   };
   EngineStats engine_stats() const;
 
@@ -271,7 +264,6 @@ class SmrNode final : public runtime::IProcess {
   engine::EngineContext ectx_;
   SmrOptions options_;
   CommitCallback on_commit_;
-  InstallCallback on_install_;
   std::unique_ptr<engine::SimHost> owned_host_;  // sim shell only
   std::unique_ptr<net::Transport> endpoint_;
   /// One engine + store per consensus group; stable addresses (the engine

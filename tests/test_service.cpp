@@ -217,6 +217,44 @@ TEST_P(ServiceApi, WindowedSessionsRunConcurrently) {
   }
 }
 
+TEST_P(ServiceApi, QuorumShapesDecideDespiteCrashedFollowers) {
+  // The paper's quorum shapes, each with crash-before-start followers
+  // (p0 leads every slot: leaders are pinned). (7, 2, 1) with two crashed
+  // leaves 5 correct replicas, below the fast-path quorum n - t = 6, so
+  // only the slow path (commit quorum 5) can decide there.
+  struct Shape {
+    std::uint32_t n, f, t;
+    std::vector<ProcessId> crashed;
+  };
+  const Shape shapes[] = {
+      {4, 1, 1, {}}, {14, 3, 3, {}}, {9, 2, 2, {4, 8}}, {7, 2, 1, {5, 6}}};
+  for (const Shape& shape : shapes) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("n=" + std::to_string(shape.n) +
+                   " f=" + std::to_string(shape.f) +
+                   " t=" + std::to_string(shape.t) +
+                   " seed=" + std::to_string(seed));
+      auto config = ServiceConfig{}
+                        .with_cluster(shape.n, shape.f, shape.t)
+                        .with_rotating_leaders(false)
+                        .with_seed(seed);
+      auto service = make_service(GetParam(), config);
+      for (ProcessId id : shape.crashed) service->crash(id);
+      service->start();
+      ClientSession& session = service->session(0);
+
+      const std::string value = "v" + std::to_string(seed);
+      EXPECT_TRUE(must_complete(*service, session.put("k", value)).result.ok);
+      EXPECT_EQ(must_complete(*service, session.get("k")).result.value,
+                value);
+      EXPECT_TRUE(service->await_applied(2, 20'000ms));
+      service->stop();
+      EXPECT_TRUE(service->stores_agree());
+      for (ProcessId id : shape.crashed) EXPECT_TRUE(service->is_faulty(id));
+    }
+  }
+}
+
 // --- Adaptive pipelining (engine/adaptive.hpp) -------------------------------
 
 TEST_P(ServiceApi, AdaptiveDepthGrowsToMaxUnderLightLoad) {

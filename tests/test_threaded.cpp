@@ -1,99 +1,20 @@
 #include <gtest/gtest.h>
 
-#include "runtime/threaded_cluster.hpp"
+#include <atomic>
+#include <thread>
 
-/// The unmodified replica over real OS threads and wall-clock time: the
-/// protocol logic is transport-agnostic, so everything proven on the
-/// deterministic simulator must also hold here (modulo timing assertions,
-/// which become timeouts).
+#include "net/threaded_network.hpp"
 
-namespace fastbft::runtime {
+/// net::ThreadedNetwork on its own: the wire under smr::Service's threaded
+/// backend (whose protocol runs are in test_service and test_threaded_smr).
+
+namespace fastbft::net {
 namespace {
 
 using namespace std::chrono_literals;
 
-std::vector<Value> inputs(std::uint32_t n) {
-  std::vector<Value> v;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    v.push_back(Value::of_string("t" + std::to_string(i)));
-  }
-  return v;
-}
-
-TEST(Threaded, FourProcessesDecide) {
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  ThreadedCluster cluster(cfg, inputs(4));
-  cluster.start();
-  ASSERT_TRUE(cluster.wait_all_correct_decided(5s));
-  EXPECT_TRUE(cluster.agreement());
-  auto decisions = cluster.decisions();
-  ASSERT_EQ(decisions.size(), 4u);
-  for (const auto& [pid, record] : decisions) {
-    EXPECT_EQ(record.value, Value::of_string("t0")) << "p" << pid;
-    EXPECT_EQ(record.view, 1u);
-  }
-}
-
-TEST(Threaded, LargerClusterDecides) {
-  auto cfg = consensus::QuorumConfig::create(14, 3, 3);
-  ThreadedCluster cluster(cfg, inputs(14));
-  cluster.start();
-  ASSERT_TRUE(cluster.wait_all_correct_decided(10s));
-  EXPECT_TRUE(cluster.agreement());
-  EXPECT_EQ(cluster.decisions().size(), 14u);
-}
-
-TEST(Threaded, ToleratesTCrashedProcesses) {
-  auto cfg = consensus::QuorumConfig::create(9, 2, 2);
-  ThreadedCluster cluster(cfg, inputs(9));
-  cluster.crash(4);
-  cluster.crash(8);
-  cluster.start();
-  ASSERT_TRUE(cluster.wait_all_correct_decided(10s));
-  EXPECT_TRUE(cluster.agreement());
-  EXPECT_EQ(cluster.decisions().size(), 7u);
-}
-
-TEST(Threaded, SlowPathDecidesBeyondTFaults) {
-  // n = 7, f = 2, t = 1 with two crashes: only the slow path can decide.
-  auto cfg = consensus::QuorumConfig::create(7, 2, 1);
-  ThreadedCluster cluster(cfg, inputs(7));
-  cluster.crash(5);
-  cluster.crash(6);
-  cluster.start();
-  ASSERT_TRUE(cluster.wait_all_correct_decided(10s));
-  EXPECT_TRUE(cluster.agreement());
-  for (const auto& [pid, record] : cluster.decisions()) {
-    EXPECT_TRUE(record.via_slow_path) << "p" << pid;
-  }
-}
-
-TEST(Threaded, DeadLeaderMeansNoDecisionWithoutSynchronizer) {
-  // Documents the scope boundary: threaded clusters have no timer source,
-  // so a dead leader stalls them (by design; view changes are exercised
-  // on the simulator).
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  ThreadedCluster cluster(cfg, inputs(4));
-  cluster.crash(0);
-  cluster.start();
-  EXPECT_FALSE(cluster.wait_all_correct_decided(200ms));
-  EXPECT_TRUE(cluster.decisions().empty());
-}
-
-TEST(Threaded, RepeatedRunsAllAgree) {
-  for (int run = 0; run < 10; ++run) {
-    auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-    ThreadedCluster cluster(cfg, inputs(4),
-                            consensus::ReplicaOptions{},
-                            /*key_seed=*/static_cast<std::uint64_t>(run));
-    cluster.start();
-    ASSERT_TRUE(cluster.wait_all_correct_decided(5s)) << "run " << run;
-    EXPECT_TRUE(cluster.agreement()) << "run " << run;
-  }
-}
-
 TEST(ThreadedNetworkTest, StopIsIdempotentAndDestructorSafe) {
-  net::ThreadedNetwork network(2);
+  ThreadedNetwork network(2);
   network.attach(0, [](ProcessId, const Bytes&) {});
   network.attach(1, [](ProcessId, const Bytes&) {});
   network.start();
@@ -103,7 +24,7 @@ TEST(ThreadedNetworkTest, StopIsIdempotentAndDestructorSafe) {
 }
 
 TEST(ThreadedNetworkTest, DisconnectedProcessReceivesNothingFurther) {
-  net::ThreadedNetwork network(2);
+  ThreadedNetwork network(2);
   std::atomic<int> received{0};
   network.attach(0, [](ProcessId, const Bytes&) {});
   network.attach(1, [&](ProcessId, const Bytes&) { received.fetch_add(1); });
@@ -116,4 +37,4 @@ TEST(ThreadedNetworkTest, DisconnectedProcessReceivesNothingFurther) {
 }
 
 }  // namespace
-}  // namespace fastbft::runtime
+}  // namespace fastbft::net
