@@ -88,7 +88,9 @@ void a3_timeout_tradeoff() {
   for (Duration base : {400, 800, 1200, 2400, 4800}) {
     viewsync::SynchronizerConfig sync;
     sync.base_timeout = base;
-    RunMetrics m = run_with_options(4, 1, 1, {}, sync, {{0, 0}});
+    consensus::ReplicaOptions replica;
+    replica.slow_path = true;  // the table's traffic includes the slow path
+    RunMetrics m = run_with_options(4, 1, 1, replica, sync, {{0, 0}});
     row("%-18.1f %-18.1f %-14llu", static_cast<double>(base) / 100.0,
         m.delays, static_cast<unsigned long long>(m.messages));
   }

@@ -8,6 +8,7 @@
 #include "common/codec.hpp"
 #include "consensus/messages.hpp"
 #include "crypto/sha256.hpp"
+#include "engine/catchup.hpp"
 #include "net/frame.hpp"
 #include "net/tags.hpp"
 #include "smr/batch.hpp"
@@ -128,6 +129,9 @@ void gen_message(const fs::path& root) {
   enc.u64(1);   // snapshot floor
   enc.bytes(propose.serialize());
   write_seed(dir, "wrapped_propose", std::move(enc).take());
+
+  // SMR_PULL for slot 9 of group 0 (fuzz_message exercise_pull).
+  write_seed(dir, "pull", engine::encode_decided_pull(0, 9));
 
   // Truncated propose: a well-formed prefix that must decode to nullopt.
   Bytes trunc = propose.serialize();

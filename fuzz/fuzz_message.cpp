@@ -1,6 +1,8 @@
+#include <algorithm>
 #include <cstdint>
 
 #include "consensus/messages.hpp"
+#include "engine/catchup.hpp"
 #include "net/tags.hpp"
 #include "smr/batch.hpp"
 
@@ -19,6 +21,9 @@
 ///      is the aliasing pattern SlotMux::on_wrapped relies on.
 ///   3. smr::decode_batch over any Value a ProposeMsg/AckMsg carried,
 ///      the batch layer a decided value flows into.
+///   4. The SMR_PULL decode (engine::decode_decided_pull), for the group
+///      the payload names and for group 0 — the node routes by the peeked
+///      group, and the engine must still reject a foreign one.
 ///
 /// The contract under test: decoding is total. Any input either yields a
 /// well-formed object or nullopt; no crash, no UB, no unbounded
@@ -82,6 +87,28 @@ void exercise_wrapped(ByteView payload) {
   exercise_consensus(inner);
 }
 
+/// SMR_PULL{tag, group, slot}: whatever decodes must re-encode to the
+/// identical bytes (the decoder rejects trailing bytes and slot 0), and a
+/// decode for any other group must fail.
+void exercise_pull(ByteView payload) {
+  Decoder peek(payload);
+  (void)peek.u8();
+  fastbft::GroupId group = peek.u32();
+  for (fastbft::GroupId g : {group, fastbft::GroupId{0}}) {
+    auto slot = fastbft::engine::decode_decided_pull(payload, g);
+    if (!slot) continue;
+    if (*slot == 0 || g != group) __builtin_trap();
+    fastbft::Bytes again = fastbft::engine::encode_decided_pull(g, *slot);
+    if (!std::equal(again.begin(), again.end(), payload.begin(),
+                    payload.end())) {
+      __builtin_trap();
+    }
+    if (fastbft::engine::decode_decided_pull(payload, g + 1)) {
+      __builtin_trap();
+    }
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
@@ -89,5 +116,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   ByteView payload(data, size);
   exercise_consensus(payload);
   exercise_wrapped(payload);
+  exercise_pull(payload);
   return 0;
 }

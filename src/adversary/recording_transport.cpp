@@ -11,8 +11,10 @@ WireKind classify_payload(ByteView payload) {
   WireKind kind;
   if (payload.empty()) return kind;
   kind.tag = payload[0];
-  if (kind.tag >= net::tags::kSmrWrapped &&
-      kind.tag <= net::tags::kSmrSnapResponse && payload.size() >= 5) {
+  bool grouped = (kind.tag >= net::tags::kSmrWrapped &&
+                  kind.tag <= net::tags::kSmrSnapResponse) ||
+                 kind.tag == net::tags::kSmrDecidedPull;
+  if (grouped && payload.size() >= 5) {
     kind.grouped = true;
     kind.group = static_cast<GroupId>(payload[1]) |
                  (static_cast<GroupId>(payload[2]) << 8) |
@@ -39,6 +41,7 @@ std::string tag_name(std::uint8_t tag) {
     case kSmrSnapRequest: return "SMR_SNAP_REQ";
     case kSmrSnapResponse: return "SMR_SNAP_RESP";
     case kSmrReply: return "SMR_REPLY";
+    case kSmrDecidedPull: return "SMR_PULL";
     default: {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "TAG_%02X", tag);

@@ -52,8 +52,8 @@ class RecordingTransport final : public net::Transport {
 };
 
 /// Wire identity of one payload: the tag byte plus, for the group-scoped
-/// SMR tags (0x41-0x44, which carry a u32 GroupId right after the tag —
-/// see net/tags.hpp and docs/SHARDING.md), the group it belongs to.
+/// SMR tags (0x41-0x44 and 0x46, which carry a u32 GroupId right after the
+/// tag — see net/tags.hpp and docs/SHARDING.md), the group it belongs to.
 struct WireKind {
   std::uint8_t tag = 0;
   bool grouped = false;

@@ -42,7 +42,8 @@ Replica::Replica(QuorumConfig cfg, ProcessId id, Value input,
       verifier_(std::move(verifier)),
       leader_of_(std::move(leader_of)),
       on_decide_(std::move(on_decide)),
-      options_(options) {
+      options_(options),
+      slow_path_(options.slow_path.value_or(cfg.t < cfg.f)) {
   FASTBFT_ASSERT(!input_.empty(), "consensus inputs must be non-empty");
   FASTBFT_ASSERT(id_ < cfg_.n, "replica id out of range");
 }
@@ -157,7 +158,7 @@ void Replica::send_vote_to(ProcessId leader, View v) {
   msg.v = v;
   msg.record.voter = id_;
   msg.record.vote = vote_.value_or(Vote::nil());
-  if (options_.slow_path && latest_cc_) msg.record.cc = latest_cc_;
+  if (slow_path_ && latest_cc_) msg.record.cc = latest_cc_;
   Encoder preimage = Encoder::scratch();
   vote_preimage(preimage, msg.record.vote, msg.record.cc, v);
   msg.record.phi = signer_.sign(kDomVote, preimage.view());
@@ -215,7 +216,7 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
   ack.x = msg.x;
   transport_.broadcast(ack.serialize());
 
-  if (options_.slow_path) {
+  if (slow_path_) {
     AckSigMsg sig;
     sig.v = msg.v;
     sig.x = msg.x;
@@ -246,20 +247,20 @@ void Replica::handle_ack(ProcessId from, const AckMsg& msg) {
 // --- Slow path (Appendix A) -------------------------------------------------
 
 void Replica::handle_ack_sig(ProcessId from, const AckSigMsg& msg) {
-  if (!options_.slow_path) return;
+  if (!slow_path_) return;
   // Our own signature was recorded at signing time (handle_propose); the
   // loopback — or anything forged onto the self channel — is ignored.
   if (from == id_) return;
   if (msg.x.empty() || msg.v == kNoView) return;
   auto key = key_of(msg.v, msg.x);
-  // Collection continues even after a fast-path decision — the commit
-  // certificate this assembles is broadcast exactly once and doubles as
-  // the catch-up stream that keeps lagging replicas at the live frontier
-  // (see SlotMux). But once OUR Commit went out, further signed acks for
-  // this (view, value) buy nothing: skip their HMACs. Peers' signatures
-  // check against the shared (x, v) digest, hashed once per proposal
-  // instead of once per message. Only a verified signature may create a
-  // tally.
+  // Collection continues even after a fast-path decision: a peer that saw
+  // fewer than n - t acks (more than t faults) can only decide through
+  // commit_quorum() Commits, and ours may be one of them. The certificate
+  // is broadcast exactly once, so once OUR Commit went out, further signed
+  // acks for this (view, value) buy nothing: skip their HMACs. Peers'
+  // signatures check against the shared (x, v) digest, hashed once per
+  // proposal instead of once per message. Only a verified signature may
+  // create a tally.
   auto it = tallies_.find(key);
   if (it != tallies_.end() && it->second.commit_sent) return;
   if (!verifier_.verify_digest(from, kDomAck, xv_digest(msg.v, msg.x),
@@ -296,7 +297,7 @@ void Replica::adopt_cc(const CommitCert& cc) {
 }
 
 void Replica::handle_commit(ProcessId from, const CommitMsg& msg) {
-  if (!options_.slow_path) return;
+  if (!slow_path_) return;
   if (decision_) return;  // see handle_ack_sig
   if (msg.cc.x != msg.x || msg.cc.v != msg.v) return;
   if (!verify_commit_cert(verifier_, cfg_, msg.cc)) return;
@@ -315,7 +316,7 @@ void Replica::handle_vote(ProcessId from, const VoteMsg& msg) {
   FASTBFT_ASSERT(leader_of_(msg.v) == id_, "leader state in a foreign view");
   if (leader_state_->proposed || leader_state_->cert_requested) return;
   if (msg.record.voter != from) return;
-  if (!options_.slow_path && msg.record.cc) return;
+  if (!slow_path_ && msg.record.cc) return;
   if (!validate_vote_record(verifier_, cfg_, leader_of_, msg.record, msg.v)) {
     log_debug(who(id_), [from] {
       return "rejecting invalid vote from " + std::to_string(from);

@@ -24,8 +24,11 @@ namespace fastbft::consensus {
 
 struct ReplicaOptions {
   /// Enables the Appendix-A slow path (signed acks, commit certificates,
-  /// Commit messages). The vanilla Section-3 protocol runs with this off.
-  bool slow_path = true;
+  /// Commit messages). Unset, it resolves to `cfg.t < cfg.f`: the slow
+  /// path exists only for the generalised regime, and the vanilla
+  /// Section-3 protocol (t = f, n >= 5f - 1) is safe and live without it.
+  /// An explicit value wins.
+  std::optional<bool> slow_path = std::nullopt;
 
   /// Ablation knob (bench_ablation): send CertReq to all n processes
   /// instead of the paper's minimal 2f + 1. Same liveness (f + 1 correct
@@ -153,6 +156,8 @@ class Replica {
   LeaderFn leader_of_;
   DecideCallback on_decide_;
   ReplicaOptions options_;
+  /// options_.slow_path resolved against the config.
+  bool slow_path_;
 
   View view_ = 1;
   std::optional<Vote> vote_;

@@ -1,6 +1,7 @@
 #include "engine/catchup.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <string>
 
@@ -61,17 +62,23 @@ std::optional<Value> CatchUpPolicy::ready_claim(Slot slot) const {
   return std::nullopt;
 }
 
-void CatchUpPolicy::note_watermark(ProcessId peer, Slot applied_below) {
-  if (peer >= watermarks_.size()) return;
-  if (applied_below <= watermarks_[peer]) return;  // stale gossip
+bool CatchUpPolicy::note_watermark(ProcessId peer, Slot applied_below) {
+  if (peer >= watermarks_.size()) return false;
+  if (applied_below <= watermarks_[peer]) return false;  // stale gossip
   watermarks_[peer] = applied_below;
 
-  Slot min = watermarks_[0];
-  for (Slot w : watermarks_) min = std::min(min, w);
+  watermark_scratch_.assign(watermarks_.begin(), watermarks_.end());
+  if (threshold_ >= 1 && threshold_ <= watermark_scratch_.size()) {
+    auto nth = watermark_scratch_.begin() + (threshold_ - 1);
+    std::nth_element(watermark_scratch_.begin(), nth,
+                     watermark_scratch_.end(), std::greater<>());
+    quorum_applied_below_ = *nth;
+  }
   // Everything strictly below the minimum is applied on every process (a
   // Byzantine peer over-reporting only removes itself from the minimum;
   // honest watermarks keep the floor safe).
-  raise_floor(min);
+  raise_floor(*std::min_element(watermarks_.begin(), watermarks_.end()));
+  return true;
 }
 
 void CatchUpPolicy::raise_floor(Slot candidate) {
@@ -105,6 +112,26 @@ std::optional<Bytes> CatchUpPolicy::reply_for(Slot slot, ProcessId to,
   enc.u64(slot);
   value->encode(enc);
   return std::move(enc).take();
+}
+
+Bytes encode_decided_pull(GroupId group, Slot slot) {
+  Encoder enc(1 + 4 + 8);
+  enc.u8(net::tags::kSmrDecidedPull);
+  enc.u32(group);
+  enc.u64(slot);
+  return std::move(enc).take();
+}
+
+std::optional<Slot> decode_decided_pull(ByteView payload, GroupId group) {
+  Decoder dec(payload);
+  std::uint8_t tag = dec.u8();
+  GroupId their_group = dec.u32();
+  Slot slot = dec.u64();
+  if (!dec.ok() || !dec.at_end() || tag != net::tags::kSmrDecidedPull ||
+      slot == 0 || their_group != group) {
+    return std::nullopt;
+  }
+  return slot;
 }
 
 // --- Snapshots ---------------------------------------------------------------

@@ -109,8 +109,19 @@ class CatchUpPolicy {
   /// after each local apply). Watermarks only advance — a reordered old
   /// message can never regress the floor. When the cluster-wide minimum
   /// advances, decided values, claim state and reply dedup entries below
-  /// it are pruned.
-  void note_watermark(ProcessId peer, Slot applied_below);
+  /// it are pruned. Returns whether the watermark advanced.
+  bool note_watermark(ProcessId peer, Slot applied_below);
+
+  /// `peer`'s last gossiped applied watermark (1 if never heard).
+  Slot watermark(ProcessId peer) const {
+    return peer < watermarks_.size() ? watermarks_[peer] : 1;
+  }
+
+  /// Every slot below this bound was applied — hence decided — by at
+  /// least f + 1 processes, so at least one correct replica can answer an
+  /// SMR_PULL for it: the threshold-th highest watermark. (A replica's own
+  /// watermark never exceeds its open slots, so it never counts itself.)
+  Slot quorum_applied_below() const { return quorum_applied_below_; }
 
   /// Lowest slot whose decided value may still be retained: the maximum of
   /// the cluster-wide watermark minimum and the local snapshot floor.
@@ -206,6 +217,9 @@ class CatchUpPolicy {
   std::map<std::pair<Slot, ProcessId>, View> reply_sent_;
   /// Per-process applied watermark; index = ProcessId, start = 1.
   std::vector<Slot> watermarks_;
+  /// Scratch for the quorum_applied_below() selection.
+  std::vector<Slot> watermark_scratch_;
+  Slot quorum_applied_below_ = 1;
   Slot floor_ = 1;
   std::uint64_t pruned_ = 0;
 
@@ -234,5 +248,14 @@ class CatchUpPolicy {
   std::map<std::pair<Slot, crypto::Digest>, std::map<ProcessId, SnapFetch>>
       snap_fetch_;
 };
+
+/// SMR_PULL{group, slot}: a replica holding an open, undecided `slot`
+/// that f + 1 peers already applied asks them for the decided value; each
+/// answers through reply_for (one SMR_DECIDED per (slot, peer)).
+Bytes encode_decided_pull(GroupId group, Slot slot);
+
+/// The slot an SMR_PULL payload asks for; nullopt for a malformed payload,
+/// trailing bytes, slot 0 or a group other than `group`.
+std::optional<Slot> decode_decided_pull(ByteView payload, GroupId group);
 
 }  // namespace fastbft::engine

@@ -215,6 +215,7 @@ void SlotMux::start_slot(Slot slot) {
   it->second.sync->start();
   it->second.replica->start();
   note_inflight();
+  pull_decided();
 
   // A laggard may already hold f + 1 matching decided claims for this slot.
   if (auto claim = catchup_.ready_claim(slot)) {
@@ -329,7 +330,7 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
   ByteView inner = dec.bytes_view();  // aliases payload; no copy
   if (!dec.ok() || !dec.at_end() || slot == 0 || group != ctx_.group) return;
 
-  catchup_.note_watermark(from, watermark);
+  if (catchup_.note_watermark(from, watermark)) pull_decided();
 
   // A sender whose snapshot floor passed our apply cursor may have pruned
   // slots we still need. Request full state immediately only when the
@@ -433,6 +434,41 @@ void SlotMux::on_decided_claim(ProcessId from, ByteView payload) {
   }
   // Claims for slots we have not opened yet stay parked in the policy;
   // start_slot() checks ready_claim() when the window reaches them.
+}
+
+void SlotMux::pull_decided() {
+  // A slot f + 1 peers already applied was decided, and at least one
+  // correct peer among them can prove it; with the slow path off there is
+  // no Commit stream to carry the decision to a replica that missed the
+  // acks (it opened the slot late, or lost them). Ask those peers at once
+  // rather than after a view-change timeout. Each slot is asked for once
+  // (pull_next_); a lost reply falls back to the WISH path, which peers
+  // answer the same way.
+  Slot applied_below = catchup_.quorum_applied_below();
+  if (pull_next_ >= applied_below) return;
+  for (auto it = active_.lower_bound(pull_next_);
+       it != active_.end() && it->first < applied_below; ++it) {
+    Slot slot = it->first;
+    SharedBytes request = encode_decided_pull(ctx_.group, slot);
+    for (ProcessId peer = 0; peer < ctx_.cfg.n; ++peer) {
+      if (peer == ctx_.id || catchup_.watermark(peer) <= slot) continue;
+      transport_.send(peer, request);
+      FASTBFT_DASSERT(host_.affinity_ok(),
+                      "engine stats are single-writer (host thread)");
+      decided_pulls_.store(decided_pulls() + 1, std::memory_order_relaxed);
+    }
+  }
+  // Every slot below both bounds is now pulled or decided; slots not yet
+  // opened are checked again when start_slot opens them.
+  pull_next_ = std::max(pull_next_, std::min(applied_below, next_start_));
+}
+
+void SlotMux::on_decided_pull(ProcessId from, ByteView payload) {
+  auto slot = decode_decided_pull(payload, ctx_.group);
+  if (!slot) return;
+  if (auto reply = catchup_.reply_for(*slot, from)) {
+    transport_.send(from, std::move(*reply));
+  }
 }
 
 void SlotMux::request_snapshots() {

@@ -51,6 +51,11 @@
 ///    were pruned; installing a verified snapshot jumps next-apply to the
 ///    snapshot boundary and restores the state machine through
 ///    SnapshotHooks::install;
+///  * decided-value pull — an open slot that f + 1 peers' gossiped
+///    watermarks have already passed is asked for at once (SMR_PULL)
+///    instead of waiting out its view-change timeout; that is how a
+///    replica that opens slots behind the live frontier (a rejoiner after
+///    a snapshot install) catches up without a Commit stream;
 ///  * policy objects — client-command intake/dedup/claims (PendingQueue)
 ///    and decided-value/snapshot state transfer (CatchUpPolicy) live
 ///    behind the engine rather than in the client-facing SMR shell;
@@ -191,6 +196,10 @@ class SlotMux {
   /// Full SMR_DECIDED payload: catch-up claim bookkeeping and adoption.
   void on_decided_claim(ProcessId from, ByteView payload);
 
+  /// Full SMR_PULL payload: answer with the decided value (at most once
+  /// per (slot, peer); nothing for a pruned or undecided slot).
+  void on_decided_pull(ProcessId from, ByteView payload);
+
   /// Full SNAPSHOT_REQUEST payload: serve the latest snapshot, chunked,
   /// if it actually covers slots the requester is missing.
   void on_snapshot_request(ProcessId from, ByteView payload);
@@ -273,6 +282,11 @@ class SlotMux {
   }
   std::uint64_t noop_slots() const { return noop_slots_; }
 
+  /// SMR_PULL messages sent (see pull_decided). Thread-safe.
+  std::uint64_t decided_pulls() const {
+    return decided_pulls_.load(std::memory_order_relaxed);
+  }
+
   /// Snapshots this engine froze locally at interval boundaries.
   std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
@@ -351,6 +365,7 @@ class SlotMux {
   void install_snapshot(const smr::Snapshot& snap, Bytes body,
                         const crypto::Digest& digest);
   void request_snapshots();
+  void pull_decided();
   void send_wrapped(Slot slot, ProcessId to, ByteView payload);
   void broadcast_wrapped(Slot slot, ByteView payload, bool include_self);
   void note_inflight();
@@ -402,9 +417,13 @@ class SlotMux {
   std::atomic<std::uint64_t> snapshots_installed_{0};
   std::atomic<Slot> apply_watermark_{1};
   std::atomic<std::uint64_t> slots_applied_{0};
+  std::atomic<std::uint64_t> decided_pulls_{0};
 
   Slot next_start_ = 1;
   Slot next_apply_ = 1;
+  /// Pull high-water mark: every slot below it was pulled once or decided
+  /// without a pull (pull_decided).
+  Slot pull_next_ = 1;
   std::uint64_t noop_slots_ = 0;
   std::uint64_t snapshots_taken_ = 0;
 

@@ -16,8 +16,9 @@ void NetworkStats::record_send(const Bytes& payload) {
   total_bytes_ += payload.size();
 
   // SMR_WRAPPED carries the group id and slot index right after the tag
-  // byte (the sender's applied watermark and the inner payload follow);
-  // attribute the message to its slot.
+  // byte (the sender's applied watermark, snapshot floor and the inner
+  // payload follow); attribute the message to its slot and to the inner
+  // consensus message's tag.
   if (tag == tags::kSmrWrapped && payload.size() >= 13) {
     Decoder dec(payload);
     dec.u8();
@@ -28,6 +29,10 @@ void NetworkStats::record_send(const Bytes& payload) {
       ss.count += 1;
       ss.bytes += payload.size();
     }
+    dec.u64();  // watermark
+    dec.u64();  // snapshot floor
+    ByteView inner = dec.bytes_view();
+    if (dec.ok() && !inner.empty()) wrapped_by_type_[inner[0]] += 1;
   }
 }
 
@@ -51,8 +56,13 @@ std::uint64_t NetworkStats::messages_of(std::uint8_t tag) const {
   return by_type_[tag].count;
 }
 
+std::uint64_t NetworkStats::wrapped_messages_of(std::uint8_t tag) const {
+  return wrapped_by_type_[tag];
+}
+
 void NetworkStats::reset() {
   by_type_ = {};
+  wrapped_by_type_ = {};
   by_slot_.clear();
   total_messages_ = 0;
   total_bytes_ = 0;
@@ -100,6 +110,7 @@ std::string tag_name(std::uint8_t tag) {
     case tags::kSmrSnapRequest: return "SNAPSHOT_REQUEST";
     case tags::kSmrSnapResponse: return "SNAPSHOT_RESPONSE";
     case tags::kSmrReply: return "SMR_REPLY";
+    case tags::kSmrDecidedPull: return "SMR_PULL";
     default: {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "TAG_0x%02x", tag);

@@ -15,7 +15,8 @@
 /// tag; the pretty-printer maps known tags to names so benchmark output is
 /// readable. SMR_WRAPPED payloads additionally carry a slot index right
 /// after the tag, which is broken out per slot so pipelined-SMR benchmarks
-/// can attribute traffic to individual consensus slots; the SMR engine
+/// can attribute traffic to individual consensus slots, and an inner
+/// consensus message, which is counted by its own tag; the SMR engine
 /// also reports how many slots it has in flight (note_inflight_slots) so
 /// the pipeline window is visible in the same place.
 
@@ -47,6 +48,9 @@ class NetworkStats {
   /// Wrapped messages attributed to one slot (0 if none seen).
   std::uint64_t messages_for_slot(Slot slot) const;
 
+  /// SMR_WRAPPED messages whose inner consensus message has `tag`.
+  std::uint64_t wrapped_messages_of(std::uint8_t tag) const;
+
   /// Called by the SMR engine whenever its window changes: `inflight` is
   /// the number of consensus slots currently live on reporting node
   /// `node` (the stats object is shared by the whole simulated cluster,
@@ -67,6 +71,8 @@ class NetworkStats {
  private:
   /// Indexed by tag; a tag was seen iff its count is non-zero.
   std::array<TypeStats, 256> by_type_{};
+  /// SMR_WRAPPED messages by inner tag.
+  std::array<std::uint64_t, 256> wrapped_by_type_{};
   std::unordered_map<Slot, TypeStats> by_slot_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;

@@ -35,13 +35,14 @@ inline constexpr std::uint8_t kFabRecoveryVote = 0x32;
 
 // SMR layer (src/smr).
 inline constexpr std::uint8_t kSmrRequest = 0x40;
-// The four group-scoped tags (0x41-0x44) all carry a u32 GroupId right
-// after the tag byte, so a sharded node can route them to the owning
+// The five group-scoped tags (0x41-0x44 and 0x46) all carry a u32 GroupId
+// right after the tag byte, so a sharded node can route them to the owning
 // consensus group at a fixed offset (see docs/SHARDING.md).
 inline constexpr std::uint8_t kSmrWrapped = 0x41;  // slot-scoped consensus payload
 inline constexpr std::uint8_t kSmrDecided = 0x42;  // state transfer for laggards
 inline constexpr std::uint8_t kSmrSnapRequest = 0x43;   // full-state transfer: ask
 inline constexpr std::uint8_t kSmrSnapResponse = 0x44;  // full-state transfer: chunk
 inline constexpr std::uint8_t kSmrReply = 0x45;  // signed execution result -> client
+inline constexpr std::uint8_t kSmrDecidedPull = 0x46;  // laggard asks for a decided slot
 
 }  // namespace fastbft::net::tags

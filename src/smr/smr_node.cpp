@@ -149,6 +149,9 @@ void SmrNode::on_message(ProcessId from, const Bytes& payload) {
     case net::tags::kSmrSnapResponse:
       mux.on_snapshot_response(from, payload);
       return;
+    case net::tags::kSmrDecidedPull:
+      mux.on_decided_pull(from, payload);
+      return;
     default:
       return;
   }
@@ -224,6 +227,7 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
     stats.apply_watermark = std::max(stats.apply_watermark,
                                      mux.apply_watermark());
     stats.slots_applied += mux.slots_applied();
+    stats.decided_pulls += mux.decided_pulls();
   }
   return stats;
 }

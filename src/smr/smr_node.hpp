@@ -55,9 +55,10 @@
 ///    peers prune decided values everyone has applied, and the
 ///    snapshot-floor gossip tells laggards when those slots are gone for
 ///    good.
-///  * A replica receiving slot-s traffic after deciding s replies with
-///    SMR_DECIDED{group, s, value}; f + 1 matching claims let a laggard
-///    adopt the decision.
+///  * A replica receiving view-change traffic for slot s after deciding s,
+///    or an SMR_PULL{group, s} from a replica that f + 1 peers' watermarks
+///    show behind, replies with SMR_DECIDED{group, s, value}; f + 1
+///    matching claims let a laggard adopt the decision.
 ///  * A replica whose apply cursor sits below a peer's gossiped snapshot
 ///    floor sends SNAPSHOT_REQUEST; the peer answers with its latest
 ///    snapshot chunked into SNAPSHOT_RESPONSE messages. f + 1 matching
@@ -248,6 +249,7 @@ class SmrNode final : public runtime::IProcess {
     std::uint64_t snapshots_installed = 0;  ///< summed
     Slot apply_watermark = 0;            ///< max over groups
     std::uint64_t slots_applied = 0;     ///< summed (installs excluded)
+    std::uint64_t decided_pulls = 0;     ///< SMR_PULLs sent, summed
   };
   EngineStats engine_stats() const;
 

@@ -5,6 +5,7 @@
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
 #include "engine/timer_wheel.hpp"
+#include "net/tags.hpp"
 
 /// Engine policy objects in isolation: the host-agnostic timer wheel
 /// (eager cancellation) and the catch-up policy's watermark-based
@@ -139,6 +140,38 @@ TEST(CatchUpPolicyTest, StaleAndOutOfRangeGossipIsIgnored) {
   // Gossip from an id outside the cluster is dropped.
   policy.note_watermark(99, 100);
   EXPECT_EQ(policy.prune_floor(), 3u);
+}
+
+TEST(CatchUpPolicyTest, QuorumAppliedBelowIsTheThresholdthHighestWatermark) {
+  CatchUpPolicy policy(/*threshold=*/2, /*cluster_size=*/4);
+  EXPECT_EQ(policy.quorum_applied_below(), 1u);
+  // One peer ahead is not enough: it may be the Byzantine one.
+  EXPECT_TRUE(policy.note_watermark(1, 9));
+  EXPECT_EQ(policy.quorum_applied_below(), 1u);
+  EXPECT_TRUE(policy.note_watermark(2, 6));
+  EXPECT_EQ(policy.quorum_applied_below(), 6u);
+  EXPECT_TRUE(policy.note_watermark(3, 7));
+  EXPECT_EQ(policy.quorum_applied_below(), 7u);
+  EXPECT_EQ(policy.watermark(2), 6u);
+  // Stale and out-of-range gossip report no advance.
+  EXPECT_FALSE(policy.note_watermark(3, 5));
+  EXPECT_FALSE(policy.note_watermark(99, 50));
+  EXPECT_EQ(policy.quorum_applied_below(), 7u);
+}
+
+TEST(DecidedPullCodec, RoundTripsAndRejectsMalformed) {
+  Bytes wire = encode_decided_pull(/*group=*/3, /*slot=*/42);
+  EXPECT_EQ(decode_decided_pull(wire, 3), std::optional<Slot>(42));
+  EXPECT_FALSE(decode_decided_pull(wire, 0).has_value()) << "foreign group";
+  Bytes trailing = wire;
+  trailing.push_back(0);
+  EXPECT_FALSE(decode_decided_pull(trailing, 3).has_value());
+  Bytes truncated(wire.begin(), wire.end() - 1);
+  EXPECT_FALSE(decode_decided_pull(truncated, 3).has_value());
+  EXPECT_FALSE(decode_decided_pull(encode_decided_pull(3, 0), 3).has_value());
+  Bytes wrong_tag = wire;
+  wrong_tag[0] = net::tags::kSmrDecided;
+  EXPECT_FALSE(decode_decided_pull(wrong_tag, 3).has_value());
 }
 
 TEST(CatchUpPolicyTest, ClaimStateBelowFloorIsDroppedAndStaysOut) {

@@ -680,6 +680,127 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
   EXPECT_EQ(h.nodes[3]->applied_commands(), 1u);
 }
 
+// --- Slow path only at t < f; decided-value pull ------------------------------
+
+/// Runs `commands` PUTs (batch 2, depth 4) through a fault-free cluster
+/// until every replica applied them; the cluster is returned for its
+/// traffic counters.
+std::unique_ptr<SmrCluster> run_fault_free(consensus::QuorumConfig cfg,
+                                           std::uint64_t commands,
+                                           Duration min_delay = 100) {
+  SmrOptions smr_options;
+  smr_options.max_batch = 2;
+  smr_options.pipeline_depth = 4;
+  smr_options.target_commands = commands;
+  auto h = std::make_unique<SmrCluster>(cfg, smr_options, /*seed=*/3);
+  h->options.net.min_delay = min_delay;  // < delta adds delivery jitter
+  h->cluster = std::make_unique<runtime::Cluster>(
+      h->options, std::vector<Value>(cfg.n, Value::of_string("unused")));
+  h->cluster->start();
+  h->cluster->scheduler().schedule_at(0, [&h, commands] {
+    for (std::uint64_t i = 1; i <= commands; ++i) {
+      h->nodes[0]->submit(Command::put("key" + std::to_string(i), "v", 1, i));
+    }
+  });
+  h->cluster->run_until(2'000'000);
+  for (ProcessId id = 0; id < cfg.n; ++id) {
+    EXPECT_EQ(h->nodes[id]->applied_commands(), commands) << "p" << id;
+  }
+  return h;
+}
+
+TEST(SmrSlowPath, OffAtTEqualsF) {
+  // t = f: the vanilla protocol, propose + n^2 unsigned acks per slot.
+  auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
+  const auto& stats = h->cluster->network().stats();
+  EXPECT_GT(stats.wrapped_messages_of(net::tags::kAck), 0u);
+  EXPECT_EQ(stats.wrapped_messages_of(net::tags::kAckSig), 0u);
+  EXPECT_EQ(stats.wrapped_messages_of(net::tags::kCommit), 0u);
+}
+
+TEST(SmrSlowPath, OnWhenTBelowF) {
+  // t < f: the Appendix-A slow path stays on by default.
+  auto h = run_fault_free(consensus::QuorumConfig::create(7, 2, 1), 12);
+  const auto& stats = h->cluster->network().stats();
+  EXPECT_GT(stats.wrapped_messages_of(net::tags::kAckSig), 0u);
+  EXPECT_GT(stats.wrapped_messages_of(net::tags::kCommit), 0u);
+}
+
+TEST(SmrPull, HealthySkewRarelyPulls) {
+  // Fault-free, jittered delivery: a replica can hear two peers' advanced
+  // watermarks before its own last ack for a slot arrives, and then pulls
+  // that slot. That must stay the exception: with delays in [10, 100]
+  // 2 to 4 pull messages go out per 100 slots applied (summed over the
+  // replicas); with [30, 100] or lock-step links, none.
+  for (Duration min_delay : {Duration{100}, Duration{30}, Duration{10}}) {
+    SCOPED_TRACE("min_delay=" + std::to_string(min_delay));
+    auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 200,
+                            min_delay);
+    std::uint64_t pulls = 0;
+    std::uint64_t slots = 0;
+    for (auto* node : h->nodes) {
+      pulls += node->engine_stats().decided_pulls;
+      slots += node->engine_stats().slots_applied;
+    }
+    std::string suffix = "_min_delay_" + std::to_string(min_delay);
+    ::testing::Test::RecordProperty("pulls" + suffix,
+                                    static_cast<int>(pulls));
+    ::testing::Test::RecordProperty("slots_applied" + suffix,
+                                    static_cast<int>(slots));
+    EXPECT_EQ(h->cluster->network().stats().messages_of(
+                  net::tags::kSmrDecidedPull),
+              pulls);
+    EXPECT_LE(pulls * 10, slots) << "more than one pull per 10 slots";
+  }
+}
+
+TEST(SmrPull, AnsweredOncePerSlotAndPeer) {
+  // p2 is down from the start, so p0 keeps every decided value (p2's
+  // watermark pins retention); p3 asks p0 for slot 1 directly.
+  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+  SmrOptions smr_options;
+  smr_options.max_batch = 1;
+  smr_options.target_commands = 3;
+  SmrCluster h(cfg, smr_options);
+  h.cluster->crash_at(2, 0);
+  h.cluster->start();
+  h.cluster->scheduler().schedule_at(0, [&] {
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 1, i));
+    }
+  });
+  h.cluster->run_until(100'000);
+  ASSERT_EQ(h.nodes[0]->applied_commands(), 3u);
+  ASSERT_NE(h.nodes[0]->engine().catchup().decided(1), nullptr);
+
+  const auto& stats = h.cluster->network().stats();
+  auto replies_after = [&](Bytes request, int times) {
+    std::uint64_t before = stats.messages_of(net::tags::kSmrDecided);
+    for (int i = 0; i < times; ++i) h.nodes[0]->on_message(3, request);
+    return stats.messages_of(net::tags::kSmrDecided) - before;
+  };
+  EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 1), 3), 1u)
+      << "one reply per (slot, peer)";
+  EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 1), 1), 0u);
+  // Undecided: a slot p0 never opened.
+  Slot beyond = h.nodes[0]->current_slot() + 5;
+  EXPECT_EQ(replies_after(engine::encode_decided_pull(0, beyond), 1), 0u);
+  // Another retained slot is served on its own.
+  EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 2), 1), 1u);
+}
+
+TEST(SmrPull, PrunedSlotGetsNoReply) {
+  // Fault-free: every watermark passes slot 1, so p0 prunes it.
+  auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
+  const auto& catchup = h->nodes[0]->engine().catchup();
+  ASSERT_GT(catchup.prune_floor(), 1u);
+  ASSERT_EQ(catchup.decided(1), nullptr);
+  const auto& stats = h->cluster->network().stats();
+  std::uint64_t before = stats.messages_of(net::tags::kSmrDecided);
+  h->nodes[0]->on_message(3, engine::encode_decided_pull(0, 1));
+  EXPECT_EQ(stats.messages_of(net::tags::kSmrDecided), before);
+}
+
 // --- Snapshot state transfer: crash -> watermark pin -> rejoin -------------------
 
 TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
