@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "consensus/messages.hpp"
 #include "engine/catchup.hpp"
@@ -25,11 +27,18 @@
 ///      the payload names and for group 0 — the node routes by the peeked
 ///      group, and the engine must still reject a foreign one.
 ///
+/// Every consensus parse is repeated with a `known` value (parse_message's
+/// hint, which a replica passes its vote or input as): once with a
+/// byte-equal copy of the message's own value and once with an unrelated
+/// value. The hint may only change which buffer the value lives in, never
+/// whether the payload parses or what it parses to. Signature fields are
+/// also re-encoded at a length taken from the input: only 0 (none) and
+/// kSignatureSize may parse.
+///
 /// The contract under test: decoding is total. Any input either yields a
 /// well-formed object or nullopt; no crash, no UB, no unbounded
 /// allocation. Round-trip: anything that parses must re-serialize and
-/// re-parse equal (checked for parse_message, whose Message supports ==
-/// per alternative).
+/// re-parse equal.
 
 namespace {
 
@@ -46,18 +55,68 @@ void exercise_batch(const fastbft::Value& value) {
   }
 }
 
+/// The top-level value of a parsed message (each alternative but a vote
+/// carries one).
+const fastbft::Value* top_value(const fastbft::consensus::Message& msg) {
+  return std::visit(
+      [](const auto& m) -> const fastbft::Value* {
+        if constexpr (requires { m.x; }) {
+          return &m.x;
+        } else {
+          return nullptr;
+        }
+      },
+      msg);
+}
+
+/// Parsing with a known value must agree with parsing without one.
+void exercise_hints(ByteView payload,
+                    const std::optional<fastbft::consensus::Message>& plain) {
+  using fastbft::consensus::parse_message;
+  const fastbft::Value unrelated = fastbft::Value::of_string("unrelated");
+  std::vector<fastbft::Value> hints{unrelated};
+  if (plain) {
+    if (const fastbft::Value* own = top_value(*plain)) {
+      hints.push_back(fastbft::Value(own->bytes()));  // equal, own buffer
+    }
+  }
+  for (const fastbft::Value& hint : hints) {
+    auto hinted = parse_message(payload, &hint);
+    if (hinted.has_value() != plain.has_value()) __builtin_trap();
+    if (hinted && !(*hinted == *plain)) __builtin_trap();
+  }
+}
+
+/// Rebuilds a signed message around a signature field of `len` bytes:
+/// it must parse exactly when the length is 0 or kSignatureSize.
+void exercise_signature_length(std::size_t len, std::uint8_t fill) {
+  using fastbft::consensus::parse_message;
+  fastbft::Bytes sig(len, fill);
+  for (std::uint8_t tag : {fastbft::net::tags::kAckSig,
+                           fastbft::net::tags::kCertAck}) {
+    fastbft::Encoder enc;
+    enc.u8(tag);
+    enc.u64(2);
+    fastbft::Value::of_string("x").encode(enc);
+    enc.bytes(sig);
+    bool parsed = parse_message(enc.view()).has_value();
+    if (parsed != (len == 0 || len == fastbft::crypto::kSignatureSize)) {
+      __builtin_trap();
+    }
+  }
+}
+
 void exercise_consensus(ByteView payload) {
   auto msg = fastbft::consensus::parse_message(payload);
+  exercise_hints(payload, msg);
   if (!msg) return;
   (void)fastbft::consensus::message_view(*msg);
   // Whatever parsed must round-trip: serialize, re-parse, compare.
   std::visit(
-      [](const auto& m) {
+      [&](const auto& m) {
         fastbft::Bytes wire = m.serialize();
         auto again = fastbft::consensus::parse_message(wire);
-        if (!again) __builtin_trap();
-        const auto* same = std::get_if<std::decay_t<decltype(m)>>(&*again);
-        if (same == nullptr) __builtin_trap();
+        if (!again || !(*again == *msg)) __builtin_trap();
       },
       *msg);
   if (const auto* propose =
@@ -115,6 +174,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   ByteView payload(data, size);
   exercise_consensus(payload);
+  if (size >= 2) exercise_signature_length(data[0] % 72, data[1]);
   exercise_wrapped(payload);
   exercise_pull(payload);
   return 0;

@@ -2,7 +2,7 @@
 """Paired parent/change runs of one perfbench workload.
 
     python3 scripts/perf_pairs.py --base HEAD~1 --workload sim-bulk-put \\
-        --seeds 401-410 --seconds 30
+        --seeds 401-410 --seconds 30 [--pin CPU]
 
 Run from the repository root. The working tree is the change; --base names
 the revision to compare against. The base revision is exported with
@@ -11,14 +11,22 @@ built by its own perfbench/run.py (so with its own, identical flags) into
 its own build directory there. For every seed the script then runs both
 sides back to back, alternating which goes first, and prints:
 
-  * the metric of every pair and which side won it;
-  * each side's quartiles (statistics.quantiles(n=4), as in METHOD.md);
+  * the metric of every pair, which side won it, and the ratio
+    change / parent;
+  * each side's quartiles (statistics.quantiles(n=4), as in METHOD.md),
+    and the quartiles of the per-pair ratios;
   * the win count and the METHOD.md verdict: the change must win at least
     nine pairs in ten and beat the parent's median by more than the
     parent's interquartile range;
   * whether the two sides printed the same `note: determinism` line for
     every seed (virtual-time results and message counts);
   * each side's median of every other metric the runs reported.
+
+With --pin CPU the two sides of a pair run at the same time, both bound
+to that one CPU (os.sched_setaffinity), instead of back to back. Load on
+the host and frequency drift then hit both sides of a pair alike, so the
+per-pair ratio stays tight even while the absolute cost per op wanders
+(docs/PERFORMANCE.md, "Paired runs on one CPU").
 
 Exits 0 when every run passed its correctness gate, 1 otherwise; the
 verdict itself does not set the exit code.
@@ -76,15 +84,22 @@ def export_revision(rev, dest):
         raise SystemExit("perf_pairs: cannot export revision %s" % rev)
 
 
-def run(side, workload, seed, seconds, trace):
-    """One run.py invocation; returns (result dict or None, digest line)."""
+def start(side, workload, seed, seconds, trace, pin=None):
+    """Launches one run.py invocation (bound to CPU `pin` if given)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
     env = dict(os.environ, CARGO_TARGET_DIR=side["build"])
-    proc = subprocess.run(cmd, cwd=side["tree"], env=env, text=True,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    lines = proc.stdout.rstrip("\n").split("\n")
+    bind = None if pin is None else (lambda: os.sched_setaffinity(0, {pin}))
+    return subprocess.Popen(cmd, cwd=side["tree"], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            preexec_fn=bind)
+
+
+def finish(side, seed, proc):
+    """Waits for a run; returns (result dict or None, digest line)."""
+    stdout, stderr = proc.communicate()
+    lines = stdout.rstrip("\n").split("\n")
     digest = next((l[len(DIGEST):] for l in lines if l.startswith(DIGEST)),
                   None)
     try:
@@ -93,9 +108,14 @@ def run(side, workload, seed, seconds, trace):
         result = None
     if proc.returncode != 0 or result is None or not result.get("correct"):
         log("perf_pairs: %s seed %d failed:\n%s" %
-            (side["name"], seed, proc.stderr[-2000:]))
+            (side["name"], seed, stderr[-2000:]))
         return None, digest
     return result, digest
+
+
+def run(side, workload, seed, seconds, trace):
+    """One run.py invocation; returns (result dict or None, digest line)."""
+    return finish(side, seed, start(side, workload, seed, seconds, trace))
 
 
 def quartiles(values):
@@ -113,10 +133,15 @@ def main():
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--metric", default="cpu_us_per_op")
+    parser.add_argument("--pin", type=int, metavar="CPU",
+                        help="run both sides of a pair at once, bound to "
+                             "this CPU")
     parser.add_argument("--workdir",
                         help="parent of the temporary directory (default: "
                              "the system temporary directory)")
     args = parser.parse_args()
+    if args.pin is not None and args.pin not in os.sched_getaffinity(0):
+        parser.error("--pin %d: not a CPU this process may run on" % args.pin)
     seeds = parse_seeds(args.seeds)
     better = metric_direction(args.metric)
 
@@ -148,23 +173,34 @@ def compare(args, seeds, better, sides):
     wins = 0
     same_digest = True
     failed = False
-    print("workload %s, metric %s (%s is better), %d s per run" %
-          (args.workload, args.metric, better, args.seconds))
-    print("%6s %12s %12s %8s  %-6s  %s" %
-          ("seed", "parent", "change", "delta", "winner", "determinism"))
+    ratios = []
+    print("workload %s, metric %s (%s is better), %d s per run, %s" %
+          (args.workload, args.metric, better, args.seconds,
+           "sides back to back" if args.pin is None else
+           "sides together on CPU %d" % args.pin))
+    print("%6s %12s %12s %8s %7s  %-6s  %s" %
+          ("seed", "parent", "change", "delta", "ratio", "winner",
+           "determinism"))
     for i, seed in enumerate(seeds):
         order = sides if i % 2 == 0 else sides[::-1]
         got = {}
-        for side in order:
-            got[side["name"]] = run(side, args.workload, seed, args.seconds,
-                                    args.trace)
+        if args.pin is None:
+            for side in order:
+                got[side["name"]] = run(side, args.workload, seed,
+                                        args.seconds, args.trace)
+        else:
+            procs = [(side, start(side, args.workload, seed, args.seconds,
+                                  args.trace, args.pin)) for side in order]
+            for side, proc in procs:
+                got[side["name"]] = finish(side, seed, proc)
         (p_res, p_dig), (c_res, c_dig) = got["parent"], got["change"]
         match = p_dig is not None and p_dig == c_dig
         same_digest = same_digest and match
         if p_res is None or c_res is None:
             failed = True
-            print("%6d %12s %12s %8s  %-6s  %s" %
-                  (seed, "-", "-", "-", "-", "same" if match else "DIFFERENT"))
+            print("%6d %12s %12s %8s %7s  %-6s  %s" %
+                  (seed, "-", "-", "-", "-", "-",
+                   "same" if match else "DIFFERENT"))
             continue
         for name, res in (("parent", p_res), ("change", c_res)):
             for metric, m in res["metrics"].items():
@@ -175,9 +211,11 @@ def compare(args, seeds, better, sides):
         change.append(c)
         won = c < p if better == "lower" else c > p
         wins += won
-        delta = (c - p) / p * 100 if p else float("nan")
-        print("%6d %12.4g %12.4g %+7.1f%%  %-6s  %s" %
-              (seed, p, c, delta, "change" if won else "parent",
+        ratio = c / p if p else float("nan")
+        ratios.append(ratio)
+        print("%6d %12.4g %12.4g %+7.1f%% %7.4f  %-6s  %s" %
+              (seed, p, c, (ratio - 1) * 100, ratio,
+               "change" if won else "parent",
                "same" if match else "DIFFERENT"), flush=True)
 
     if not parent:
@@ -186,6 +224,7 @@ def compare(args, seeds, better, sides):
     pq, cq = quartiles(parent), quartiles(change)
     for name, q in (("parent", pq), ("change", cq)):
         print("%s q1/median/q3: %.4g / %.4g / %.4g" % ((name,) + q))
+    print("ratio q1/median/q3: %.4f / %.4f / %.4f" % quartiles(ratios))
     pairs = len(parent)
     need = math.ceil(0.9 * pairs)
     gap = pq[1] - cq[1] if better == "lower" else cq[1] - pq[1]

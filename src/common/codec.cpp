@@ -74,44 +74,6 @@ void Encoder::str(std::string_view s) {
 
 void Encoder::raw(ByteView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
 
-bool Decoder::ensure(std::size_t count) {
-  if (!ok_) return false;
-  if (data_.size() - pos_ < count) {
-    ok_ = false;
-    return false;
-  }
-  return true;
-}
-
-std::uint8_t Decoder::u8() {
-  if (!ensure(1)) return 0;
-  return data_[pos_++];
-}
-
-std::uint16_t Decoder::u16() {
-  if (!ensure(2)) return 0;
-  std::uint16_t v = static_cast<std::uint16_t>(data_[pos_]) |
-                    static_cast<std::uint16_t>(data_[pos_ + 1]) << 8;
-  pos_ += 2;
-  return v;
-}
-
-std::uint32_t Decoder::u32() {
-  if (!ensure(4)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::uint64_t Decoder::u64() {
-  if (!ensure(8)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
 ByteView Decoder::bytes_view() {
   std::uint32_t len = u32();
   if (!ensure(len)) return {};

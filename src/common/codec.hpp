@@ -1,6 +1,8 @@
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -67,6 +69,22 @@ class Encoder {
   void raw(ByteView b);
   void raw(const Bytes& b) { raw(ByteView(b)); }
 
+  /// Opens a length-prefixed field whose contents the caller writes next;
+  /// end_field(start) then fills in the length. The result is the same
+  /// bytes as bytes(contents), without encoding the contents elsewhere
+  /// first.
+  std::size_t begin_field() {
+    u32(0);
+    return buf_.size();
+  }
+  void end_field(std::size_t start) {
+    auto len = static_cast<std::uint32_t>(buf_.size() - start);
+    std::uint8_t* out = buf_.data() + start - 4;
+    for (int i = 0; i < 4; ++i) {
+      out[i] = static_cast<std::uint8_t>(len >> (8 * i));
+    }
+  }
+
   void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
   /// Drops the contents but keeps the capacity — lets one (scratch)
@@ -106,10 +124,14 @@ class Decoder {
   /// this one that must delete their rvalue overloads.)
   explicit Decoder(Bytes&&) = delete;
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  // Integer reads are inline: every message decode makes dozens of them.
+  std::uint8_t u8() {
+    if (!ensure(1)) return 0;
+    return data_[pos_++];
+  }
+  std::uint16_t u16() { return read_le<std::uint16_t>(); }
+  std::uint32_t u32() { return read_le<std::uint32_t>(); }
+  std::uint64_t u64() { return read_le<std::uint64_t>(); }
   bool boolean() { return u8() != 0; }
 
   /// Length-prefixed byte string, zero-copy: the view aliases the decoder's
@@ -130,7 +152,27 @@ class Decoder {
   void fail() { ok_ = false; }
 
  private:
-  bool ensure(std::size_t count);
+  bool ensure(std::size_t count) {
+    if (ok_ && data_.size() - pos_ >= count) return true;
+    ok_ = false;
+    return false;
+  }
+
+  /// Fixed-width little-endian read.
+  template <typename T>
+  T read_le() {
+    if (!ensure(sizeof(T))) return 0;
+    T v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, data_.data() + pos_, sizeof(T));
+    } else {
+      for (std::size_t i = sizeof(T); i-- > 0;) {
+        v = static_cast<T>((v << 8) | data_[pos_ + i]);
+      }
+    }
+    pos_ += sizeof(T);
+    return v;
+  }
 
   ByteView data_;
   std::size_t pos_ = 0;
@@ -138,12 +180,13 @@ class Decoder {
 };
 
 /// Convenience: encode a single object that provides
-/// `void encode(Encoder&) const`.
+/// `void encode(Encoder&) const`. Encodes into a pooled scratch buffer and
+/// copies out once: one exact-size allocation instead of a growth chain.
 template <typename T>
 Bytes encode_to_bytes(const T& value) {
-  Encoder enc;
+  Encoder enc = Encoder::scratch();
   value.encode(enc);
-  return std::move(enc).take();
+  return enc.view().to_bytes();
 }
 
 /// Convenience: decode an object with a static

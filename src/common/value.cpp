@@ -1,5 +1,6 @@
 #include "common/value.hpp"
 
+#include <algorithm>
 #include <cctype>
 
 namespace fastbft {
@@ -29,10 +30,14 @@ std::string Value::to_string() const {
   return "0x" + to_hex_prefix(b, 8);
 }
 
-std::optional<Value> Value::decode(Decoder& dec) {
-  Bytes b = dec.bytes();
+std::optional<Value> Value::decode(Decoder& dec, const Value* known) {
+  ByteView b = dec.bytes_view();
   if (!dec.ok()) return std::nullopt;
-  return Value(std::move(b));
+  if (known != nullptr && known->size() == b.size() &&
+      std::equal(b.begin(), b.end(), known->bytes().begin())) {
+    return *known;
+  }
+  return Value(b.to_bytes());
 }
 
 }  // namespace fastbft

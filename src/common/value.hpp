@@ -22,6 +22,7 @@
 /// command batch per hop. Buffers are immutable, so sharing is safe across
 /// all single-threaded consumers of one node; Values never cross node
 /// boundaries except through the (also refcounted) network payloads.
+/// Decoding can reuse a held buffer too (see decode's `known`).
 
 namespace fastbft {
 
@@ -45,7 +46,13 @@ class Value {
   std::string to_string() const;
 
   void encode(Encoder& enc) const { enc.bytes(*buf_); }
-  static std::optional<Value> decode(Decoder& dec);
+
+  /// Decodes a length-prefixed value. With `known` — a value the caller
+  /// already holds — an encoding byte-equal to it yields a Value sharing
+  /// `known`'s buffer, and the decode allocates nothing: a replica's acks
+  /// repeat the proposal it accepted, so they decode against its vote.
+  static std::optional<Value> decode(Decoder& dec,
+                                     const Value* known = nullptr);
 
   friend bool operator==(const Value& a, const Value& b) {
     return a.buf_ == b.buf_ || *a.buf_ == *b.buf_;

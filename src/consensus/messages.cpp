@@ -2,35 +2,20 @@
 
 namespace fastbft::consensus {
 
-namespace {
-
-/// Encodes into a pooled scratch buffer and copies out once: one
-/// exact-size allocation per message instead of a growth chain.
-template <typename Body>
-Bytes with_tag(std::uint8_t tag, const Body& body) {
-  Encoder enc = Encoder::scratch();
-  enc.u8(tag);
-  body(enc);
-  return enc.view().to_bytes();
-}
-
-}  // namespace
-
 // --- ProposeMsg -------------------------------------------------------------
 
-Bytes ProposeMsg::serialize() const {
-  return with_tag(net::tags::kPropose, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-    sigma.encode(enc);
-    tau.encode(enc);
-  });
+void ProposeMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kPropose);
+  enc.u64(v);
+  x.encode(enc);
+  sigma.encode(enc);
+  tau.encode(enc);
 }
 
-std::optional<ProposeMsg> ProposeMsg::decode(Decoder& dec) {
+std::optional<ProposeMsg> ProposeMsg::decode(Decoder& dec, const Value* known) {
   ProposeMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   auto sigma = ProgressCert::decode(dec);
@@ -44,17 +29,16 @@ std::optional<ProposeMsg> ProposeMsg::decode(Decoder& dec) {
 
 // --- AckMsg -----------------------------------------------------------------
 
-Bytes AckMsg::serialize() const {
-  return with_tag(net::tags::kAck, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-  });
+void AckMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kAck);
+  enc.u64(v);
+  x.encode(enc);
 }
 
-std::optional<AckMsg> AckMsg::decode(Decoder& dec) {
+std::optional<AckMsg> AckMsg::decode(Decoder& dec, const Value* known) {
   AckMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   return m;
@@ -62,18 +46,17 @@ std::optional<AckMsg> AckMsg::decode(Decoder& dec) {
 
 // --- AckSigMsg --------------------------------------------------------------
 
-Bytes AckSigMsg::serialize() const {
-  return with_tag(net::tags::kAckSig, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-    phi_ack.encode(enc);
-  });
+void AckSigMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kAckSig);
+  enc.u64(v);
+  x.encode(enc);
+  phi_ack.encode(enc);
 }
 
-std::optional<AckSigMsg> AckSigMsg::decode(Decoder& dec) {
+std::optional<AckSigMsg> AckSigMsg::decode(Decoder& dec, const Value* known) {
   AckSigMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   auto sig = crypto::Signature::decode(dec);
@@ -84,22 +67,21 @@ std::optional<AckSigMsg> AckSigMsg::decode(Decoder& dec) {
 
 // --- CommitMsg --------------------------------------------------------------
 
-Bytes CommitMsg::serialize() const {
+void CommitMsg::encode(Encoder& enc) const {
   // Wire compaction: a Commit is only meaningful when cc certifies exactly
   // (x, v) — the receiver rejects mismatches — so the certificate's own
   // (x, v) copy is elided on the wire and reconstructed on decode. This
   // halves the largest steady-state message (the value dominates).
-  return with_tag(net::tags::kCommit, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-    cc.encode_sigs_only(enc);
-  });
+  enc.u8(net::tags::kCommit);
+  enc.u64(v);
+  x.encode(enc);
+  cc.encode_sigs_only(enc);
 }
 
-std::optional<CommitMsg> CommitMsg::decode(Decoder& dec) {
+std::optional<CommitMsg> CommitMsg::decode(Decoder& dec, const Value* known) {
   CommitMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   auto cc = CommitCert::decode_sigs_only(dec, m.x, m.v);
@@ -110,14 +92,14 @@ std::optional<CommitMsg> CommitMsg::decode(Decoder& dec) {
 
 // --- VoteMsg ----------------------------------------------------------------
 
-Bytes VoteMsg::serialize() const {
-  return with_tag(net::tags::kVote, [&](Encoder& enc) {
-    enc.u64(v);
-    record.encode(enc);
-  });
+void VoteMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kVote);
+  enc.u64(v);
+  record.encode(enc);
 }
 
-std::optional<VoteMsg> VoteMsg::decode(Decoder& dec) {
+// A vote carries no top-level value; `known` is unused.
+std::optional<VoteMsg> VoteMsg::decode(Decoder& dec, const Value* /*known*/) {
   VoteMsg m;
   m.v = dec.u64();
   auto record = VoteRecord::decode(dec);
@@ -128,19 +110,18 @@ std::optional<VoteMsg> VoteMsg::decode(Decoder& dec) {
 
 // --- CertReqMsg -------------------------------------------------------------
 
-Bytes CertReqMsg::serialize() const {
-  return with_tag(net::tags::kCertReq, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-    enc.u32(static_cast<std::uint32_t>(votes.size()));
-    for (const auto& r : votes) r.encode(enc);
-  });
+void CertReqMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kCertReq);
+  enc.u64(v);
+  x.encode(enc);
+  enc.u32(static_cast<std::uint32_t>(votes.size()));
+  for (const auto& r : votes) r.encode(enc);
 }
 
-std::optional<CertReqMsg> CertReqMsg::decode(Decoder& dec) {
+std::optional<CertReqMsg> CertReqMsg::decode(Decoder& dec, const Value* known) {
   CertReqMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   std::uint32_t count = dec.u32();
@@ -156,18 +137,17 @@ std::optional<CertReqMsg> CertReqMsg::decode(Decoder& dec) {
 
 // --- CertAckMsg -------------------------------------------------------------
 
-Bytes CertAckMsg::serialize() const {
-  return with_tag(net::tags::kCertAck, [&](Encoder& enc) {
-    enc.u64(v);
-    x.encode(enc);
-    phi_ca.encode(enc);
-  });
+void CertAckMsg::encode(Encoder& enc) const {
+  enc.u8(net::tags::kCertAck);
+  enc.u64(v);
+  x.encode(enc);
+  phi_ca.encode(enc);
 }
 
-std::optional<CertAckMsg> CertAckMsg::decode(Decoder& dec) {
+std::optional<CertAckMsg> CertAckMsg::decode(Decoder& dec, const Value* known) {
   CertAckMsg m;
   m.v = dec.u64();
-  auto x = Value::decode(dec);
+  auto x = Value::decode(dec, known);
   if (!x) return std::nullopt;
   m.x = std::move(*x);
   auto sig = crypto::Signature::decode(dec);
@@ -180,25 +160,25 @@ std::optional<CertAckMsg> CertAckMsg::decode(Decoder& dec) {
 
 namespace {
 template <typename T>
-std::optional<Message> finish(Decoder& dec) {
-  auto m = T::decode(dec);
+std::optional<Message> finish(Decoder& dec, const Value* known) {
+  auto m = T::decode(dec, known);
   if (!m || !dec.ok() || !dec.at_end()) return std::nullopt;
   return Message(std::move(*m));
 }
 }  // namespace
 
-std::optional<Message> parse_message(ByteView payload) {
+std::optional<Message> parse_message(ByteView payload, const Value* known) {
   if (payload.empty()) return std::nullopt;
   Decoder dec(payload);
   std::uint8_t tag = dec.u8();
   switch (tag) {
-    case net::tags::kPropose: return finish<ProposeMsg>(dec);
-    case net::tags::kAck: return finish<AckMsg>(dec);
-    case net::tags::kAckSig: return finish<AckSigMsg>(dec);
-    case net::tags::kCommit: return finish<CommitMsg>(dec);
-    case net::tags::kVote: return finish<VoteMsg>(dec);
-    case net::tags::kCertReq: return finish<CertReqMsg>(dec);
-    case net::tags::kCertAck: return finish<CertAckMsg>(dec);
+    case net::tags::kPropose: return finish<ProposeMsg>(dec, known);
+    case net::tags::kAck: return finish<AckMsg>(dec, known);
+    case net::tags::kAckSig: return finish<AckSigMsg>(dec, known);
+    case net::tags::kCommit: return finish<CommitMsg>(dec, known);
+    case net::tags::kVote: return finish<VoteMsg>(dec, known);
+    case net::tags::kCertReq: return finish<CertReqMsg>(dec, known);
+    case net::tags::kCertAck: return finish<CertAckMsg>(dec, known);
     default: return std::nullopt;
   }
 }

@@ -9,8 +9,14 @@
 
 /// \file messages.hpp
 /// Wire messages of the protocol (Figures 1a, 1b and 5 of the paper), each
-/// serialized as tag byte + body. Parsing is total: malformed payloads
+/// encoded as tag byte + body. Parsing is total: malformed payloads
 /// decode to nullopt and are dropped by the replica, never trusted.
+///
+/// `encode` appends a message to any Encoder, so a framing transport can
+/// put its header and the message in one buffer (net::MessageRef);
+/// `serialize` is the standalone encoding. Decoders take an optional
+/// `known` value: a top-level value byte-equal to it shares its buffer
+/// (Value::decode).
 
 namespace fastbft::consensus {
 
@@ -21,8 +27,10 @@ struct ProposeMsg {
   ProgressCert sigma;
   crypto::Signature tau;
 
-  Bytes serialize() const;
-  static std::optional<ProposeMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<ProposeMsg> decode(Decoder& dec,
+                                          const Value* known = nullptr);
   friend bool operator==(const ProposeMsg&, const ProposeMsg&) = default;
 };
 
@@ -31,8 +39,11 @@ struct AckMsg {
   View v = kNoView;
   Value x;
 
-  Bytes serialize() const;
-  static std::optional<AckMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<AckMsg> decode(Decoder& dec,
+                                      const Value* known = nullptr);
+  friend bool operator==(const AckMsg&, const AckMsg&) = default;
 };
 
 /// sig(phi_ack) — slow path (Appendix A.1): the signed counterpart of an
@@ -42,8 +53,11 @@ struct AckSigMsg {
   Value x;
   crypto::Signature phi_ack;
 
-  Bytes serialize() const;
-  static std::optional<AckSigMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<AckSigMsg> decode(Decoder& dec,
+                                         const Value* known = nullptr);
+  friend bool operator==(const AckSigMsg&, const AckSigMsg&) = default;
 };
 
 /// Commit(x, v, cc) — slow path: broadcast once a commit certificate is
@@ -53,8 +67,11 @@ struct CommitMsg {
   Value x;
   CommitCert cc;
 
-  Bytes serialize() const;
-  static std::optional<CommitMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<CommitMsg> decode(Decoder& dec,
+                                         const Value* known = nullptr);
+  friend bool operator==(const CommitMsg&, const CommitMsg&) = default;
 };
 
 /// vote(vote_q, phi_vote) — sent to the leader of a newly entered view.
@@ -62,8 +79,11 @@ struct VoteMsg {
   View v = kNoView;  // destination view
   VoteRecord record;
 
-  Bytes serialize() const;
-  static std::optional<VoteMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<VoteMsg> decode(Decoder& dec,
+                                       const Value* known = nullptr);
+  friend bool operator==(const VoteMsg&, const VoteMsg&) = default;
 };
 
 /// CertReq(x, votes) — leader asks for confirmation that x was selected
@@ -74,8 +94,11 @@ struct CertReqMsg {
   Value x;
   std::vector<VoteRecord> votes;
 
-  Bytes serialize() const;
-  static std::optional<CertReqMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<CertReqMsg> decode(Decoder& dec,
+                                          const Value* known = nullptr);
+  friend bool operator==(const CertReqMsg&, const CertReqMsg&) = default;
 };
 
 /// CertAck(phi_ca) — signed confirmation returned to the leader.
@@ -84,8 +107,11 @@ struct CertAckMsg {
   Value x;
   crypto::Signature phi_ca;
 
-  Bytes serialize() const;
-  static std::optional<CertAckMsg> decode(Decoder& dec);
+  void encode(Encoder& enc) const;
+  Bytes serialize() const { return encode_to_bytes(*this); }
+  static std::optional<CertAckMsg> decode(Decoder& dec,
+                                          const Value* known = nullptr);
+  friend bool operator==(const CertAckMsg&, const CertAckMsg&) = default;
 };
 
 using Message = std::variant<ProposeMsg, AckMsg, AckSigMsg, CommitMsg, VoteMsg,
@@ -93,8 +119,10 @@ using Message = std::variant<ProposeMsg, AckMsg, AckSigMsg, CommitMsg, VoteMsg,
 
 /// Parses a full payload (tag + body). Returns nullopt for unknown tags,
 /// truncated or trailing bytes. Takes a view so wrapped/nested payloads
-/// parse without being copied out first; the result owns its fields.
-std::optional<Message> parse_message(ByteView payload);
+/// parse without being copied out first; the result owns its fields (its
+/// top-level value may share `known`'s buffer, never the payload's).
+std::optional<Message> parse_message(ByteView payload,
+                                     const Value* known = nullptr);
 
 /// View number of any protocol message (used for buffering).
 View message_view(const Message& msg);

@@ -57,8 +57,12 @@ void Replica::start() {
   }
 }
 
+const Value* Replica::known_value() const {
+  return vote_ ? &vote_->x : &input_;
+}
+
 void Replica::on_message(ProcessId from, ByteView payload) {
-  auto parsed = parse_message(payload);
+  auto parsed = parse_message(payload, known_value());
   if (!parsed) {
     log_debug(who(id_), "dropping malformed payload");
     return;
@@ -110,7 +114,7 @@ void Replica::replay_buffered() {
   future_buffered_total_ -= pending.size();
   future_buffer_.erase(it);
   for (auto& [from, payload] : pending) {
-    auto parsed = parse_message(payload);
+    auto parsed = parse_message(payload, known_value());
     if (parsed) handle(from, *parsed);
   }
 }
@@ -162,7 +166,7 @@ void Replica::send_vote_to(ProcessId leader, View v) {
   Encoder preimage = Encoder::scratch();
   vote_preimage(preimage, msg.record.vote, msg.record.cc, v);
   msg.record.phi = signer_.sign(kDomVote, preimage.view());
-  transport_.send(leader, msg.serialize());
+  transport_.send_message(leader, msg);
 }
 
 // --- Fast path --------------------------------------------------------------
@@ -182,13 +186,13 @@ void Replica::send_proposal(const Value& x, ProgressCert sigma) {
   msg.sigma = std::move(sigma);
   msg.tau = signer_.sign_digest(kDomPropose, xv_digest(view_, x));
   sent_proposal_ = msg;
-  transport_.broadcast(msg.serialize());
+  transport_.broadcast_message(msg);
 }
 
 void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
   if (msg.v != view_) return;  // future views buffered, stale ones stale
   if (from != leader_of_(msg.v)) return;
-  if (proposal_accepted_.contains(msg.v)) return;
+  if (accepted_view_ == msg.v) return;
   if (msg.x.empty()) return;
   // Our own broadcast looping back needs no re-verification — but only if
   // it is bit-identical to what we actually sent (a memcmp, not an HMAC);
@@ -204,7 +208,7 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
     }
   }
 
-  proposal_accepted_.insert(msg.v);
+  accepted_view_ = msg.v;
   max_cert_bytes_seen_ = std::max(max_cert_bytes_seen_, msg.sigma.size_bytes());
 
   // Adopt the vote before acknowledging (Section 3.2: the vote is the last
@@ -214,7 +218,7 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
   AckMsg ack;
   ack.v = msg.v;
   ack.x = msg.x;
-  transport_.broadcast(ack.serialize());
+  transport_.broadcast_message(ack);
 
   if (slow_path_) {
     AckSigMsg sig;
@@ -229,7 +233,7 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
     auto key = key_of(msg.v, msg.x);
     Tally& tally = tallies_[key];
     add_ack_sig(tally.ack_sigs, id_, sig.phi_ack);
-    transport_.broadcast(sig.serialize());
+    transport_.broadcast_message(sig);
     maybe_assemble_commit_cert(key, tally);
   }
 }
@@ -238,6 +242,7 @@ void Replica::handle_ack(ProcessId from, const AckMsg& msg) {
   if (decision_) return;  // quorum bookkeeping is over
   if (msg.x.empty() || msg.v == kNoView) return;
   auto& ackers = tallies_[key_of(msg.v, msg.x)].ackers;
+  if (ackers.empty()) ackers.reserve(cfg_.n);  // one allocation per tally
   add_sender(ackers, from);
   if (ackers.size() >= cfg_.fast_quorum()) {
     decide(msg.x, msg.v, /*slow=*/false);
@@ -289,7 +294,7 @@ void Replica::maybe_assemble_commit_cert(const ValueKey& key, Tally& tally) {
   msg.v = cc.v;
   msg.x = cc.x;
   msg.cc = std::move(cc);
-  transport_.broadcast(msg.serialize());
+  transport_.broadcast_message(msg);
 }
 
 void Replica::adopt_cc(const CommitCert& cc) {
@@ -362,7 +367,7 @@ void Replica::try_select() {
   req.v = view_;
   req.x = st.selected;
   req.votes = std::move(records);
-  Bytes payload = req.serialize();
+  SharedBytes payload = req.serialize();
   if (options_.cert_req_broadcast) {
     transport_.broadcast(payload);
     return;
@@ -399,7 +404,7 @@ void Replica::handle_cert_req(ProcessId from, const CertReqMsg& msg) {
   ack.v = msg.v;
   ack.x = msg.x;
   ack.phi_ca = signer_.sign_digest(kDomCertAck, xv_digest(msg.v, msg.x));
-  transport_.send(from, ack.serialize());
+  transport_.send_message(from, ack);
 }
 
 void Replica::handle_cert_ack(ProcessId from, const CertAckMsg& msg) {

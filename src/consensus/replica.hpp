@@ -68,6 +68,8 @@ class Replica {
   /// identity (the simulated network guarantees it, matching the model).
   /// The payload is only viewed; it is copied iff it must be buffered for
   /// a future view (the cold path).
+  /// Values are decoded against the one this replica holds (its vote,
+  /// else its input), so messages repeating it allocate no value buffer.
   void on_message(ProcessId from, ByteView payload);
 
   /// View-synchronizer notification. Views are monotone; stale calls are
@@ -137,6 +139,7 @@ class Replica {
   void adopt_cc(const CommitCert& cc);
 
   bool buffer_if_future(ProcessId from, const Message& msg, ByteView payload);
+  const Value* known_value() const;
   void replay_buffered();
 
   /// One-slot memo of the shared (x, v) preimage digest: the proposal
@@ -164,8 +167,10 @@ class Replica {
   std::optional<CommitCert> latest_cc_;
   std::optional<DecisionRecord> decision_;
 
-  /// Views in which a proposal was already accepted (first one wins).
-  std::set<View> proposal_accepted_;
+  /// The view of the last accepted proposal (first one wins). Proposals
+  /// are only accepted in the current view and views only grow, so the
+  /// last one is all that needs remembering.
+  View accepted_view_ = kNoView;
 
   std::map<ValueKey, Tally> tallies_;
 

@@ -213,9 +213,17 @@ Bytes vote_preimage(const Vote& vote, const std::optional<CommitCert>& cc,
 }
 
 crypto::Digest xv_preimage_digest(const Value& x, View v) {
-  Encoder preimage = Encoder::scratch();
-  xv_preimage(preimage, x, v);
-  return crypto::message_digest(preimage.view());
+  // Streams xv_preimage's bytes — u32 length, value, u64 view — into the
+  // hash instead of copying the value into a scratch buffer first.
+  crypto::Sha256 hash;
+  hash.update_u32(static_cast<std::uint32_t>(x.size()));
+  hash.update(x.bytes());
+  std::uint8_t view_le[8];
+  for (int i = 0; i < 8; ++i) {
+    view_le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  hash.update(view_le, sizeof view_le);
+  return hash.finalize();
 }
 
 // --- Verification -----------------------------------------------------------

@@ -1,13 +1,23 @@
 #include "crypto/signer.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 
 namespace fastbft::crypto {
 
+Signature::Signature(ByteView raw) : present(!raw.empty()) {
+  FASTBFT_ASSERT(raw.empty() || raw.size() == kSignatureSize,
+                 "a signature is empty or kSignatureSize bytes");
+  std::copy(raw.begin(), raw.end(), bytes.begin());
+}
+
 std::optional<Signature> Signature::decode(Decoder& dec) {
-  Bytes b = dec.bytes();
-  if (!dec.ok()) return std::nullopt;
-  return Signature{std::move(b)};
+  ByteView b = dec.bytes_view();
+  if (!dec.ok() || (!b.empty() && b.size() != kSignatureSize)) {
+    return std::nullopt;
+  }
+  return Signature(b);
 }
 
 KeyStore::KeyStore(std::uint64_t master_seed, std::uint32_t num_processes) {
@@ -68,8 +78,7 @@ Signature Signer::sign(const std::string& domain, ByteView message) const {
 
 Signature Signer::sign_digest(const std::string& domain,
                               const Digest& digest) const {
-  Digest d = mac_frame(keys_->keyed_mac(id_), domain, digest);
-  return Signature{Bytes(d.begin(), d.end())};
+  return Signature(mac_frame(keys_->keyed_mac(id_), domain, digest));
 }
 
 bool Verifier::verify_digest_uncached(ProcessId signer,
@@ -77,7 +86,7 @@ bool Verifier::verify_digest_uncached(ProcessId signer,
                                       const Digest& digest,
                                       const Signature& sig) const {
   Digest d = mac_frame(keys_->keyed_mac(signer), domain, digest);
-  return bytes_equal(sig.bytes, ByteView(d.data(), d.size()));
+  return bytes_equal(sig.view(), ByteView(d.data(), d.size()));
 }
 
 bool Verifier::verify(ProcessId signer, const std::string& domain,
@@ -88,21 +97,19 @@ bool Verifier::verify(ProcessId signer, const std::string& domain,
 bool Verifier::verify_digest(ProcessId signer, const std::string& domain,
                              const Digest& digest,
                              const Signature& sig) const {
-  if (signer >= keys_->size()) return false;
-  if (sig.bytes.size() != kSignatureSize) return false;
+  if (signer >= keys_->size() || sig.empty()) return false;
   return verify_digest_uncached(signer, domain, digest, sig);
 }
 
 bool Verifier::verify_digest_memo(ProcessId signer, const std::string& domain,
                                   const Digest& digest,
                                   const Signature& sig) const {
-  if (signer >= keys_->size()) return false;
-  if (sig.bytes.size() != kSignatureSize) return false;
+  if (signer >= keys_->size() || sig.empty()) return false;
   if (!cache_) {
     return verify_digest_uncached(signer, domain, digest, sig);
   }
   VerifyKey key = VerifyKey::make(keys_->fingerprint(), signer, domain,
-                                  digest, sig.bytes);
+                                  digest, sig.view());
   if (auto verdict = cache_->lookup(key)) return *verdict;
   bool ok = verify_digest_uncached(signer, domain, digest, sig);
   cache_->insert(key, ok);

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,14 +43,25 @@ namespace fastbft::crypto {
 
 inline constexpr std::size_t kSignatureSize = kDigestSize;
 
-/// A detached signature. Wraps bytes so the codec and comparisons are
-/// uniform with other protocol artifacts.
+/// A detached signature, held inline: copying or decoding one never
+/// touches the heap. Default-constructed it is empty, meaning "none" (a
+/// nil vote's tau). On the wire it is a length-prefixed byte string, and
+/// decoding accepts only the lengths 0 (none) and kSignatureSize.
 struct Signature {
-  Bytes bytes;
+  std::array<std::uint8_t, kSignatureSize> bytes{};
+  bool present = false;
 
-  bool empty() const { return bytes.empty(); }
+  Signature() = default;
+  explicit Signature(const Digest& mac) : bytes(mac), present(true) {}
+  /// From raw bytes, which must be empty or kSignatureSize long.
+  explicit Signature(ByteView raw);
 
-  void encode(Encoder& enc) const { enc.bytes(bytes); }
+  bool empty() const { return !present; }
+  ByteView view() const {
+    return present ? ByteView(bytes.data(), bytes.size()) : ByteView();
+  }
+
+  void encode(Encoder& enc) const { enc.bytes(view()); }
   static std::optional<Signature> decode(Decoder& dec);
 
   friend bool operator==(const Signature&, const Signature&) = default;

@@ -53,7 +53,7 @@ struct VerifyKey {
 
   static VerifyKey make(std::uint64_t keystore_fp, ProcessId signer,
                         const std::string& domain, const Digest& digest,
-                        const Bytes& sig_bytes) {
+                        ByteView sig_bytes) {
     VerifyKey k;
     k.keystore_fp = keystore_fp;
     // Memoized domains must fit inline; all protocol domains do. An

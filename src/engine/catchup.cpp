@@ -31,8 +31,7 @@ void CatchUpPolicy::record_decided(Slot slot, Value value) {
 }
 
 const Value* CatchUpPolicy::decided(Slot slot) const {
-  auto it = decided_.find(slot);
-  return it == decided_.end() ? nullptr : &it->second;
+  return decided_.find(slot);
 }
 
 std::optional<Value> CatchUpPolicy::add_claim(Slot slot, ProcessId from,
@@ -87,9 +86,7 @@ void CatchUpPolicy::raise_floor(Slot candidate) {
 
   // Prune retained values, any parked claim state and the per-peer reply
   // dedup entries strictly below the new floor.
-  auto end = decided_.lower_bound(floor_);
-  pruned_ += static_cast<std::uint64_t>(std::distance(decided_.begin(), end));
-  decided_.erase(decided_.begin(), end);
+  pruned_ += decided_.erase_below(floor_);
   claims_.erase(claims_.begin(), claims_.lower_bound(floor_));
   claim_senders_.erase(claim_senders_.begin(),
                        claim_senders_.lower_bound(floor_));

@@ -9,6 +9,7 @@
 #include "common/types.hpp"
 #include "common/value.hpp"
 #include "crypto/sha256.hpp"
+#include "engine/slot_window.hpp"
 #include "smr/snapshot.hpp"
 
 /// \file catchup.hpp
@@ -208,7 +209,7 @@ class CatchUpPolicy {
   std::uint32_t threshold_;
   std::uint32_t chunk_bytes_;
   GroupId group_;
-  std::map<Slot, Value> decided_;
+  SlotWindow<Value> decided_;
   /// slot -> claimed value bytes -> claimants.
   std::map<Slot, std::map<Bytes, std::set<ProcessId>>> claims_;
   /// slot -> senders whose (single counted) claim was recorded.

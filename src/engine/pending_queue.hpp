@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/types.hpp"
@@ -31,11 +30,12 @@ class PendingQueue {
 
   /// Accepts a client request into the queue. Returns false for noops,
   /// duplicates of anything already seen, and already-applied commands.
-  bool admit(const smr::Command& cmd);
+  bool admit(smr::Command cmd);
 
   /// Claims up to `max_batch` unclaimed, unapplied commands for `slot`.
-  /// May return fewer (or none) if the queue is drained or claimed.
-  std::vector<smr::Command> claim(Slot slot, std::uint32_t max_batch);
+  /// May return fewer (or none) if the queue is drained or claimed. The
+  /// pointers stay valid until the queue is next modified.
+  std::vector<const smr::Command*> claim(Slot slot, std::uint32_t max_batch);
 
   /// Releases `slot`'s claims (call when the slot's decision was applied).
   void release(Slot slot);
@@ -72,31 +72,50 @@ class PendingQueue {
   void release_below(Slot floor);
 
   std::size_t pending_count() const { return pending_.size(); }
-  std::size_t claimed_count() const { return claimed_.size(); }
+  /// Commands claimed by slots not yet released.
+  std::size_t claimed_count() const { return claimed_; }
 
   /// True when claim() would return at least one command — the signal
   /// on-demand windows (SlotMuxOptions::eager_windows = false) open
-  /// slots by. O(pending), which stays window-sized in practice.
-  bool has_unclaimed() const {
-    for (const auto& cmd : pending_) {
-      CommandId id = id_of(cmd);
-      if (!applied_.contains(id) && !claimed_.contains(id)) return true;
-    }
-    return false;
-  }
+  /// slots by. O(1).
+  bool has_unclaimed() const { return unclaimed_ > 0; }
 
  private:
+  /// A queued command with its claim and apply state, so claim() tests
+  /// flags instead of looking ids up.
+  struct Entry {
+    smr::Command cmd;
+    bool claimed = false;
+    bool applied = false;  ///< mirrors applied_.contains(id)
+  };
+
   static CommandId id_of(const smr::Command& cmd) {
     return {cmd.client_id, cmd.sequence};
   }
+  /// The queued entry at absolute position `pos`, if still queued.
+  Entry* at(std::uint64_t pos);
+  void mark_applied(Entry& entry);
+  void unclaim(std::uint64_t pos);
+  /// Re-derives every entry's applied flag after applied_ changed
+  /// wholesale (snapshot install, horizon pruning).
+  void resync_applied();
   void trim_applied_prefix();
 
-  std::deque<smr::Command> pending_;
-  std::set<CommandId> seen_;
+  std::deque<Entry> pending_;
+  /// Entries trimmed off the front so far: absolute position p lives at
+  /// pending_[p - trimmed_].
+  std::uint64_t trimmed_ = 0;
+  /// Every position before it is claimed or applied; claim() starts here.
+  std::uint64_t claim_cursor_ = 0;
+  /// Entries neither claimed nor applied.
+  std::size_t unclaimed_ = 0;
+  std::size_t claimed_ = 0;
+  /// Every admitted id -> its queue position.
+  std::map<CommandId, std::uint64_t> seen_;
   /// id -> slot that applied it (the horizon-pruning tag).
   std::map<CommandId, Slot> applied_;
-  std::set<CommandId> claimed_;
-  std::map<Slot, std::vector<CommandId>> claims_by_slot_;
+  /// slot -> positions it claimed.
+  std::map<Slot, std::vector<std::uint64_t>> claims_by_slot_;
 };
 
 }  // namespace fastbft::engine

@@ -9,40 +9,34 @@ namespace fastbft::engine {
 
 namespace {
 
-/// SMR_WRAPPED{group, slot, watermark, snapshot floor, inner}: `group`
-/// sits right after the tag at a fixed offset so a sharded node can route
-/// the payload to the owning engine without decoding the rest; `watermark`
-/// gossips the sender's applied watermark (lowest unapplied slot) on every
-/// wrapped message, so peers can trim decided-value retention below the
-/// cluster-wide minimum; `snap_floor` gossips the sender's latest snapshot
-/// boundary, so a peer whose apply cursor sits below it knows its missing
-/// slots may be pruned and full-state transfer is the way back.
-Bytes wrap(GroupId group, Slot slot, Slot watermark, Slot snap_floor,
-           ByteView inner) {
-  // Exact wire size: tag + group + three u64 headers + length-prefixed
-  // inner.
-  Encoder enc(1 + 4 + 8 * 3 + 4 + inner.size());
-  enc.u8(net::tags::kSmrWrapped);
-  enc.u32(group);
-  enc.u64(slot);
-  enc.u64(watermark);
-  enc.u64(snap_floor);
-  enc.bytes(inner);
-  return std::move(enc).take();
-}
+/// An already-encoded inner message (a synchronizer WISH, a CertReq sent
+/// to several peers) as a MessageRef.
+struct EncodedInner {
+  ByteView bytes;
+  void encode(Encoder& enc) const { enc.raw(bytes); }
+};
 
 }  // namespace
 
 void SlotMux::SlotChannel::send(ProcessId to, SharedBytes payload) {
-  mux_.send_wrapped(slot_, to, payload);
+  mux_.transport_.send(to, mux_.wrap(slot_, EncodedInner{payload}));
 }
 
 void SlotMux::SlotChannel::broadcast(SharedBytes payload) {
-  mux_.broadcast_wrapped(slot_, payload, /*include_self=*/true);
+  mux_.broadcast_wrapped(slot_, EncodedInner{payload}, /*include_self=*/true);
 }
 
 void SlotMux::SlotChannel::broadcast_others(SharedBytes payload) {
-  mux_.broadcast_wrapped(slot_, payload, /*include_self=*/false);
+  mux_.broadcast_wrapped(slot_, EncodedInner{payload},
+                         /*include_self=*/false);
+}
+
+void SlotMux::SlotChannel::send_message(ProcessId to, net::MessageRef msg) {
+  mux_.transport_.send(to, mux_.wrap(slot_, msg));
+}
+
+void SlotMux::SlotChannel::broadcast_message(net::MessageRef msg) {
+  mux_.broadcast_wrapped(slot_, msg, /*include_self=*/true);
 }
 
 std::uint32_t SlotMux::SlotChannel::cluster_size() const {
@@ -84,8 +78,8 @@ void SlotMux::defer_guarded(std::function<void()> fn) {
 
 void SlotMux::start() { fill_window(); }
 
-bool SlotMux::submit(const smr::Command& cmd) {
-  if (!pending_.admit(cmd)) return false;
+bool SlotMux::submit(smr::Command cmd) {
+  if (!pending_.admit(std::move(cmd))) return false;
   if (!options_.eager_windows) {
     // On-demand windows: arrival is what opens the slot (eager mode's
     // noop churn does this implicitly by keeping the window full).
@@ -95,17 +89,33 @@ bool SlotMux::submit(const smr::Command& cmd) {
   return true;
 }
 
-void SlotMux::send_wrapped(Slot slot, ProcessId to, ByteView payload) {
-  transport_.send(to, wrap(ctx_.group, slot, next_apply_,
-                           catchup_.snapshot_floor(), payload));
+Bytes SlotMux::wrap(Slot slot, net::MessageRef inner) const {
+  // `group` sits right after the tag at a fixed offset so a sharded node
+  // can route the payload to the owning engine without decoding the rest;
+  // `watermark` gossips our applied watermark (lowest unapplied slot) on
+  // every wrapped message, so peers can trim decided-value retention below
+  // the cluster-wide minimum; the snapshot floor gossips our latest
+  // snapshot boundary, so a peer whose apply cursor sits below it knows
+  // its missing slots may be pruned and full-state transfer is the way
+  // back. The inner message is encoded in place after the header, and the
+  // frame leaves the pooled scratch buffer in one exact-size copy.
+  Encoder enc = Encoder::scratch();
+  enc.u8(net::tags::kSmrWrapped);
+  enc.u32(ctx_.group);
+  enc.u64(slot);
+  enc.u64(next_apply_);
+  enc.u64(catchup_.snapshot_floor());
+  std::size_t start = enc.begin_field();
+  inner.encode(enc);
+  enc.end_field(start);
+  return enc.view().to_bytes();
 }
 
-void SlotMux::broadcast_wrapped(Slot slot, ByteView payload,
+void SlotMux::broadcast_wrapped(Slot slot, net::MessageRef inner,
                                 bool include_self) {
   // One wrap per broadcast: the framed buffer is shared by every
   // recipient's envelope instead of re-encoded n times.
-  SharedBytes wrapped =
-      wrap(ctx_.group, slot, next_apply_, catchup_.snapshot_floor(), payload);
+  SharedBytes wrapped = wrap(slot, inner);
   PayloadStats::record_group_broadcast(ctx_.group);
   if (include_self) {
     transport_.broadcast(std::move(wrapped));
@@ -173,7 +183,8 @@ void SlotMux::replay_parked() {
 }
 
 Value SlotMux::make_input(Slot slot) {
-  std::vector<smr::Command> batch = pending_.claim(slot, effective_batch());
+  std::vector<const smr::Command*> batch =
+      pending_.claim(slot, effective_batch());
   if (batch.empty()) return noop_input_;
   return smr::encode_batch(batch);
 }
@@ -186,8 +197,17 @@ consensus::LeaderFn SlotMux::leader_for(Slot slot) const {
 }
 
 void SlotMux::start_slot(Slot slot) {
-  Instance inst;
-  inst.channel = std::make_unique<SlotChannel>(*this, slot);
+  FASTBFT_ASSERT(active_.empty() || active_.back().first < slot,
+                 "slots open in increasing order");
+  std::unique_ptr<Instance> node;
+  if (spare_.empty()) {
+    node = std::make_unique<Instance>(*this);
+  } else {
+    node = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  Instance& inst = *node;
+  inst.channel.set_slot(slot);
   inst.started_at = host_.now();
 
   viewsync::SynchronizerConfig sync_cfg = options_.sync;
@@ -195,25 +215,25 @@ void SlotMux::start_slot(Slot slot) {
 
   auto on_decide = [this, slot](const consensus::DecisionRecord& record) {
     // Deciding happens inside the replica's message handler; defer the
-    // teardown so we never destroy an executing replica.
-    defer_guarded([this, slot, value = record.value] {
-      on_slot_decided(slot, value);
+    // teardown so we never destroy an executing replica. One closure,
+    // guarded like defer_guarded's.
+    host_.defer([this, alive = alive_, slot, value = record.value] {
+      if (*alive) on_slot_decided(slot, value);
     });
   };
 
-  inst.replica = std::make_unique<consensus::Replica>(
-      ctx_.cfg, ctx_.id, make_input(slot), *inst.channel,
+  consensus::Replica& replica = inst.replica.emplace(
+      ctx_.cfg, ctx_.id, make_input(slot), inst.channel,
       crypto::Signer(ctx_.keys, ctx_.id),
       crypto::Verifier(ctx_.keys, ctx_.verify_cache), leader_for(slot),
       on_decide, options_.replica);
-  inst.sync = std::make_unique<viewsync::Synchronizer>(
-      sync_cfg, ctx_.id, *inst.channel, timers_,
-      [replica = inst.replica.get()](View v) { replica->enter_view(v); });
+  viewsync::Synchronizer& sync = inst.sync.emplace(
+      sync_cfg, ctx_.id, inst.channel, timers_,
+      [&replica](View v) { replica.enter_view(v); });
 
-  auto [it, inserted] = active_.emplace(slot, std::move(inst));
-  FASTBFT_ASSERT(inserted, "slot already active");
-  it->second.sync->start();
-  it->second.replica->start();
+  active_.emplace_back(slot, std::move(node));
+  sync.start();
+  replica.start();
   note_inflight();
   pull_decided();
 
@@ -225,12 +245,37 @@ void SlotMux::start_slot(Slot slot) {
   }
 }
 
+std::vector<SlotMux::ActiveSlot>::iterator SlotMux::active_from(Slot slot) {
+  return std::lower_bound(
+      active_.begin(), active_.end(), slot,
+      [](const ActiveSlot& a, Slot s) { return a.first < s; });
+}
+
+SlotMux::Instance* SlotMux::find_active(Slot slot) {
+  auto it = active_from(slot);
+  return it != active_.end() && it->first == slot ? it->second.get()
+                                                  : nullptr;
+}
+
+std::vector<SlotMux::ActiveSlot>::iterator SlotMux::retire(
+    std::vector<ActiveSlot>::iterator it) {
+  Instance& inst = *it->second;
+  inst.sync->stop();
+  inst.sync.reset();
+  inst.replica.reset();
+  if (spare_.size() < max_window_depth()) {
+    spare_.push_back(std::move(it->second));
+  }
+  return active_.erase(it);
+}
+
 void SlotMux::on_slot_decided(Slot slot, const Value& value) {
-  auto it = active_.find(slot);
-  if (it == active_.end()) return;  // decision already processed
-  TimePoint started_at = it->second.started_at;
-  it->second.sync->stop();
-  active_.erase(it);
+  auto it = active_from(slot);
+  if (it == active_.end() || it->first != slot) {
+    return;  // decision already processed
+  }
+  TimePoint started_at = it->second->started_at;
+  retire(it);
 
   catchup_.record_decided(slot, value);
   reorder_.emplace(slot, value);
@@ -255,10 +300,10 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
 }
 
 void SlotMux::drain_apply() {
-  for (auto it = reorder_.find(next_apply_); it != reorder_.end();
-       it = reorder_.find(next_apply_)) {
-    apply_value(next_apply_, it->second);
-    reorder_.erase(it);
+  for (const Value* value = reorder_.find(next_apply_); value != nullptr;
+       value = reorder_.find(next_apply_)) {
+    apply_value(next_apply_, *value);
+    reorder_.erase(next_apply_);
     ++next_apply_;
     slots_applied_.store(slots_applied() + 1, std::memory_order_relaxed);
     maybe_take_snapshot(next_apply_ - 1);
@@ -301,8 +346,10 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
 }
 
 void SlotMux::apply_value(Slot slot, const Value& value) {
-  auto batch = smr::decode_batch(value);
   std::vector<smr::Command> applied;
+  // The engine's own noop batch (usually the very buffer: values decode
+  // against the replica's input) applies nothing; skip its decode.
+  auto batch = value == noop_input_ ? std::nullopt : smr::decode_batch(value);
   if (batch) {
     for (auto& cmd : *batch) {
       if (cmd.kind == smr::OpKind::Noop) continue;
@@ -403,12 +450,12 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
     while (!done() && next_start_ <= slot) start_slot(next_start_++);
     note_inflight();
   }
-  auto it = active_.find(slot);
-  if (it == active_.end()) return;
+  Instance* inst = find_active(slot);
+  if (inst == nullptr) return;
   if (!inner.empty() && inner[0] == net::tags::kWish) {
-    it->second.sync->on_message(from, inner);
+    inst->sync->on_message(from, inner);
   } else {
-    it->second.replica->on_message(from, inner);
+    inst->replica->on_message(from, inner);
   }
 }
 
@@ -429,7 +476,7 @@ void SlotMux::on_decided_claim(ProcessId from, ByteView payload) {
   if (slot >= next_start_ + max_window_depth()) return;
 
   auto adopted = catchup_.add_claim(slot, from, *value);
-  if (adopted && active_.contains(slot)) {
+  if (adopted && find_active(slot) != nullptr) {
     on_slot_decided(slot, *adopted);
   }
   // Claims for slots we have not opened yet stay parked in the policy;
@@ -446,7 +493,7 @@ void SlotMux::pull_decided() {
   // answer the same way.
   Slot applied_below = catchup_.quorum_applied_below();
   if (pull_next_ >= applied_below) return;
-  for (auto it = active_.lower_bound(pull_next_);
+  for (auto it = active_from(pull_next_);
        it != active_.end() && it->first < applied_below; ++it) {
     Slot slot = it->first;
     SharedBytes request = encode_decided_pull(ctx_.group, slot);
@@ -542,10 +589,9 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // commands. The snapshot IS those slots' outcome.
   for (auto it = active_.begin();
        it != active_.end() && it->first < snap.applied_below;) {
-    it->second.sync->stop();
-    it = active_.erase(it);
+    it = retire(it);
   }
-  reorder_.erase(reorder_.begin(), reorder_.lower_bound(snap.applied_below));
+  reorder_.erase_below(snap.applied_below);
   pending_.release_below(snap.applied_below);
 
   // Adopt the dedup state so duplicates of snapshotted commands in later

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "consensus/replica.hpp"
@@ -10,6 +11,7 @@
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
+#include "engine/slot_window.hpp"
 #include "engine/timer_wheel.hpp"
 #include "net/stats.hpp"
 #include "smr/batch.hpp"
@@ -170,8 +172,8 @@ class SlotMux {
  public:
   /// Invoked exactly once per slot, in strict slot order, with the deduped
   /// commands the decision contributed (empty for noop/duplicate slots).
-  using ApplyFn =
-      std::function<void(Slot slot, const std::vector<smr::Command>&)>;
+  /// The commands are the callee's to move from.
+  using ApplyFn = std::function<void(Slot slot, std::vector<smr::Command>&)>;
 
   SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
           SlotMuxOptions options, ApplyFn apply, SnapshotHooks hooks = {});
@@ -184,7 +186,7 @@ class SlotMux {
   void start();
 
   /// Admits a client command into the pending queue (dedup inside).
-  bool submit(const smr::Command& cmd);
+  bool submit(smr::Command cmd);
 
   /// Full SMR_WRAPPED payload: routed by slot through the dispatch table.
   /// The inner message is dispatched as a view into `payload` — no copy.
@@ -321,31 +323,40 @@ class SlotMux {
 
  private:
   /// Outbound half of a slot's scope: tags every send with the slot so the
-  /// peer's dispatch table can route it. Broadcasts frame the inner payload
-  /// once and share the wrapped buffer across all n recipients (the wrap
-  /// header — slot, watermark, snapshot floor — is recipient-independent).
+  /// peer's dispatch table can route it. A message is encoded straight
+  /// after its SMR_WRAPPED header, in one buffer, and a broadcast shares
+  /// that buffer across all n recipients (the header — slot, watermark,
+  /// snapshot floor — is recipient-independent).
   class SlotChannel final : public net::Transport {
    public:
-    SlotChannel(SlotMux& mux, Slot slot) : mux_(mux), slot_(slot) {}
+    explicit SlotChannel(SlotMux& mux) : mux_(mux) {}
+    void set_slot(Slot slot) { slot_ = slot; }
     void send(ProcessId to, SharedBytes payload) override;
     void broadcast(SharedBytes payload) override;
     void broadcast_others(SharedBytes payload) override;
+    void send_message(ProcessId to, net::MessageRef msg) override;
+    void broadcast_message(net::MessageRef msg) override;
     std::uint32_t cluster_size() const override;
     ProcessId self() const override;
 
    private:
     SlotMux& mux_;
-    Slot slot_;
+    Slot slot_ = 0;
   };
 
+  /// One slot's consensus instance. Instances are recycled (spare_): a
+  /// retired one keeps its storage and is rebuilt in place for a later
+  /// slot, so opening a slot allocates no instance.
   struct Instance {
-    std::unique_ptr<SlotChannel> channel;
-    std::unique_ptr<consensus::Replica> replica;
-    std::unique_ptr<viewsync::Synchronizer> sync;
+    explicit Instance(SlotMux& mux) : channel(mux) {}
+    SlotChannel channel;
+    std::optional<consensus::Replica> replica;
+    std::optional<viewsync::Synchronizer> sync;
     /// Host clock at start_slot; decided - started is the decision
     /// latency the adaptive controller steers by.
     TimePoint started_at = 0;
   };
+  using ActiveSlot = std::pair<Slot, std::unique_ptr<Instance>>;
 
   bool done() const {
     return options_.target_commands > 0 &&
@@ -356,6 +367,12 @@ class SlotMux {
   void park_wrapped(Slot slot, ProcessId from, ByteView payload);
   void replay_parked();
   void start_slot(Slot slot);
+  /// First live instance at or after `slot`.
+  std::vector<ActiveSlot>::iterator active_from(Slot slot);
+  Instance* find_active(Slot slot);
+  /// Stops and removes the instance at `it`, keeping it for reuse.
+  std::vector<ActiveSlot>::iterator retire(
+      std::vector<ActiveSlot>::iterator it);
   Value make_input(Slot slot);
   consensus::LeaderFn leader_for(Slot slot) const;
   void on_slot_decided(Slot slot, const Value& value);
@@ -366,8 +383,10 @@ class SlotMux {
                         const crypto::Digest& digest);
   void request_snapshots();
   void pull_decided();
-  void send_wrapped(Slot slot, ProcessId to, ByteView payload);
-  void broadcast_wrapped(Slot slot, ByteView payload, bool include_self);
+  /// SMR_WRAPPED{group, slot, watermark, snapshot floor, inner} in one
+  /// exact-size buffer.
+  Bytes wrap(Slot slot, net::MessageRef inner) const;
+  void broadcast_wrapped(Slot slot, net::MessageRef inner, bool include_self);
   void note_inflight();
 
   /// Defers `fn` to the host, guarded so a closure outliving this engine
@@ -393,11 +412,14 @@ class SlotMux {
   /// AIMD depth/batch sizing; null unless options_.adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
 
-  /// The dispatch table: slot -> live consensus instance.
-  std::map<Slot, Instance> active_;
+  /// The dispatch table: live consensus instances, in slot order (slots
+  /// open in increasing order, so opening one appends).
+  std::vector<ActiveSlot> active_;
+  /// Retired instances awaiting reuse, at most a maximum window's worth.
+  std::vector<std::unique_ptr<Instance>> spare_;
 
   /// Decided out of order, waiting for predecessors: slot -> value.
-  std::map<Slot, Value> reorder_;
+  SlotWindow<Value> reorder_;
   /// Traffic for slots past the live window, parked until the window
   /// reaches them instead of dropped (see on_wrapped). In-process
   /// transports deliver in global send order, so a peer's window-opening

@@ -1,37 +1,71 @@
 #include "engine/timer_wheel.hpp"
 
+#include <algorithm>
+
 namespace fastbft::engine {
+
+namespace {
+/// Heap order: the earliest (deadline, seq) on top.
+template <typename EntryPtr>
+bool later(const EntryPtr& a, const EntryPtr& b) {
+  return a->deadline != b->deadline ? a->deadline > b->deadline
+                                    : a->seq > b->seq;
+}
+}  // namespace
 
 TimerWheel::~TimerWheel() {
   *alive_ = false;
   host_event_.cancel();
+  // Handles may outlive the wheel; their cancel must not reach it.
+  for (auto& entry : heap_) entry->wheel = nullptr;
 }
 
 sim::TimerHandle TimerWheel::schedule_after(Duration delay,
                                             std::function<void()> fn) {
   FASTBFT_DASSERT(host_.affinity_ok(),
                   "TimerWheel::schedule_after off the host thread");
-  Key key{host_.now() + delay, next_seq_++};
-  entries_.emplace(key, std::move(fn));
+  auto entry = std::make_shared<Entry>();
+  entry->deadline = host_.now() + delay;
+  entry->seq = next_seq_++;
+  entry->wheel = this;
+  entry->fn = std::move(fn);
+  heap_.push_back(entry);
+  std::push_heap(heap_.begin(), heap_.end(), later<EntryPtr>);
+  ++live_;
   if (!firing_) arm();
-  auto cancelled = std::make_shared<bool>(false);
-  // Eager drop: cancelling erases the entry now instead of letting it ride
-  // to its deadline. `alive_` guards against handles outliving the wheel.
-  return make_handle(cancelled, [this, key, alive = alive_] {
-    if (!*alive) return;
-    FASTBFT_DASSERT(host_.affinity_ok(),
-                    "TimerHandle cancelled off the host thread");
-    if (entries_.erase(key) > 0) ++cancelled_dropped_;
+  // The handle's flag lives inside the entry (an aliasing pointer), and
+  // the cancel hook captures only the entry's address — the flag keeps
+  // the entry alive for as long as the handle exists.
+  Entry* raw = entry.get();
+  return make_handle(std::shared_ptr<bool>(entry, &entry->cancelled), [raw] {
+    if (raw->wheel != nullptr) raw->wheel->drop(*raw);
   });
 }
 
+void TimerWheel::drop(Entry& entry) {
+  FASTBFT_DASSERT(host_.affinity_ok(),
+                  "TimerHandle cancelled off the host thread");
+  entry.wheel = nullptr;
+  entry.fn = nullptr;
+  --live_;
+  ++cancelled_dropped_;
+}
+
+TimerWheel::EntryPtr TimerWheel::pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), later<EntryPtr>);
+  EntryPtr top = std::move(heap_.back());
+  heap_.pop_back();
+  return top;
+}
+
 void TimerWheel::arm() {
-  if (entries_.empty()) {
+  while (!heap_.empty() && heap_.front()->wheel == nullptr) pop();
+  if (heap_.empty()) {
     host_event_.cancel();
     armed_at_ = kTimeInfinity;
     return;
   }
-  TimePoint next = entries_.begin()->first.first;
+  TimePoint next = heap_.front()->deadline;
   if (host_event_.active() && armed_at_ <= next) return;
   host_event_.cancel();
   armed_at_ = next;
@@ -44,9 +78,12 @@ void TimerWheel::arm() {
 void TimerWheel::fire() {
   firing_ = true;
   TimePoint now = host_.now();
-  while (!entries_.empty() && entries_.begin()->first.first <= now) {
-    auto fn = std::move(entries_.begin()->second);
-    entries_.erase(entries_.begin());
+  while (!heap_.empty() && heap_.front()->deadline <= now) {
+    EntryPtr entry = pop();
+    if (entry->wheel == nullptr) continue;  // cancelled
+    entry->wheel = nullptr;
+    --live_;
+    auto fn = std::move(entry->fn);
     fn();
   }
   firing_ = false;

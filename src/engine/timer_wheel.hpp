@@ -1,9 +1,8 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
-#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "engine/host.hpp"
@@ -16,13 +15,15 @@
 /// deadline) instead of one per slot, and gives the engine a single place
 /// to introspect and tear down all slot-scoped timers.
 ///
-/// Cancellation is eager: cancelling a handle erases its wheel entry
-/// immediately (TimerHandle's on_cancel hook), so dead timers never pin
-/// wheel slots until their deadline. The wheel inherits the host's
-/// same-thread contract — schedule and cancel only on the host thread —
-/// and enforces it in invariant builds via Host::affinity_ok(): an entry
-/// erase bypasses the transport's own arm/cancel asserts, so the wheel
-/// re-checks before mutating its map (docs/ANALYSIS.md).
+/// Cancellation is eager: cancelling a handle drops its callback (and
+/// whatever it captured) at once and the timer stops counting as pending;
+/// the small spent entry leaves the heap when it reaches the top. A timer
+/// costs one allocation: the entry, which also holds the cancellation flag
+/// its handle points into. The wheel inherits the host's same-thread
+/// contract — schedule and cancel only on the host thread — and enforces
+/// it in invariant builds via Host::affinity_ok(): a cancel bypasses the
+/// transport's own arm/cancel asserts, so the wheel re-checks before
+/// mutating its entries (docs/ANALYSIS.md).
 
 namespace fastbft::engine {
 
@@ -39,21 +40,35 @@ class TimerWheel final : public sim::TimerService {
 
   /// Live logical timers currently queued (cancelled entries are dropped
   /// eagerly, so they never count).
-  std::size_t pending() const { return entries_.size(); }
+  std::size_t pending() const { return live_; }
 
-  /// Entries erased by eager cancellation so far.
+  /// Timers dropped by a cancel before they fired, so far.
   std::uint64_t cancelled_dropped() const { return cancelled_dropped_; }
 
  private:
-  /// (deadline, sequence) — unique forever, so a stale cancel of an entry
-  /// that already fired erases nothing.
-  using Key = std::pair<TimePoint, std::uint64_t>;
+  /// One logical timer. `wheel` is null once the timer fired, was
+  /// cancelled, or the wheel is gone; a handle's cancel reaches the wheel
+  /// only through it.
+  struct Entry {
+    TimePoint deadline = 0;
+    std::uint64_t seq = 0;  ///< FIFO among equal deadlines
+    bool cancelled = false;  ///< the handle's flag
+    TimerWheel* wheel = nullptr;
+    std::function<void()> fn;
+  };
+  using EntryPtr = std::shared_ptr<Entry>;
 
+  void drop(Entry& entry);
+  /// Removes and returns the earliest entry.
+  EntryPtr pop();
   void arm();
   void fire();
 
   Host& host_;
-  std::map<Key, std::function<void()>> entries_;
+  /// Min-heap on (deadline, seq), spent entries included until they
+  /// surface.
+  std::vector<EntryPtr> heap_;
+  std::size_t live_ = 0;
   sim::TimerHandle host_event_;
   TimePoint armed_at_ = kTimeInfinity;
   std::uint64_t next_seq_ = 0;

@@ -15,30 +15,19 @@ void NetworkStats::record_send(const Bytes& payload) {
   total_messages_ += 1;
   total_bytes_ += payload.size();
 
-  // SMR_WRAPPED carries the group id and slot index right after the tag
-  // byte (the sender's applied watermark, snapshot floor and the inner
-  // payload follow); attribute the message to its slot and to the inner
-  // consensus message's tag.
-  if (tag == tags::kSmrWrapped && payload.size() >= 13) {
+  // SMR_WRAPPED carries its group, slot, the sender's applied watermark
+  // and snapshot floor after the tag, then the inner consensus message;
+  // count the message under the inner message's tag.
+  if (tag == tags::kSmrWrapped) {
     Decoder dec(payload);
     dec.u8();
     dec.u32();  // group
-    Slot slot = dec.u64();
-    if (dec.ok()) {
-      TypeStats& ss = by_slot_[slot];
-      ss.count += 1;
-      ss.bytes += payload.size();
-    }
+    dec.u64();  // slot
     dec.u64();  // watermark
     dec.u64();  // snapshot floor
     ByteView inner = dec.bytes_view();
     if (dec.ok() && !inner.empty()) wrapped_by_type_[inner[0]] += 1;
   }
-}
-
-std::uint64_t NetworkStats::messages_for_slot(Slot slot) const {
-  auto it = by_slot_.find(slot);
-  return it == by_slot_.end() ? 0 : it->second.count;
 }
 
 void NetworkStats::note_inflight_slots(ProcessId node,
@@ -63,7 +52,6 @@ std::uint64_t NetworkStats::wrapped_messages_of(std::uint8_t tag) const {
 void NetworkStats::reset() {
   by_type_ = {};
   wrapped_by_type_ = {};
-  by_slot_.clear();
   total_messages_ = 0;
   total_bytes_ = 0;
   inflight_by_node_.clear();
@@ -79,9 +67,9 @@ std::string NetworkStats::summary() const {
     out << "  " << tag_name(static_cast<std::uint8_t>(tag)) << ": "
         << ts.count << " msgs, " << ts.bytes << " bytes\n";
   }
-  if (!by_slot_.empty()) {
-    out << "  SMR slots touched: " << by_slot_.size()
-        << ", max in flight per node: " << max_inflight_slots_ << "\n";
+  if (by_type_[tags::kSmrWrapped].count > 0) {
+    out << "  SMR max slots in flight per node: " << max_inflight_slots_
+        << "\n";
   }
   return out.str();
 }

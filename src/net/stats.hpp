@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -13,12 +12,10 @@
 /// \file stats.hpp
 /// Per-message-type traffic accounting. The first payload byte is the type
 /// tag; the pretty-printer maps known tags to names so benchmark output is
-/// readable. SMR_WRAPPED payloads additionally carry a slot index right
-/// after the tag, which is broken out per slot so pipelined-SMR benchmarks
-/// can attribute traffic to individual consensus slots, and an inner
-/// consensus message, which is counted by its own tag; the SMR engine
-/// also reports how many slots it has in flight (note_inflight_slots) so
-/// the pipeline window is visible in the same place.
+/// readable. SMR_WRAPPED payloads additionally carry an inner consensus
+/// message, which is counted by its own tag; the SMR engine also reports
+/// how many slots it has in flight (note_inflight_slots) so the pipeline
+/// window is visible in the same place.
 
 namespace fastbft::net {
 
@@ -43,10 +40,7 @@ class NetworkStats {
   /// Messages of one tag (0 if none seen).
   std::uint64_t messages_of(std::uint8_t tag) const;
 
-  // --- Per-slot accounting (SMR_WRAPPED traffic) ----------------------------
-
-  /// Wrapped messages attributed to one slot (0 if none seen).
-  std::uint64_t messages_for_slot(Slot slot) const;
+  // --- SMR_WRAPPED traffic -------------------------------------------------
 
   /// SMR_WRAPPED messages whose inner consensus message has `tag`.
   std::uint64_t wrapped_messages_of(std::uint8_t tag) const;
@@ -73,7 +67,6 @@ class NetworkStats {
   std::array<TypeStats, 256> by_type_{};
   /// SMR_WRAPPED messages by inner tag.
   std::array<std::uint64_t, 256> wrapped_by_type_{};
-  std::unordered_map<Slot, TypeStats> by_slot_;
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::vector<std::uint32_t> inflight_by_node_;

@@ -33,4 +33,12 @@ void Transport::broadcast_others(SharedBytes payload) {
                   "broadcast re-materialized a shared payload");
 }
 
+void Transport::send_message(ProcessId to, MessageRef msg) {
+  send(to, encode_to_bytes(msg));
+}
+
+void Transport::broadcast_message(MessageRef msg) {
+  broadcast(encode_to_bytes(msg));
+}
+
 }  // namespace fastbft::net

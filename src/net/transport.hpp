@@ -1,8 +1,10 @@
 #pragma once
 
 #include <functional>
+#include <type_traits>
 
 #include "common/bytes.hpp"
+#include "common/codec.hpp"
 #include "common/types.hpp"
 
 /// \file transport.hpp
@@ -29,6 +31,26 @@ struct Envelope {
   SharedBytes payload;
 };
 
+/// A borrowed wire message: anything with `void encode(Encoder&) const`
+/// that writes its tag byte and body. It lets the transport pick the
+/// buffer the message is encoded into (Transport::send_message). The
+/// message must outlive the call it is passed to.
+class MessageRef {
+ public:
+  template <typename M>
+    requires(!std::is_same_v<M, MessageRef>)
+  MessageRef(const M& msg)  // NOLINT(google-explicit-constructor)
+      : msg_(&msg), encode_([](const void* m, Encoder& enc) {
+          static_cast<const M*>(m)->encode(enc);
+        }) {}
+
+  void encode(Encoder& enc) const { encode_(msg_, enc); }
+
+ private:
+  const void* msg_;
+  void (*encode_)(const void*, Encoder&);
+};
+
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -51,6 +73,13 @@ class Transport {
 
   /// Sends to every process except self.
   virtual void broadcast_others(SharedBytes payload);
+
+  /// Sends / broadcasts one message. The defaults encode it into one
+  /// exact-size buffer and call send() / broadcast(); a framing transport
+  /// (the SMR engine's slot channel) overrides them to write its header
+  /// and the message into that one buffer.
+  virtual void send_message(ProcessId to, MessageRef msg);
+  virtual void broadcast_message(MessageRef msg);
 };
 
 using ReceiveHandler = std::function<void(ProcessId from, const Bytes& payload)>;

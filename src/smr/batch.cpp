@@ -4,19 +4,35 @@
 
 namespace fastbft::smr {
 
-Value encode_batch(const std::vector<Command>& commands) {
+namespace {
+
+const Command& deref(const Command& cmd) { return cmd; }
+const Command& deref(const Command* cmd) { return *cmd; }
+
+/// Encodes every command straight into one buffer sized up front.
+template <typename Commands>
+Value encode_commands(const Commands& commands) {
   FASTBFT_ASSERT(!commands.empty(), "batches must be non-empty");
-  Encoder enc;
+  std::size_t size = 4;
+  for (const auto& cmd : commands) size += 4 + deref(cmd).encoded_size();
+  Encoder enc(size);
   enc.u32(static_cast<std::uint32_t>(commands.size()));
-  // One pooled scratch buffer serves every command's wire form; its
-  // capacity survives the loop (and, via the pool, later batches).
-  Encoder item = Encoder::scratch();
   for (const auto& cmd : commands) {
-    item.clear();
-    cmd.encode(item);
-    enc.bytes(item.view());
+    std::size_t start = enc.begin_field();
+    deref(cmd).encode(enc);
+    enc.end_field(start);
   }
   return Value(std::move(enc).take());
+}
+
+}  // namespace
+
+Value encode_batch(const std::vector<Command>& commands) {
+  return encode_commands(commands);
+}
+
+Value encode_batch(const std::vector<const Command*>& commands) {
+  return encode_commands(commands);
 }
 
 std::optional<std::vector<Command>> decode_batch(const Value& value) {

@@ -13,6 +13,8 @@ namespace fastbft::smr {
 
 /// Encodes a non-empty batch into a consensus Value.
 Value encode_batch(const std::vector<Command>& commands);
+/// The same for commands held elsewhere (a pending queue's claims).
+Value encode_batch(const std::vector<const Command*>& commands);
 
 /// Decodes a batch; nullopt on malformed input.
 std::optional<std::vector<Command>> decode_batch(const Value& value);

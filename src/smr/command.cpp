@@ -12,8 +12,7 @@ void Command::encode(Encoder& enc) const {
 }
 
 Value Command::to_value() const {
-  Encoder enc(1 + 4 + key.size() + 4 + value.size() + 16 + 4 +
-              expected.size());
+  Encoder enc(encoded_size());
   encode(enc);
   return Value(std::move(enc).take());
 }

@@ -64,6 +64,10 @@ struct Command {
   /// In-place wire forms (same encoding as to_value/from_value, minus the
   /// Value temporaries): batch encode/decode stream commands through these.
   void encode(Encoder& enc) const;
+  /// Bytes encode() writes.
+  std::size_t encoded_size() const {
+    return 1 + 4 + key.size() + 4 + value.size() + 16 + 4 + expected.size();
+  }
   static std::optional<Command> from_wire(ByteView data);
 
   std::string to_string() const;

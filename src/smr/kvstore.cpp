@@ -44,13 +44,15 @@ struct HashSink {
 
 }  // namespace
 
-ExecResult KvStore::apply(const Command& cmd) {
+ExecResult KvStore::apply(const Command& cmd) { return apply(cmd, cmd.value); }
+
+ExecResult KvStore::apply(const Command& cmd, std::string value) {
   ExecResult result;
   auto it = data_.find(cmd.key);
   result.found = it != data_.end();
   switch (cmd.kind) {
     case OpKind::Put:
-      data_[cmd.key] = std::make_shared<const std::string>(cmd.value);
+      data_[cmd.key] = std::make_shared<const std::string>(std::move(value));
       break;
     case OpKind::Del:
       if (result.found) data_.erase(it);
@@ -66,7 +68,9 @@ ExecResult KvStore::apply(const Command& cmd) {
       // a failed CAS leaves the store untouched (but still consumes its
       // log position — the result is what tells the client).
       result.ok = result.found && *it->second == cmd.expected;
-      if (result.ok) it->second = std::make_shared<const std::string>(cmd.value);
+      if (result.ok) {
+        it->second = std::make_shared<const std::string>(std::move(value));
+      }
       break;
   }
   ++applied_;

@@ -59,6 +59,10 @@ class KvStore {
 
   /// Applies one decided command and returns its execution result.
   ExecResult apply(const Command& cmd);
+  /// The same, with the new value of a put or CAS passed on its own, so a
+  /// caller that owns the command moves it into the store instead of
+  /// copying it (`cmd.value` is not read).
+  ExecResult apply(const Command& cmd, std::string value);
 
   std::optional<std::string> get(const std::string& key) const;
   std::size_t size() const { return data_.size(); }

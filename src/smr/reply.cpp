@@ -29,12 +29,6 @@ std::optional<Reply> Reply::decode(Decoder& dec) {
   return reply;
 }
 
-Bytes Reply::preimage() const {
-  Encoder enc = Encoder::scratch();
-  encode(enc);
-  return std::move(enc).take();
-}
-
 crypto::Digest Reply::match_digest() const {
   // The digest covers the slot and the full result (op echoed for
   // domain hygiene), NOT the client identity — that part is matched
@@ -49,11 +43,14 @@ crypto::Digest Reply::match_digest() const {
 }
 
 Bytes encode_reply_payload(const Reply& reply, const crypto::Signer& signer) {
-  crypto::Signature sig = signer.sign(kReplyDomain, reply.preimage());
-  Encoder enc(1 + 8 * 3 + 4 + reply.result.value.size() + 8 +
-              sig.bytes.size());
+  Encoder enc(1 + 8 * 3 + 3 + 4 + reply.result.value.size() + 4 +
+              crypto::kSignatureSize);
   enc.u8(net::tags::kSmrReply);
   reply.encode(enc);
+  // The signature covers the reply's encoding, which is already in the
+  // payload right after the tag.
+  crypto::Signature sig =
+      signer.sign(kReplyDomain, enc.view().sub(1, enc.size() - 1));
   sig.encode(enc);
   return std::move(enc).take();
 }
@@ -65,7 +62,11 @@ std::optional<Reply> decode_reply_payload(ByteView payload, ProcessId from,
   auto reply = Reply::decode(dec);
   auto sig = crypto::Signature::decode(dec);
   if (!reply || !sig || !dec.ok() || !dec.at_end()) return std::nullopt;
-  if (!verifier.verify(from, kReplyDomain, reply->preimage(), *sig)) {
+  // Checked against the canonical re-encoding, in a pooled buffer that
+  // goes back to the pool.
+  Encoder preimage = Encoder::scratch();
+  reply->encode(preimage);
+  if (!verifier.verify(from, kReplyDomain, preimage.view(), *sig)) {
     return std::nullopt;
   }
   return reply;

@@ -52,10 +52,8 @@ struct Reply {
   /// on the execution — the slot and the full result.
   crypto::Digest match_digest() const;
 
-  /// Signing preimage (everything but the signature), domain-separated by
-  /// kReplyDomain at the signature layer.
-  Bytes preimage() const;
-
+  /// Also the signing preimage (domain-separated by kReplyDomain at the
+  /// signature layer): a reply signature covers exactly this encoding.
   void encode(Encoder& enc) const;
   static std::optional<Reply> decode(Decoder& dec);
 

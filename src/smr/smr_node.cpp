@@ -89,9 +89,13 @@ void SmrNode::init_groups(engine::Host& host) {
 
     group->mux = std::make_unique<engine::SlotMux>(
         host, std::move(gctx), *endpoint_, std::move(gopts),
-        [this, grp, g](Slot slot, const std::vector<Command>& applied) {
-          for (const auto& cmd : applied) {
-            ExecResult result = grp->store.apply(cmd);
+        [this, grp, g](Slot slot, std::vector<Command>& applied) {
+          for (auto& cmd : applied) {
+            // The store takes a put's value by move, unless the commit
+            // observer below still has to see it.
+            ExecResult result =
+                on_commit_ ? grp->store.apply(cmd)
+                           : grp->store.apply(cmd, std::move(cmd.value));
             send_reply(slot, cmd, std::move(result));
           }
           if (on_commit_) on_commit_(ectx_.id, g, slot, applied);
@@ -160,9 +164,9 @@ void SmrNode::on_message(ProcessId from, const Bytes& payload) {
 void SmrNode::handle_request(ProcessId from, const Bytes& payload) {
   Decoder dec(payload);
   dec.u8();
-  Bytes raw = dec.bytes();
+  ByteView raw = dec.bytes_view();
   if (!dec.ok() || !dec.at_end()) return;
-  auto cmd = Command::from_value(Value(std::move(raw)));
+  auto cmd = Command::from_wire(raw);
   if (!cmd) return;
   if (from >= ectx_.cfg.n) {
     // The request came straight from a client endpoint: this replica is
@@ -184,7 +188,7 @@ void SmrNode::handle_request(ProcessId from, const Bytes& payload) {
   // Admit into the group that owns the command's key — every replica
   // computes the same shard locally, so a command is only ever proposed
   // in its owning group's log.
-  groups_[group_of(cmd->key)]->mux->submit(*cmd);
+  groups_[group_of(cmd->key)]->mux->submit(std::move(*cmd));
 }
 
 crypto::Digest SmrNode::state_digest() const {

@@ -227,11 +227,30 @@ TEST_F(SignerTest, TamperedSignatureRejected) {
 }
 
 TEST_F(SignerTest, TruncatedSignatureRejected) {
+  // Signatures are fixed-size, so a truncated one cannot even be decoded;
+  // the absent (empty) signature decodes but never verifies.
   Signer signer(keys_, 3);
   Bytes msg = to_bytes("m");
   Signature sig = signer.sign("propose", msg);
-  sig.bytes.pop_back();
-  EXPECT_FALSE(verifier_.verify(3, "propose", msg, sig));
+  for (std::size_t len : {std::size_t{0}, std::size_t{1}, kSignatureSize - 1,
+                          kSignatureSize, kSignatureSize + 1}) {
+    Encoder enc;
+    Bytes raw(sig.bytes.begin(), sig.bytes.end());
+    raw.resize(len, 0);
+    enc.bytes(raw);
+    Decoder dec(enc.data());
+    auto decoded = Signature::decode(dec);
+    EXPECT_EQ(decoded.has_value(), len == 0 || len == kSignatureSize)
+        << "length " << len;
+    if (decoded && len == 0) {
+      EXPECT_TRUE(decoded->empty());
+      EXPECT_FALSE(verifier_.verify(3, "propose", msg, *decoded));
+    }
+    if (decoded && len == kSignatureSize) {
+      EXPECT_EQ(*decoded, sig);
+      EXPECT_TRUE(verifier_.verify(3, "propose", msg, *decoded));
+    }
+  }
 }
 
 TEST_F(SignerTest, OutOfRangeSignerRejected) {
@@ -267,7 +286,7 @@ TEST_F(SignerTest, KeyedMacMatchesPlainHmacForEveryProcess) {
     mac.update(frame.view());
     EXPECT_EQ(mac.finalize(), expected) << "process " << i;
     Signature sig = Signer(keys_, i).sign_digest(domain, digest);
-    EXPECT_TRUE(bytes_equal(sig.bytes, ByteView(expected.data(), expected.size())))
+    EXPECT_TRUE(bytes_equal(sig.view(), ByteView(expected.data(), expected.size())))
         << "process " << i;
   }
 }

@@ -4,6 +4,7 @@
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
+#include "engine/slot_window.hpp"
 #include "engine/timer_wheel.hpp"
 #include "net/tags.hpp"
 
@@ -187,6 +188,33 @@ TEST(CatchUpPolicyTest, ClaimStateBelowFloorIsDroppedAndStaysOut) {
   EXPECT_FALSE(policy.ready_claim(1).has_value());
 }
 
+// --- SlotWindow -------------------------------------------------------------------
+
+TEST(SlotWindowTest, BehavesLikeAnOrderedMapOverNearbySlots) {
+  SlotWindow<Value> window;
+  EXPECT_TRUE(window.empty());
+  window.emplace(12, val("c"));
+  window.emplace(10, val("a"));  // below the first slot
+  window.emplace(15, val("e"));  // past it, leaving holes
+  window.emplace(10, val("other"));  // an existing slot keeps its value
+  EXPECT_EQ(window.size(), 3u);
+  ASSERT_NE(window.find(10), nullptr);
+  EXPECT_EQ(*window.find(10), val("a"));
+  EXPECT_EQ(window.find(11), nullptr);
+  EXPECT_EQ(window.find(9), nullptr);
+  EXPECT_EQ(window.find(16), nullptr);
+  window.erase(10);
+  window.erase(11);  // absent: no-op
+  EXPECT_FALSE(window.contains(10));
+  EXPECT_EQ(window.size(), 2u);
+  EXPECT_EQ(window.erase_below(15), 1u);  // 12 goes, 15 stays
+  EXPECT_TRUE(window.contains(15));
+  window.erase(15);
+  EXPECT_TRUE(window.empty());
+  window.emplace(3, val("x"));  // an emptied window restarts anywhere
+  EXPECT_EQ(*window.find(3), val("x"));
+}
+
 // --- PendingQueue dedup horizon ---------------------------------------------------
 
 TEST(PendingQueueTest, AppliedHorizonPruneIsDeterministicBySlotTag) {
@@ -208,6 +236,60 @@ TEST(PendingQueueTest, AppliedHorizonPruneIsDeterministicBySlotTag) {
   // A pruned id re-applies — identically on every replica, which is what
   // keeps the horizon safe against replays of ancient commands.
   EXPECT_TRUE(queue.applied(cmd(1), /*slot=*/12));
+}
+
+TEST(PendingQueueTest, ClaimsSkipClaimedAndAppliedAndReturnOnRelease) {
+  PendingQueue queue;
+  auto cmd = [](std::uint64_t seq) {
+    return smr::Command::put("k" + std::to_string(seq), "v", 1, seq);
+  };
+  auto seqs = [](const std::vector<const smr::Command*>& batch) {
+    std::vector<std::uint64_t> out;
+    for (const auto* c : batch) out.push_back(c->sequence);
+    return out;
+  };
+  using Seqs = std::vector<std::uint64_t>;
+  for (std::uint64_t seq = 1; seq <= 5; ++seq) {
+    ASSERT_TRUE(queue.admit(cmd(seq)));
+  }
+  EXPECT_FALSE(queue.admit(cmd(3))) << "duplicate admit";
+  EXPECT_TRUE(queue.has_unclaimed());
+  EXPECT_EQ(seqs(queue.claim(1, 2)), (Seqs{1, 2}));
+  EXPECT_EQ(seqs(queue.claim(2, 2)), (Seqs{3, 4}));
+  EXPECT_EQ(queue.claimed_count(), 4u);
+  EXPECT_TRUE(queue.applied(cmd(5), /*slot=*/9));  // applied, never claimed
+  EXPECT_FALSE(queue.has_unclaimed());
+  EXPECT_TRUE(queue.claim(3, 8).empty());
+
+  // A released claim is claimable again, in queue order.
+  queue.release(1);
+  EXPECT_TRUE(queue.has_unclaimed());
+  EXPECT_EQ(seqs(queue.claim(3, 8)), (Seqs{1, 2}));
+  // A claimed command applied by another slot stays out after release.
+  EXPECT_TRUE(queue.applied(cmd(3), /*slot=*/10));
+  queue.release(2);
+  EXPECT_EQ(seqs(queue.claim(4, 8)), (Seqs{4}));
+  EXPECT_EQ(queue.claimed_count(), 3u);
+
+  // Applying the prefix trims it (3 was applied already); the applied 5
+  // behind the unapplied 4 stays queued.
+  EXPECT_TRUE(queue.applied(cmd(1), 11));
+  EXPECT_TRUE(queue.applied(cmd(2), 11));
+  EXPECT_EQ(queue.pending_count(), 2u);
+  queue.release(3);
+  queue.release(4);
+  EXPECT_EQ(queue.claimed_count(), 0u);
+  EXPECT_TRUE(queue.has_unclaimed());
+
+  // Pruning the dedup record of an applied command still queued behind an
+  // unapplied one makes it claimable again, as it was before the prune.
+  queue.prune_applied_before(10);  // drops 5's record (slot 9)
+  EXPECT_EQ(seqs(queue.claim(5, 8)), (Seqs{4, 5}));
+  // Restoring a snapshot's dedup state replaces it wholesale.
+  queue.release(5);
+  queue.restore_applied({{{1, 4}, 12}});
+  EXPECT_EQ(seqs(queue.claim(6, 8)), (Seqs{5}));
+  EXPECT_EQ(queue.pending_count(), 1u) << "the applied 4 was trimmed";
 }
 
 // --- CatchUpPolicy snapshot retention & state transfer ---------------------------

@@ -7,6 +7,7 @@
 
 #include "common/bytes.hpp"
 #include "common/codec.hpp"
+#include "consensus/messages.hpp"
 #include "consensus/types.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/signer.hpp"
@@ -14,6 +15,7 @@
 #include "net/sim_network.hpp"
 #include "net/stats.hpp"
 #include "sim/scheduler.hpp"
+#include "smr/reply.hpp"
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
 
@@ -416,6 +418,111 @@ TEST(PayloadStats, SteadyStateDeliveryAllocatesOnlyThePayload) {
     EXPECT_EQ(net::PayloadStats::allocs() - payload_allocs, 1u);
     EXPECT_EQ(heap_allocations() - news, 1u);
   }
+}
+
+// --- Heap-free slot path -----------------------------------------------------
+
+TEST(HotPath, AckRepeatingTheHeldValueDecodesWithoutAllocating) {
+  // A replica decodes against the value it holds; an ack repeating it
+  // shares that buffer instead of copying the bytes out of the payload.
+  Value held = Value::of_string("a batch-sized value, well past any SSO");
+  consensus::AckMsg ack;
+  ack.v = 3;
+  ack.x = Value(held.bytes());  // byte-equal, separate buffer
+  Bytes wire = ack.serialize();
+  ASSERT_EQ(held.use_count(), 1);
+
+  std::uint64_t news = heap_allocations();
+  auto msg = consensus::parse_message(wire, &held);
+  EXPECT_EQ(heap_allocations() - news, 0u);
+  ASSERT_TRUE(msg.has_value());
+  const auto& decoded = std::get<consensus::AckMsg>(*msg);
+  EXPECT_EQ(decoded.x, held);
+  EXPECT_EQ(held.use_count(), 2) << "the decoded ack shares the held buffer";
+
+  // A different value still decodes, into a buffer of its own.
+  Value other = Value::of_string("some other value of the same length!!!");
+  auto miss = consensus::parse_message(wire, &other);
+  ASSERT_TRUE(miss.has_value());
+  EXPECT_EQ(std::get<consensus::AckMsg>(*miss).x, held);
+  EXPECT_EQ(other.use_count(), 1);
+  EXPECT_EQ(std::get<consensus::AckMsg>(*miss).x.use_count(), 1);
+}
+
+TEST(HotPath, ReplyCodecKeepsTheScratchPool) {
+  // Signing and checking a reply must hand its pooled scratch buffer back:
+  // after warm-up an encode costs exactly its payload buffer, and a decode
+  // of a short result allocates nothing.
+  auto keys = std::make_shared<const crypto::KeyStore>(7, 4);
+  crypto::Signer signer(keys, 2);
+  crypto::Verifier verifier(keys);
+  smr::Reply reply{9, 1, 40, smr::OpKind::Get, {true, true, "short"}};
+  for (int i = 0; i < 4; ++i) {  // warm-up
+    Bytes payload = smr::encode_reply_payload(reply, signer);
+    ASSERT_TRUE(smr::decode_reply_payload(payload, 2, verifier));
+  }
+  constexpr int kRounds = 50;
+  std::uint64_t encode_news = 0;
+  std::uint64_t decode_news = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    reply.sequence = static_cast<std::uint64_t>(i);
+    std::uint64_t news = heap_allocations();
+    Bytes payload = smr::encode_reply_payload(reply, signer);
+    encode_news += heap_allocations() - news;
+    news = heap_allocations();
+    auto decoded = smr::decode_reply_payload(payload, 2, verifier);
+    decode_news += heap_allocations() - news;
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(*decoded, reply);
+  }
+  EXPECT_EQ(encode_news, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(decode_news, 0u);
+}
+
+TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
+  // Steady state of an idle 4-replica cluster with eager windows: every
+  // slot decides a noop over the two-step fast path (one proposal
+  // broadcast, n^2 acks). Heap allocations per replica per decided slot
+  // stay within the measured 6.6 (a quarter of the five broadcasts' two
+  // buffers each, the ack tally's node and vector, the decision's deferral
+  // and the view timer's entry) plus a small margin.
+  constexpr double kBudget = 7.5;
+  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+  runtime::ClusterOptions options;
+  options.cfg = cfg;
+  options.net.delta = 100;
+  options.net.min_delay = 100;
+  smr::SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  std::vector<smr::SmrNode*> nodes(cfg.n, nullptr);
+  options.node_factory = [&](const runtime::ProcessContext& ctx,
+                             const runtime::NodeOptions&,
+                             runtime::Node::DecideCallback) {
+    auto node = std::make_unique<smr::SmrNode>(ctx, smr_options, nullptr);
+    nodes[ctx.id] = node.get();
+    return node;
+  };
+  runtime::Cluster cluster(options,
+                           std::vector<Value>(cfg.n, Value::of_string("-")));
+  cluster.start();
+  auto applied = [&] {
+    std::uint64_t slots = 0;
+    for (auto* node : nodes) slots += node->engine().slots_applied();
+    return slots;
+  };
+  cluster.run_until(200'000);  // warm-up: pools, slabs and heaps grown
+  std::uint64_t slots = applied();
+  std::uint64_t news = heap_allocations();
+  cluster.run_until(400'000);
+  std::uint64_t decided = applied() - slots;
+  ASSERT_GT(decided, 1000u);
+  for (auto* node : nodes) {
+    EXPECT_EQ(node->noop_slots(), node->engine().slots_applied());
+  }
+  double per_slot = static_cast<double>(heap_allocations() - news) /
+                    static_cast<double>(decided);
+  EXPECT_LE(per_slot, kBudget) << "heap allocations per replica-slot";
+  RecordProperty("allocations_per_replica_slot", std::to_string(per_slot));
 }
 
 // --- Sharded SMR hot-path invariants -----------------------------------------
