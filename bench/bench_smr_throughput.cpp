@@ -41,8 +41,8 @@
 /// bounded in-flight window — a request completes only on f + 1 matching
 /// signed replica replies, and its completion funds the next submission.
 /// Unlike E9 (which counts replica-side applies), E11 pays the full
-/// client path: gateway forwarding, execution, reply signing and quorum
-/// verification per request.
+/// client path: the request broadcast to every replica, execution, reply
+/// signing and quorum verification per request.
 ///
 /// Experiment E13 is the sharding sweep: one replica process hosts S
 /// consensus groups over a hash-partitioned keyspace (SmrOptions::
@@ -376,8 +376,7 @@ void snapshot_recovery_sweep() {
     service->crash(3);
     Slot crash_slot = service->engine_stats(3).apply_watermark - 1;
 
-    // Survivors keep deciding well past the crash point while p3 is down
-    // (the session's gateway is p0).
+    // Survivors keep deciding well past the crash point while p3 is down.
     for (std::uint64_t i = kTotal / 2 + 1; i <= kTotal; ++i) {
       service->session(0).put(key(i), value(i));
     }
@@ -503,8 +502,8 @@ void closed_loop_client_sweep() {
                   static_cast<long long>(kLinkDelay.count()));
     g_recorder.add("E11", extra, ops_per_sec, 0, ms, 0, 0, 0, 0);
   }
-  std::printf("(every op pays the full client path: request -> gateway "
-              "forward -> decide -> execute -> n signed replies -> f + 1 "
+  std::printf("(every op pays the full client path: request to all n "
+              "replicas -> decide -> execute -> n signed replies -> f + 1 "
               "quorum check; compare E9, which meters replica-side "
               "applies only)\n");
 }

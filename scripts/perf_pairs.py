@@ -20,6 +20,9 @@ sides back to back, alternating which goes first, and prints:
     parent's interquartile range;
   * whether the two sides printed the same `note: determinism` line for
     every seed (virtual-time results and message counts);
+  * the median per-pair ratio of every end-to-end metric BENCHMARK.json
+    declares, flagged WORSE where it moved the wrong way by more than
+    that metric's `bound`;
   * each side's median of every other metric the runs reported.
 
 With --pin CPU the two sides of a pair run at the same time, both bound
@@ -63,14 +66,24 @@ def parse_seeds(text):
     return seeds
 
 
-def metric_direction(name):
-    """'lower' or 'higher', as BENCHMARK.json declares the metric."""
+def load_spec():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        spec = json.load(f)
+        return json.load(f)
+
+
+def metric_direction(spec, name):
+    """'lower' or 'higher', as BENCHMARK.json declares the metric."""
     for metric in spec["end_to_end"] + spec["per_layer"]:
         if metric["name"] == name:
             return metric["better"]
     raise SystemExit("perf_pairs: %s is not a metric in BENCHMARK.json" % name)
+
+
+def pair_ratio(p, c):
+    """change / parent; two zeros are no change."""
+    if p == 0:
+        return 1.0 if c == 0 else float("inf")
+    return c / p
 
 
 def export_revision(rev, dest):
@@ -143,7 +156,8 @@ def main():
     if args.pin is not None and args.pin not in os.sched_getaffinity(0):
         parser.error("--pin %d: not a CPU this process may run on" % args.pin)
     seeds = parse_seeds(args.seeds)
-    better = metric_direction(args.metric)
+    spec = load_spec()
+    better = metric_direction(spec, args.metric)
 
     tmp = tempfile.mkdtemp(prefix="perf_pairs-", dir=args.workdir)
     # A SIGTERM still removes the temporary checkout and builds.
@@ -162,14 +176,15 @@ def main():
             log("perf_pairs: building %s" % side["name"])
             if run(side, args.workload, seeds[0], 1, args.trace)[0] is None:
                 return 1
-        return compare(args, seeds, better, sides)
+        return compare(args, seeds, spec, better, sides)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def compare(args, seeds, better, sides):
+def compare(args, seeds, spec, better, sides):
     parent, change = [], []
     medians = {"parent": {}, "change": {}}  # metric -> values per side
+    pair_ratios = {}  # metric -> change / parent of every complete pair
     wins = 0
     same_digest = True
     failed = False
@@ -205,13 +220,17 @@ def compare(args, seeds, better, sides):
         for name, res in (("parent", p_res), ("change", c_res)):
             for metric, m in res["metrics"].items():
                 medians[name].setdefault(metric, []).append(m["value"])
+        for metric, m in p_res["metrics"].items():
+            if metric in c_res["metrics"]:
+                pair_ratios.setdefault(metric, []).append(pair_ratio(
+                    m["value"], c_res["metrics"][metric]["value"]))
         p = p_res["metrics"][args.metric]["value"]
         c = c_res["metrics"][args.metric]["value"]
         parent.append(p)
         change.append(c)
         won = c < p if better == "lower" else c > p
         wins += won
-        ratio = c / p if p else float("nan")
+        ratio = pair_ratio(p, c)
         ratios.append(ratio)
         print("%6d %12.4g %12.4g %+7.1f%% %7.4f  %-6s  %s" %
               (seed, p, c, (ratio - 1) * 100, ratio,
@@ -236,6 +255,20 @@ def compare(args, seeds, better, sides):
     print("verdict: %s" % ("GAIN" if verdict else "no gain shown"))
     print("determinism: %s" % ("identical on every seed" if same_digest
                                else "DIFFERS on some seed"))
+    # The benchmark's guard: no end-to-end metric may get worse than the
+    # parent by more than its bound.
+    print("end-to-end metrics, median ratio change / parent:")
+    for metric in spec["end_to_end"]:
+        name, bound = metric["name"], metric["bound"]
+        if name not in pair_ratios:
+            print("  %-16s not reported" % name)
+            continue
+        r = statistics.median(pair_ratios[name])
+        worse = (r > 1 + bound if metric["better"] == "lower"
+                 else r < 1 - bound)
+        print("  %-16s %8.4f  (%s is better, bound %g)%s" %
+              (name, r, metric["better"], bound,
+               "  WORSE beyond bound" if worse else ""))
     print("medians, parent -> change:")
     for metric, values in sorted(medians["parent"].items()):
         print("  %-32s %12.6g -> %.6g" % (

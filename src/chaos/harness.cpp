@@ -198,10 +198,8 @@ RunResult Harness::run(const Schedule& schedule) const {
   config.unsafe_first_reply_quorum = schedule.unsafe_first_reply_quorum;
   {
     std::uint32_t lying = schedule.lying_mask;
-    std::uint32_t byz_gateway = schedule.byz_gateway_mask;
-    bool corrupt = schedule.corrupt_forwards;
     config.with_tune_replica(
-        [lying, byz_gateway, corrupt](ProcessId id, smr::SmrOptions& smr) {
+        [lying](ProcessId id, smr::SmrOptions& smr) {
           // Cap view-timeout doubling: under chaos-grade loss a stalled
           // slot can escalate views for the whole fault window, and an
           // uncapped backoff (default 2^20 * base) would push the next
@@ -211,13 +209,6 @@ RunResult Harness::run(const Schedule& schedule) const {
           smr.node.sync.max_doublings =
               std::min<std::uint32_t>(smr.node.sync.max_doublings, 7);
           if ((lying >> id) & 1) smr.byzantine.lie_in_replies = true;
-          if ((byz_gateway >> id) & 1) {
-            if (corrupt) {
-              smr.byzantine.corrupt_forwards = true;
-            } else {
-              smr.byzantine.drop_forwards = true;
-            }
-          }
         });
   }
 
@@ -326,9 +317,6 @@ RunResult Harness::run(const Schedule& schedule) const {
       ++result.ops_completed;
     }
   }
-  for (std::uint32_t k = 0; k < schedule.sessions; ++k) {
-    result.gateway_demotions += service->session(k).gateway_demotions();
-  }
   result.envelopes = log.count();
   result.envelopes_dropped = net->dropped_count();
   result.history_digest = history_digest(result.history);
@@ -387,7 +375,6 @@ Harness::ShrinkResult Harness::shrink(const Schedule& failing,
     if (candidate == best) return;
     if (still_fails(candidate)) best = candidate;
   };
-  try_edit([](Schedule& s) { s.byz_gateway_mask = 0; });
   try_edit([](Schedule& s) { s.lying_mask = 0; });
   try_edit([](Schedule& s) { s.adaptive = false; });
   try_edit([](Schedule& s) { s.pipeline_depth = 1; });

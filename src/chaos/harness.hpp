@@ -10,10 +10,10 @@
 /// \file harness.hpp
 /// The chaos scenario runner: executes one Schedule against a full
 /// smr::Service cluster on the deterministic simulator — randomized
-/// crash/rejoin, partitions, lossy and slow links, Byzantine replicas and
-/// gateways, concurrent multi-session put/get/del/cas/mget workloads
-/// across S shards — while recording the complete client history and
-/// every delivered envelope, then audits the history with the
+/// crash/rejoin, partitions, lossy and slow links, reply-forging
+/// Byzantine replicas, concurrent multi-session put/get/del/cas/mget
+/// workloads across S shards — while recording the complete client
+/// history and every delivered envelope, then audits the history with the
 /// linearizability checker.
 ///
 /// Determinism contract: a Schedule fully determines the run. Identical
@@ -33,7 +33,6 @@ struct RunResult {
 
   std::uint64_t ops_completed = 0;
   std::uint64_t ops_timed_out = 0;
-  std::uint64_t gateway_demotions = 0;
   std::uint64_t envelopes = 0;
   std::uint64_t envelopes_dropped = 0;
 

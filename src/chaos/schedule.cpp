@@ -123,10 +123,6 @@ std::string Schedule::to_string() const {
   if (adaptive) out += " adaptive";
   if (rotate_leaders) out += " rotate";
   if (lying_mask) out += " liars=0x" + std::to_string(lying_mask);
-  if (byz_gateway_mask) {
-    out += corrupt_forwards ? " corrupt-gateways=0x" : " drop-gateways=0x";
-    out += std::to_string(byz_gateway_mask);
-  }
   if (unsafe_first_reply_quorum) out += " UNSAFE-QUORUM";
   out += " horizon=" + std::to_string(horizon) + "\n";
   for (const FaultEvent& ev : faults) {
@@ -188,8 +184,8 @@ Schedule generate_schedule(std::uint64_t seed,
     s.lying_mask = 1u << liar;
   }
   if (rng.chance(1, 3)) {
-    // Byzantine gateways cost no budget; any replica qualifies, even the
-    // liar — sessions blacklist their way around it.
+    // Retired fields (see Schedule::byz_gateway_mask), still drawn so the
+    // rest of the schedule consumes the same random stream.
     s.byz_gateway_mask = 1u << rng.next_below(s.n);
     s.corrupt_forwards = rng.chance(1, 2);
   }

@@ -74,10 +74,12 @@ struct Schedule {
   /// their SMR_REPLYs. Keep popcount <= f or the f+1 reply quorum is
   /// unsound and the checker will (correctly!) flag the run.
   std::uint32_t lying_mask = 0;
-  /// Replicas that sabotage their gateway role (drop or corrupt client
-  /// forwards). Costs no fault budget: sessions route around them.
+  /// RETIRED: replicas that once sabotaged the client-request relay.
+  /// Sessions now send every request to all replicas, so no replica
+  /// relays and the harness ignores both fields. They stay in the
+  /// encoding and the generator keeps drawing them, so committed
+  /// schedules and every seed's fault timeline replay unchanged.
   std::uint32_t byz_gateway_mask = 0;
-  /// Byzantine gateways corrupt the forwarded frame instead of dropping it.
   bool corrupt_forwards = false;
 
   /// TEST HOOK: run sessions with unsafe_first_reply_quorum (see

@@ -102,8 +102,6 @@ SocketSmrClient::SocketSmrClient(SocketClusterConfig config,
     smr::SessionConfig scfg;
     scfg.n = config_.cfg.n;
     scfg.f = config_.cfg.f;
-    scfg.first_gateway = pid % config_.cfg.n;
-    scfg.num_shards = options_.num_shards;
     scfg.request_timeout = options_.request_timeout_us;
     scfg.request_deadline = options_.request_deadline_us;
     scfg.max_in_flight = options_.max_in_flight;

@@ -69,6 +69,9 @@ class SocketSmrServer {
   }
 
   net::SocketCounters socket_stats() const { return net_.stats(); }
+  net::SocketCounters link_stats(ProcessId peer) const {
+    return net_.link_stats(id_, peer);
+  }
 
   /// The SIGTERM dump: per-link socket counters plus engine gauges.
   std::string stats_summary() const;
@@ -90,7 +93,6 @@ struct SocketClientOptions {
   ProcessId first_client_id = 0;
   /// Sessions hosted by this process (ids first_client_id .. +sessions-1).
   std::uint32_t sessions = 1;
-  std::uint32_t num_shards = 1;
   Duration request_timeout_us = 100'000;
   Duration request_deadline_us = 0;
   std::uint32_t max_in_flight = 8;

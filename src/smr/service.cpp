@@ -16,23 +16,20 @@ namespace {
 
 /// Runtime-appropriate request timeouts when the config leaves 0: a
 /// healthy request completes in a handful of message delays; the timeout
-/// must also ride out one view change of a stalled slot before failing
-/// over (simulator base_timeout 1200 ticks / threaded 25 ms).
+/// must also ride out one view change of a stalled slot before retrying
+/// (simulator base_timeout 1200 ticks / threaded 25 ms).
 constexpr Duration kSimDefaultRequestTimeout = 6'000;        // ticks
 constexpr Duration kThreadedDefaultRequestTimeout = 100'000; // µs
 
 SessionConfig make_session_config(const ServiceConfig& config,
-                                  std::uint32_t index, Duration timeout,
+                                  Duration timeout,
                                   std::shared_ptr<const crypto::KeyStore> keys) {
   SessionConfig scfg;
   scfg.n = config.cluster.n;
   scfg.f = config.cluster.f;
-  scfg.first_gateway = (config.first_gateway + index) % config.cluster.n;
-  scfg.num_shards = std::max(1u, config.smr.num_groups);
   scfg.request_timeout = timeout;
   scfg.request_deadline = config.request_deadline;
   scfg.max_in_flight = config.max_in_flight;
-  scfg.gateway_strike_limit = config.gateway_strike_limit;
   scfg.unsafe_first_reply_quorum = config.unsafe_first_reply_quorum;
   scfg.keys = std::move(keys);
   return scfg;
@@ -96,7 +93,7 @@ class SimService final : public Service {
       ProcessId pid = cfg.n + k;
       auto session = std::make_unique<ClientSession>(
           *host_, cluster_->network().endpoint(pid),
-          make_session_config(config_, k, timeout, cluster_->keys()));
+          make_session_config(config_, timeout, cluster_->keys()));
       cluster_->network().attach(
           pid, [s = session.get()](ProcessId from, const Bytes& payload) {
             s->on_message(from, payload);
@@ -231,7 +228,7 @@ class ThreadedService final : public Service {
       ProcessId pid = cfg.n + k;
       auto session = std::make_unique<ClientSession>(
           *hosts_[pid], net_.endpoint(pid),
-          make_session_config(config_, k, timeout, keys_));
+          make_session_config(config_, timeout, keys_));
       net_.attach(pid,
                   [s = session.get()](ProcessId from, const Bytes& payload) {
                     s->on_message(from, payload);

@@ -28,7 +28,7 @@
 /// Lifecycle: configure -> construct (sessions exist immediately) ->
 /// start() -> submit through sessions / crash() / restart() -> stop().
 /// See docs/CLIENT_API.md for the full contract (reply quorum rule,
-/// failover, at-most-once dedup).
+/// retries, at-most-once dedup).
 
 namespace fastbft::smr {
 
@@ -43,21 +43,17 @@ struct ServiceConfig {
 
   /// Per-request completion timeout in host ticks (simulator ticks / µs
   /// wall-clock); 0 picks a runtime-appropriate default. On expiry the
-  /// session fails over to the next gateway and resubmits.
+  /// session re-sends the request to every replica.
   Duration request_timeout = 0;
 
   /// Total per-request budget in host ticks (0 = unlimited): a request
   /// still unresolved after this long completes with
-  /// Reply::Status::Timeout instead of failing over forever
+  /// Reply::Status::Timeout instead of retrying forever
   /// (SessionConfig::request_deadline).
   Duration request_deadline = 0;
 
   /// Per-session submission window (bounded in-flight backpressure).
   std::uint32_t max_in_flight = 8;
-
-  /// Session-side gateway blacklisting threshold
-  /// (SessionConfig::gateway_strike_limit; 0 disables).
-  std::uint32_t gateway_strike_limit = 3;
 
   /// TEST HOOK: complete requests on the first valid reply instead of the
   /// f + 1 quorum (SessionConfig::unsafe_first_reply_quorum). Breaks BFT
@@ -68,10 +64,6 @@ struct ServiceConfig {
   /// per replica at construction. The chaos harness uses this to flip
   /// SmrOptions::byzantine hooks on selected replicas.
   std::function<void(ProcessId, SmrOptions&)> tune_replica;
-
-  /// Gateway of session k is (first_gateway + k) % n — sessions spread
-  /// their request load across replicas by default.
-  ProcessId first_gateway = 0;
 
   std::uint64_t key_seed = 42;
 
@@ -127,10 +119,6 @@ struct ServiceConfig {
     max_in_flight = in_flight;
     return *this;
   }
-  ServiceConfig& with_first_gateway(ProcessId gateway) {
-    first_gateway = gateway;
-    return *this;
-  }
   ServiceConfig& with_link_delay(std::chrono::microseconds delay) {
     link_delay = delay;
     return *this;
@@ -152,10 +140,6 @@ struct ServiceConfig {
   ServiceConfig& with_seed(std::uint64_t seed) {
     key_seed = seed;
     sim_net.seed = seed;
-    return *this;
-  }
-  ServiceConfig& with_gateway_strike_limit(std::uint32_t strikes) {
-    gateway_strike_limit = strikes;
     return *this;
   }
   ServiceConfig& with_unsafe_first_reply_quorum(bool unsafe = true) {
@@ -185,8 +169,8 @@ class Service {
   virtual std::uint32_t num_sessions() const = 0;
 
   /// Fail-stop a replica before start() or mid-run, and crash-recover it
-  /// mid-run (fault injection; the sessions' failover machinery is how
-  /// clients survive it).
+  /// mid-run (fault injection; sessions reach every replica, so a
+  /// crashed one costs them nothing).
   virtual void crash(ProcessId replica) = 0;
   virtual void restart(ProcessId replica) = 0;
 

@@ -19,16 +19,8 @@ ClientSession::ClientSession(engine::Host& host,
   FASTBFT_ASSERT(config_.max_in_flight >= 1, "window must admit a request");
   FASTBFT_ASSERT(endpoint_->self() >= config_.n,
                  "sessions live on client endpoints, not replica ids");
-  if (config_.num_shards == 0) config_.num_shards = 1;
-  // Stagger the initial per-shard gateways so a multi-shard session
-  // spreads its forwarding load instead of funnelling every shard through
-  // one replica.
-  preferred_gateways_.resize(config_.num_shards);
-  for (std::uint32_t shard = 0; shard < config_.num_shards; ++shard) {
-    preferred_gateways_[shard] =
-        (config_.first_gateway + shard) % config_.n;
-  }
-  gateway_strikes_.assign(config_.n, 0);
+  FASTBFT_ASSERT(endpoint_->cluster_size() == config_.n,
+                 "a session's broadcast must cover exactly the replicas");
 }
 
 ClientSession::~ClientSession() { *alive_ = false; }
@@ -54,8 +46,8 @@ Future<Reply> ClientSession::cas(std::string key, std::string expected,
 Future<std::vector<Reply>> ClientSession::mget(
     std::vector<std::string> keys) {
   // Client-side fan-out: one independent single-key read per key, each
-  // routed to its own shard; the aggregate completes when the last one
-  // does. Per-read linearizability only — no cross-shard snapshot.
+  // ordered by its key's own shard; the aggregate completes when the last
+  // one does. Per-read linearizability only — no cross-shard snapshot.
   struct FanOut {
     std::mutex mutex;
     std::vector<Reply> replies;
@@ -97,7 +89,6 @@ Future<Reply> ClientSession::submit(Command cmd) {
     std::uint64_t sequence = next_sequence_++;
     cmd.sequence = sequence;
     Request& request = requests_[sequence];
-    request.shard = shard_of(cmd.key, config_.num_shards);
     request.cmd = std::move(cmd);
     request.promise = std::move(promise);
     // The deadline budget starts at submission, not first dispatch: time
@@ -122,18 +113,10 @@ void ClientSession::admit(std::uint64_t sequence) {
 }
 
 void ClientSession::dispatch(Request& request) {
-  // Gateway is chosen at dispatch time, not frozen at submit: a request
-  // drained from the window queue after a failover must target the
-  // gateway its SHARD currently trusts, not one it already learned is
-  // dead. A blacklisted preferred gateway (demoted by ANOTHER shard's
-  // strikes since this shard last routed) is skipped here too.
-  if (gateway_blacklisted(preferred_gateways_[request.shard])) {
-    preferred_gateways_[request.shard] =
-        next_gateway_after(preferred_gateways_[request.shard]);
-  }
-  request.gateway = preferred_gateways_[request.shard];
-  endpoint_->send(request.gateway,
-                  SmrNode::encode_request(request.cmd));
+  // Straight to every replica, one shared payload: whichever replica
+  // leads the slot proposes it without a relay hop, and no crashed
+  // replica can black-hole the request.
+  endpoint_->broadcast(SmrNode::encode_request(request.cmd));
   std::uint64_t sequence = request.cmd.sequence;
   // The retry timer never overshoots the deadline: the final arm fires
   // exactly when the budget runs out, so a Timeout verdict is never late
@@ -155,24 +138,17 @@ void ClientSession::on_timeout(std::uint64_t sequence) {
   Request& request = it->second;
   if (request.deadline != 0 && host_.now() >= request.deadline) {
     // Budget exhausted — likely a whole shard quorum down, which no
-    // amount of gateway rotation cures. Fail cleanly instead of retrying
-    // forever; the command may still execute later (at-most-once holds).
+    // amount of retrying cures. Fail cleanly instead of retrying forever;
+    // the command may still execute later (at-most-once holds).
     fail_with_timeout(sequence);
     return;
   }
-  // The quorum did not arrive in time: the gateway may have crashed
-  // before forwarding, or the request/replies are just slow. Fail over to
-  // the shard's next gateway and resubmit the IDENTICAL command —
-  // (client_id, sequence) dedup at apply time makes the retry
-  // at-most-once, and any reply quorum (from either copy) completes the
-  // request. Future requests for this shard start at the new gateway too.
-  // The timeout is also a strike against the gateway it happened on: a
-  // Byzantine gateway that silently drops forwards times out every
-  // request routed through it and gets demoted for the session, instead
-  // of being retried once per full rotation forever.
+  // The quorum did not arrive in time: a lossy link dropped the request
+  // or its replies, or the decision is slow (a view change). Re-send the
+  // IDENTICAL command to every replica — (client_id, sequence) dedup at
+  // apply time makes the retry at-most-once, and any reply quorum (from
+  // either copy) completes the request.
   failovers_.fetch_add(1);
-  record_strike(request.gateway);
-  preferred_gateways_[request.shard] = next_gateway_after(request.gateway);
   dispatch(request);
 }
 
@@ -202,11 +178,7 @@ void ClientSession::on_message(ProcessId from, const Bytes& payload) {
   if (from >= config_.n) return;  // replies come from replicas only
   auto reply = decode_reply_payload(payload, from, verifier_);
   if (!reply || reply->client_id != id()) {
-    // A malformed, forged or misaddressed reply is provably not from a
-    // correct replica — strike it. (Unknown-sequence late duplicates in
-    // handle_reply are NOT strikes: those are normal retry echoes.)
-    rejected_.fetch_add(1);
-    record_strike(from);
+    rejected_.fetch_add(1);  // malformed, forged or misaddressed
     return;
   }
   handle_reply(from, *reply);
@@ -262,32 +234,6 @@ void ClientSession::handle_reply(ProcessId from, const Reply& reply) {
   // Complete LAST: future callbacks run caller code that may re-enter the
   // session (a closed-loop client submitting its next request).
   promise.set(std::move(verdict));
-}
-
-bool ClientSession::gateway_blacklisted(ProcessId gateway) const {
-  return config_.gateway_strike_limit > 0 && gateway < gateway_strikes_.size() &&
-         gateway_strikes_[gateway] >= config_.gateway_strike_limit;
-}
-
-void ClientSession::record_strike(ProcessId gateway) {
-  if (config_.gateway_strike_limit == 0) return;
-  if (gateway >= gateway_strikes_.size()) return;
-  if (gateway_blacklisted(gateway)) return;  // already demoted
-  if (++gateway_strikes_[gateway] >= config_.gateway_strike_limit) {
-    demotions_.fetch_add(1);
-  }
-}
-
-ProcessId ClientSession::next_gateway_after(ProcessId gateway) {
-  for (std::uint32_t step = 1; step <= config_.n; ++step) {
-    ProcessId candidate = (gateway + step) % config_.n;
-    if (!gateway_blacklisted(candidate)) return candidate;
-  }
-  // Everyone is blacklisted. That cannot be right (at most f < n replicas
-  // are faulty), so the strikes were circumstantial — e.g. a partition
-  // timing out every gateway in turn. Forgive and restart the rotation.
-  gateway_strikes_.assign(config_.n, 0);
-  return (gateway + 1) % config_.n;
 }
 
 void ClientSession::refill_window() {

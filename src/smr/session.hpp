@@ -12,7 +12,6 @@
 #include "net/transport.hpp"
 #include "smr/future.hpp"
 #include "smr/reply.hpp"
-#include "smr/shard.hpp"
 
 /// \file session.hpp
 /// Client session for the replicated KV service: the host-agnostic half of
@@ -21,17 +20,17 @@
 /// in-flight requests, and the full request lifecycle:
 ///
 ///  * submit — a typed op (put/get/del/cas) becomes a Command with the
-///    session's next sequence number and is sent as SMR_REQUEST to ONE
-///    replica, the session's current gateway, which forwards it to the
-///    cluster. The caller gets a Future<Reply>.
+///    session's next sequence number and is broadcast as one shared
+///    SMR_REQUEST payload to all n replicas; each admits it into the
+///    key's owning group. The caller gets a Future<Reply>.
 ///  * complete — replicas answer with signed SMR_REPLYs carrying the
 ///    execution result; the session counts distinct, signature-verified
 ///    replicas agreeing on the same (slot, result) and completes the
 ///    future at f + 1 (at least one of them is correct — the PBFT client
 ///    rule), making every result, reads included, Byzantine-verified.
-///  * retry/failover — a per-request timer resubmits through the NEXT
-///    gateway if the quorum does not arrive in time (crashed or slow
-///    gateway, lost request). Replicas dedup by (client_id, sequence) at
+///  * retry — a per-request timer re-sends the identical request to every
+///    replica if the quorum does not arrive in time (lost request, slow
+///    decision, view change). Replicas dedup by (client_id, sequence) at
 ///    apply time, so retries are at-most-once by construction; the reply
 ///    quorum of whichever copy executed completes the request.
 ///  * backpressure — at most `max_in_flight` requests are outstanding;
@@ -48,46 +47,26 @@
 namespace fastbft::smr {
 
 struct SessionConfig {
-  /// Reply quorum is f + 1; gateways rotate over the n replicas.
+  /// Requests go to all n replicas; the reply quorum is f + 1.
   std::uint32_t n = 0;
   std::uint32_t f = 0;
 
-  /// First gateway tried by a fresh session (wraps modulo n).
-  ProcessId first_gateway = 0;
-
-  /// Consensus groups the cluster hosts (must equal the replicas'
-  /// SmrOptions::num_groups). The session routes each request to its
-  /// key's owning shard (smr/shard.hpp) and keeps an independent
-  /// preferred gateway per shard, so one crashed shard gateway never
-  /// drags the other shards' requests through its failover rotation.
-  std::uint32_t num_shards = 1;
-
   /// Per-request completion timeout in host ticks (simulator ticks / µs
-  /// on the threaded host); on expiry the request fails over to the next
-  /// gateway and the timer re-arms. Retries continue until completion —
+  /// on the threaded host); on expiry the request is re-sent to every
+  /// replica and the timer re-arms. Retries continue until completion —
   /// the driver bounds the wait, the protocol guarantees at-most-once.
   Duration request_timeout = 4000;
 
   /// Total per-request budget in host ticks (0 = unlimited). A request
   /// still unresolved when the budget expires completes its future with
-  /// Reply::Status::Timeout instead of rotating through gateways forever
-  /// — the clean failure mode when a whole shard's quorum is down. The
-  /// command may still execute later; at-most-once dedup still holds.
+  /// Reply::Status::Timeout instead of retrying forever — the clean
+  /// failure mode when a whole shard's quorum is down. The command may
+  /// still execute later; at-most-once dedup still holds.
   Duration request_deadline = 0;
 
   /// Submission window: requests outstanding at once before the session
   /// queues internally. >= 1.
   std::uint32_t max_in_flight = 8;
-
-  /// Gateway blacklisting: a gateway accumulates one strike per request
-  /// that times out on its watch and per malformed/bad-signature reply it
-  /// sends; at `gateway_strike_limit` strikes it is demoted for the rest
-  /// of the session — rotation and dispatch skip it. 0 disables (legacy
-  /// rotate-on-timeout-only behavior). If EVERY gateway ends up
-  /// blacklisted the table resets: an all-faulty verdict is
-  /// indistinguishable from a mis-calibrated blacklist (e.g. a long
-  /// partition striking everyone), and resetting restores liveness.
-  std::uint32_t gateway_strike_limit = 3;
 
   /// TEST HOOK — breaks Byzantine fault tolerance on purpose. Completes a
   /// request on the FIRST signature-valid reply instead of f + 1 matching
@@ -125,8 +104,8 @@ class ClientSession {
   /// `expected`; Reply::result.ok reports the outcome.
   Future<Reply> cas(std::string key, std::string expected, std::string value);
 
-  /// Multi-key read: fans out one get() per key (each routed to its own
-  /// shard) and completes when ALL have. Replies arrive in `keys` order.
+  /// Multi-key read: fans out one get() per key (each ordered by its
+  /// key's own shard) and completes when ALL have. Replies arrive in `keys` order.
   /// Each read is individually linearizable within its shard; the batch
   /// as a whole is NOT a cross-shard snapshot (docs/SHARDING.md).
   Future<std::vector<Reply>> mget(std::vector<std::string> keys);
@@ -138,7 +117,7 @@ class ClientSession {
 
   std::uint64_t completed() const { return completed_.load(); }
 
-  /// Timeouts fired: every one rotated the gateway and resubmitted.
+  /// Timeouts fired: every one re-sent its request to every replica.
   std::uint64_t failovers() const { return failovers_.load(); }
 
   /// Requests that exhausted their deadline budget and completed with
@@ -151,14 +130,6 @@ class ClientSession {
   /// sequences (late duplicates land here too).
   std::uint64_t rejected_replies() const { return rejected_.load(); }
 
-  /// Gateways demoted (blacklisted) for the session so far.
-  std::uint64_t gateway_demotions() const { return demotions_.load(); }
-
-  /// Whether `gateway` is currently blacklisted (host thread only).
-  bool is_gateway_blacklisted(ProcessId gateway) const {
-    return gateway_blacklisted(gateway);
-  }
-
   std::uint64_t in_flight() const { return in_flight_gauge_.load(); }
   std::uint64_t queued() const { return queued_gauge_.load(); }
 
@@ -167,9 +138,6 @@ class ClientSession {
     Command cmd;
     Promise<Reply> promise;
     sim::TimerHandle timer;
-    ProcessId gateway = 0;
-    /// Owning shard of cmd.key; indexes the per-shard gateway table.
-    GroupId shard = 0;
     /// Absolute host-clock give-up point (0 = no deadline).
     TimePoint deadline = 0;
     /// (slot, result digest) -> distinct signed voters, plus the reply
@@ -190,24 +158,12 @@ class ClientSession {
   void handle_reply(ProcessId from, const Reply& reply);
   void refill_window();
 
-  bool gateway_blacklisted(ProcessId gateway) const;
-  void record_strike(ProcessId gateway);
-  /// First non-blacklisted gateway strictly after `gateway` (wrapping);
-  /// resets the blacklist if every replica has been demoted.
-  ProcessId next_gateway_after(ProcessId gateway);
-
   engine::Host& host_;
   std::unique_ptr<net::Transport> endpoint_;
   SessionConfig config_;
   crypto::Verifier verifier_;
 
   std::uint64_t next_sequence_ = 1;
-  /// Preferred gateway per shard (index = GroupId): a timeout rotates
-  /// only its own shard's entry, so failover on a dead shard never
-  /// perturbs healthy shards' routing.
-  std::vector<ProcessId> preferred_gateways_;
-  /// Strikes per gateway; >= gateway_strike_limit means blacklisted.
-  std::vector<std::uint32_t> gateway_strikes_;
   std::map<std::uint64_t, Request> requests_;  // sequence -> state
   std::deque<std::uint64_t> waiting_;          // beyond-window queue
   std::set<std::uint64_t> in_flight_;          // dispatched sequences
@@ -216,7 +172,6 @@ class ClientSession {
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> deadline_timeouts_{0};
   std::atomic<std::uint64_t> rejected_{0};
-  std::atomic<std::uint64_t> demotions_{0};
   std::atomic<std::uint64_t> in_flight_gauge_{0};
   std::atomic<std::uint64_t> queued_gauge_{0};
 

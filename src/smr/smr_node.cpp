@@ -168,23 +168,10 @@ void SmrNode::handle_request(ProcessId from, const Bytes& payload) {
   if (!dec.ok() || !dec.at_end()) return;
   auto cmd = Command::from_wire(raw);
   if (!cmd) return;
-  if (from >= ectx_.cfg.n) {
-    // The request came straight from a client endpoint: this replica is
-    // its gateway. Forward the identical payload to the rest of the
-    // cluster so any slot leader can propose it (peers see a replica
-    // sender and do not forward again), then admit it locally.
-    if (options_.byzantine.drop_forwards) return;
-    if (options_.byzantine.corrupt_forwards) {
-      // Byzantine gateway: forward a truncated frame. Peers fail the
-      // decode and ignore it, and this replica does not admit the
-      // command either — from the client's side the request vanished.
-      Bytes truncated(payload.begin(),
-                      payload.begin() + payload.size() / 2);
-      endpoint_->broadcast_others(truncated);
-      return;
-    }
-    endpoint_->broadcast_others(payload);
-  }
+  // A client endpoint speaks only for itself: a request under another
+  // session's id would claim that session's (client_id, sequence) and
+  // dedup would then discard the session's real command.
+  if (from >= ectx_.cfg.n && cmd->client_id != from) return;
   // Admit into the group that owns the command's key — every replica
   // computes the same shard locally, so a command is only ever proposed
   // in its owning group's log.

@@ -40,12 +40,13 @@
 /// event-loop thread.
 ///
 /// Wire protocol:
-///  * Requests reach every replica as SMR_REQUEST; whichever process leads
-///    a slot can propose them. A driver-submitted request is broadcast
-///    directly (submit()); a client-session request is sent to ONE replica
-///    — its gateway — which forwards it to the whole cluster. Commands are
-///    deduplicated by (client_id, sequence) at apply time, which is what
-///    makes a session's retry through a different gateway at-most-once.
+///  * Requests reach every replica as SMR_REQUEST, straight from their
+///    sender: a driver's submit() and a client session both broadcast to
+///    all n replicas, and no replica relays. Whichever process leads a
+///    slot can propose them. A request from a client endpoint must carry
+///    that endpoint's id as its client_id. Commands are deduplicated by
+///    (client_id, sequence) at apply time, which is what makes a
+///    session's retry at-most-once.
 ///  * With SmrOptions::num_clients set, every applied command addressed
 ///    from a client endpoint is answered with SMR_REPLY{command id, slot,
 ///    signed execution result}; f + 1 matching replies complete a request
@@ -129,37 +130,24 @@ struct SmrOptions {
 
   /// Client endpoints attached to the network beyond the n replicas
   /// (ids n .. n + num_clients - 1; see net::SimNetwork /
-  /// net::ThreadedNetwork extra_endpoints). When nonzero, the node acts
-  /// as a client-facing service replica: SMR_REQUESTs arriving FROM a
-  /// client endpoint are forwarded to the whole cluster (the gateway
-  /// role), and every applied command whose client_id names a client
-  /// endpoint is answered with a signed SMR_REPLY carrying the execution
-  /// result (smr/reply.hpp). 0 preserves the bare replication surface
-  /// (drivers submit through SmrNode::submit and read stores directly).
+  /// net::ThreadedNetwork extra_endpoints). When nonzero, every applied
+  /// command whose client_id names a client endpoint is answered with a
+  /// signed SMR_REPLY carrying the execution result (smr/reply.hpp). 0
+  /// preserves the bare replication surface (drivers submit through
+  /// SmrNode::submit and read stores directly).
   std::uint32_t num_clients = 0;
 
   /// TEST HOOKS — Byzantine behaviours for the chaos harness
   /// (src/chaos, docs/CHAOS.md). All off by default. They corrupt only
   /// the client-facing surface, never the consensus messages: the node
   /// still participates honestly in replication (so cluster liveness is
-  /// unaffected) but lies to clients or sabotages its gateway role.
+  /// unaffected) but lies to clients.
   struct ByzantineHooks {
     /// Sign and send fabricated execution results in SMR_REPLY. A correct
     /// session outvotes up to f such replicas via its f + 1 matching-reply
     /// quorum; with SessionConfig::unsafe_first_reply_quorum set, ONE liar
     /// breaks safety — which the linearizability checker must detect.
     bool lie_in_replies = false;
-
-    /// Gateway role: silently drop client SMR_REQUESTs instead of
-    /// forwarding (the request is not admitted locally either).
-    bool drop_forwards = false;
-
-    /// Gateway role: forward a truncated copy of the client request so
-    /// peers fail to decode it (framing corruption; indistinguishable
-    /// from a drop at the client). Semantic corruption of the command is
-    /// deliberately NOT modelled: requests are unsigned today, so it
-    /// would be undetectable — see docs/CHAOS.md "Known gaps".
-    bool corrupt_forwards = false;
   };
   ByzantineHooks byzantine;
 

@@ -273,10 +273,12 @@ TEST(ChaosHarness, IdenticalSchedulesProduceIdenticalRuns) {
 // --- Shard-aware smoke (fixed seeds, deterministic) --------------------------
 //
 // Seeds were picked to pass under all four configs. Seed 2 is deliberately
-// absent: under adaptive pipelining it drives the cluster into a known
+// absent: under adaptive pipelining it drove the cluster into a known
 // catch-up liveness gap (one correct replica ahead, two laggards, one crash —
 // the laggards can never assemble f+1 distinct claimants for the decided
-// slots). See docs/CHAOS.md "Known gaps" and the ROADMAP state-transfer item.
+// slots) while sessions relayed requests through one replica. The gap is
+// still open; docs/CHAOS.md "Known gaps" holds a schedule that reaches it
+// now, and the ROADMAP state-transfer item tracks the fix.
 
 class ChaosSmoke
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::uint32_t,
@@ -344,48 +346,6 @@ TEST(ChaosRegression, CommittedUnsafeQuorumScheduleStillFails) {
   fixed.unsafe_first_reply_quorum = false;
   RunResult good = harness.run(fixed);
   EXPECT_FALSE(good.failed()) << good.check.violation;
-}
-
-// --- Gateway blacklisting (permanently-Byzantine gateway) --------------------
-
-TEST(GatewayBlacklist, ByzantineGatewayIsDemotedNotRetriedForever) {
-  // Replica 0 serves consensus honestly but silently drops every client
-  // forward. Session 0's first gateway IS replica 0, and the open-loop
-  // burst below puts several requests in flight there at once — each
-  // times out, each is a strike, and the gateway must cross the strike
-  // limit and be demoted for the rest of the session. Before the
-  // blacklist fix the session retried it once per rotation forever.
-  auto config = smr::ServiceConfig{}
-                    .with_cluster(4, 1, 1)
-                    .with_sessions(1)
-                    .with_pipeline_depth(2)
-                    .with_seed(3);
-  config.with_tune_replica([](ProcessId id, smr::SmrOptions& options) {
-    if (id == 0) options.byzantine.drop_forwards = true;
-  });
-  auto service = smr::make_sim_service(config);
-  service->start();
-  smr::ClientSession& session = service->session(0);
-
-  std::vector<smr::Future<smr::Reply>> futures;
-  for (int i = 0; i < 6; ++i) {
-    futures.push_back(
-        session.put("key" + std::to_string(i), "v" + std::to_string(i)));
-  }
-  for (auto& future : futures) {
-    ASSERT_TRUE(service->await(future, 60'000ms)) << "request wedged";
-    EXPECT_TRUE(future.value().ok());
-  }
-  EXPECT_GE(session.gateway_demotions(), 1u);
-  EXPECT_TRUE(session.is_gateway_blacklisted(0));
-
-  // Demoted means skipped: later traffic completes without touching the
-  // bad gateway again (no further failover churn required).
-  std::uint64_t failovers_before = session.failovers();
-  auto after = session.put("late", "value");
-  ASSERT_TRUE(service->await(after, 60'000ms));
-  EXPECT_TRUE(after.value().ok());
-  EXPECT_EQ(session.failovers(), failovers_before);
 }
 
 // --- Legacy adversary behaviors on the pipelined engine path -----------------

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "net/threaded_network.hpp"
@@ -10,8 +11,8 @@
 /// The unified client API (smr::Service + smr::ClientSession), exercised
 /// through the SAME test body on both runtimes: the deterministic
 /// simulator and real OS threads. This is the point of the facade — the
-/// session code (typed ops, f+1 signed-reply quorum, per-request
-/// timers/failover, windowed backpressure, at-most-once retries) is
+/// session code (typed ops, f+1 signed-reply quorum, per-request retry
+/// timers, windowed backpressure, at-most-once retries) is
 /// host-agnostic, so one scenario must pass unchanged on both.
 
 namespace fastbft::smr {
@@ -88,36 +89,31 @@ TEST_P(ServiceApi, TypedOpsCompleteWithQuorumVerifiedResults) {
   EXPECT_TRUE(service->stores_agree());
 }
 
-TEST_P(ServiceApi, GatewayCrashFailsOverAndCompletes) {
-  // Regression for the silent request loss: submitting through a crashed
-  // gateway used to drop the command on the floor. The session's
-  // per-request timer must fail over to the next gateway and complete.
+TEST_P(ServiceApi, CrashedFollowerCostsNoRetry) {
+  // Sessions send every request to all n replicas, so a crashed replica
+  // that is not the slot's leader costs a request nothing: the put
+  // completes without a single timeout. Session 1 pairs with p1 because
+  // p1 relayed its requests when each session entered through one
+  // replica; the crash then cost a retry.
   auto config = ServiceConfig{}
                     .with_cluster(4, 1, 1)
-                    .with_sessions(1)
-                    .with_first_gateway(1)  // p1 never leads view 1...
-                    // ...which only holds under pinned (non-rotating)
-                    // leaders, so pin them explicitly.
+                    .with_sessions(2)
+                    // p1 never leads view 1 under pinned leaders.
                     .with_rotating_leaders(false)
                     .with_seed(7);
   auto service = make_service(GetParam(), config);
   service->start();
-  ClientSession& session = service->session(0);
+  ClientSession& session = service->session(1);
 
-  // A warm-up request through the healthy gateway proves the path works.
   Reply warm = must_complete(*service, session.put("k", "before"));
   EXPECT_TRUE(warm.result.ok);
-  EXPECT_EQ(session.failovers(), 0u);
 
-  // Kill the session's gateway, then submit: the request goes into a
-  // black hole until the timer rotates to p2.
   service->crash(1);
   Reply reply = must_complete(*service, session.put("k", "after"));
   EXPECT_EQ(reply.op, OpKind::Put);
-  EXPECT_GE(session.failovers(), 1u) << "completion required a failover";
-
   Reply read = must_complete(*service, session.get("k"));
   EXPECT_EQ(read.result.value, "after");
+  EXPECT_EQ(session.failovers(), 0u) << "a request waited for a retry";
 
   EXPECT_TRUE(service->await_applied(3, 20'000ms));
   service->stop();
@@ -126,8 +122,8 @@ TEST_P(ServiceApi, GatewayCrashFailsOverAndCompletes) {
 
 TEST_P(ServiceApi, DuplicateRetriesApplyAtMostOnce) {
   // Retry-race regression: an aggressive request timeout makes the
-  // session resubmit through other gateways while the original request is
-  // still in flight, so replicas see duplicate SMR_REQUESTs. The
+  // session re-send to every replica while the original request is still
+  // in flight, so replicas see duplicate SMR_REQUESTs. The
   // (client_id, sequence) dedup must keep every apply at-most-once — the
   // CAS chain would break (ok=false) if any command executed twice, and
   // the replicas' applied counters would exceed the distinct-request
@@ -166,6 +162,72 @@ TEST_P(ServiceApi, DuplicateRetriesApplyAtMostOnce) {
     EXPECT_EQ(service->applied_commands(id), 4u) << "p" << id;
   }
   EXPECT_TRUE(service->stores_agree());
+}
+
+// --- Direct request path (simulator) ----------------------------------------
+
+TEST(DirectRequests, LonePutCompletesInFourDelays) {
+  // Request, propose, ack, reply: on lock-step links a lone put completes
+  // in exactly 4 * delta whichever replica leads its slot. A relay hop
+  // would add a fifth delay on every slot it does not lead.
+  for (bool rotate : {false, true}) {
+    SCOPED_TRACE(rotate ? "rotating leaders" : "pinned leaders");
+    auto config = ServiceConfig{}
+                      .with_cluster(4, 1, 1)
+                      .with_sessions(2)
+                      .with_rotating_leaders(rotate)
+                      .with_seed(5);
+    config.smr.eager_windows = false;
+    config.sim_net.delta = 100;
+    config.sim_net.min_delay = 100;
+    auto service = make_sim_service(config);
+    service->start();
+    sim::Scheduler& sched = service->sim_network()->scheduler();
+    std::set<Slot> leaders;  // slot % n: the view-1 leader's class
+    for (std::uint32_t i = 0; i < 8; ++i) {
+      ClientSession& session = service->session(i % 2);
+      const TimePoint sent = sched.now();
+      TimePoint done = 0;
+      auto put = session.put("k" + std::to_string(i), "v");
+      put.on_ready([&](const Reply&) { done = sched.now(); });
+      ASSERT_TRUE(service->await(put, 1'000ms));
+      EXPECT_EQ(done - sent, 4 * config.sim_net.delta) << "put " << i;
+      leaders.insert(put.value().slot % 4);
+      // Idle until the next put so every put is a lone one.
+      service->run_until([] { return false; }, 2ms);
+    }
+    if (rotate) {
+      EXPECT_GT(leaders.size(), 1u) << "slots never rotated";
+    }
+    EXPECT_EQ(service->session(0).failovers(), 0u);
+    EXPECT_EQ(service->session(1).failovers(), 0u);
+  }
+}
+
+TEST(DirectRequests, ClientEndpointCannotSpeakForAnotherSession) {
+  // A rogue client endpoint (session 1's id) submits a put under session
+  // 0's id and next sequence. Replicas must drop it: otherwise the
+  // (client_id, sequence) dedup discards session 0's real put as a
+  // duplicate of the forged one.
+  auto config =
+      ServiceConfig{}.with_cluster(4, 1, 1).with_sessions(2).with_seed(9);
+  auto service = make_sim_service(config);
+  service->start();
+  const ProcessId victim = service->session(0).id();
+  auto rogue = service->sim_network()->endpoint(service->session(1).id());
+  rogue->broadcast(SmrNode::encode_request(
+      Command::put("k", "forged", victim, /*sequence=*/1)));
+  service->run_until([] { return false; }, 5ms);
+
+  ClientSession& session = service->session(0);
+  Reply put = must_complete(*service, session.put("k", "mine"));
+  EXPECT_TRUE(put.result.ok);
+  Reply read = must_complete(*service, session.get("k"));
+  EXPECT_EQ(read.result.value, "mine");
+  EXPECT_TRUE(service->await_applied(2, 20'000ms));
+  for (ProcessId id = 0; id < service->quorum().n; ++id) {
+    EXPECT_EQ(service->applied_commands(id), 2u) << "p" << id;
+  }
 }
 
 TEST_P(ServiceApi, WindowedSessionsRunConcurrently) {

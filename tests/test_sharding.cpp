@@ -84,8 +84,8 @@ TEST(ShardMap, DeterministicAndIndependentOfProcessState) {
 TEST_P(ShardedApi, WritesThroughOneSessionAreReadableThroughAnother) {
   // If any two parties disagreed on a key's owning group, the write and
   // the read would hit different logs and the read would miss. Two
-  // independent sessions with different preferred gateways must see each
-  // other's writes for keys in every shard.
+  // independent sessions must see each other's writes for keys in every
+  // shard.
   constexpr std::uint32_t kShards = 4;
   auto config = ServiceConfig{}
                     .with_cluster(4, 1, 1)
@@ -235,8 +235,8 @@ TEST_P(ShardedApi, ReplicaCrashAndRejoinWhileAllShardsServe) {
 // --- Deadlines against a dead quorum ------------------------------------------
 
 TEST(ShardedDeadline, CompletesWithTimeoutWhenQuorumIsGone) {
-  // Regression for unbounded failover: with a whole quorum crashed no
-  // gateway rotation can ever complete the request, and before deadlines
+  // Regression for unbounded retries: with a whole quorum crashed no
+  // retry can ever complete the request, and before deadlines
   // the future just hung. The per-request budget must fire, complete the
   // future with Status::Timeout, free the window slot, and leave healthy
   // traffic from before the crash untouched.

@@ -364,6 +364,12 @@ TEST(SocketTransportTest, SmrClusterCommitsOverRealSockets) {
     EXPECT_EQ(stats.decode_errors, 0u);
     EXPECT_EQ(stats.frames_dropped, 0u);
     EXPECT_EQ(stats.handshake_rejects, 0u);
+    // Each session sends every request to every replica, so every server
+    // holds a link from each client endpoint that carried frames.
+    for (ProcessId client_id = kN; client_id < kN + 2; ++client_id) {
+      EXPECT_GE(server->link_stats(client_id).frames_in, kOps / 2)
+          << "p" << server->id() << " <- client " << client_id;
+    }
   }
   client.stop();
   for (auto& server : servers) server->stop();

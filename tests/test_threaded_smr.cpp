@@ -122,7 +122,7 @@ TEST(ThreadedSmr, CrashedReplicaRejoinsViaSnapshotStateTransfer) {
   auto service = make_threaded_service(config);
   inject(*service, 60);
   service->start();
-  ClientSession& session = service->session(0);  // gateway p0
+  ClientSession& session = service->session(0);
   auto put = [&session](std::uint64_t i) {
     session.put("key" + std::to_string(i), "val" + std::to_string(i));
   };

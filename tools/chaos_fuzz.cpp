@@ -114,14 +114,13 @@ std::string hex8(const crypto::Digest& digest) {
 
 void report(const chaos::Schedule& schedule, const chaos::RunResult& result) {
   std::printf(
-      "seed %llu: %s  ops=%llu timeouts=%llu demotions=%llu "
+      "seed %llu: %s  ops=%llu timeouts=%llu "
       "envelopes=%llu(+%llu dropped)  states=%llu%s\n"
       "          history=%s envelopes=%s\n",
       static_cast<unsigned long long>(schedule.seed),
       result.failed() ? "FAIL" : "ok",
       static_cast<unsigned long long>(result.ops_completed),
       static_cast<unsigned long long>(result.ops_timed_out),
-      static_cast<unsigned long long>(result.gateway_demotions),
       static_cast<unsigned long long>(result.envelopes),
       static_cast<unsigned long long>(result.envelopes_dropped),
       static_cast<unsigned long long>(result.check.states_explored),

@@ -1,12 +1,13 @@
 // smr_client: closed-loop workload driver for an smr_server cluster.
 //
-//   ./build/tools/smr_client --peers "$PEERS" --n 4 --f 1 --shards 2
+//   ./build/tools/smr_client --peers "$PEERS" --n 4 --f 1
 //       --sessions 2 --ops 2000 --workload mixed  (one line)
 //
 // Hosts K client sessions (endpoint ids --first .. --first+K-1; servers
 // must have been started with --clients covering them), submits --ops
-// typed requests round-robin across sessions and keys, then waits for
-// every future to complete. Exits 0 iff all ops completed without a
+// typed requests round-robin across sessions and keys, each sent to all
+// n replicas (the servers route it to its key's shard, so the client
+// needs no shard count), then waits for every future to complete. Exits 0 iff all ops completed without a
 // deadline timeout; prints throughput and the socket stats dump either
 // way. See docs/TRANSPORT.md.
 
@@ -33,7 +34,6 @@ void on_signal(int) { g_stop = 1; }
       "usage: %s --peers H:P,... [options]\n"
       "  --peers LIST       comma-separated host:port per replica (required)\n"
       "  --n/--f/--t        quorum shape (defaults 4/1/f)\n"
-      "  --shards S         consensus groups (default 1; must match servers)\n"
       "  --clients C        total client endpoints (default 4; must match)\n"
       "  --first ID         first endpoint id hosted here (default n)\n"
       "  --sessions K       sessions in this process (default 1)\n"
@@ -79,7 +79,7 @@ std::vector<fastbft::net::SocketPeer> parse_peers(const std::string& list) {
 int main(int argc, char** argv) {
   using namespace fastbft;
 
-  unsigned n = 4, f = 1, t = 0, shards = 1, clients = 4, sessions = 1;
+  unsigned n = 4, f = 1, t = 0, clients = 4, sessions = 1;
   unsigned window = 8, keyspace = 64, value_bytes = 16;
   long first = -1;
   unsigned long ops = 1000, timeout_us = 100'000, deadline_us = 0;
@@ -98,7 +98,6 @@ int main(int argc, char** argv) {
     else if (arg == "--n") n = std::strtoul(next(), nullptr, 10);
     else if (arg == "--f") f = std::strtoul(next(), nullptr, 10);
     else if (arg == "--t") t = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--shards") shards = std::strtoul(next(), nullptr, 10);
     else if (arg == "--clients") clients = std::strtoul(next(), nullptr, 10);
     else if (arg == "--first") first = std::strtol(next(), nullptr, 10);
     else if (arg == "--sessions") sessions = std::strtoul(next(), nullptr, 10);
@@ -126,7 +125,6 @@ int main(int argc, char** argv) {
   config.cfg = consensus::QuorumConfig::create(n, f, t);
   config.num_clients = clients;
   config.key_seed = seed;
-  config.smr.num_groups = shards;
   config.tx_delay_us = static_cast<Duration>(link_delay);
   config.peers = parse_peers(peers_arg);
   if (config.peers.size() != n) {
@@ -139,7 +137,6 @@ int main(int argc, char** argv) {
   runtime::SocketClientOptions options;
   options.first_client_id = static_cast<ProcessId>(first);
   options.sessions = sessions;
-  options.num_shards = shards;
   options.request_timeout_us = static_cast<Duration>(timeout_us);
   options.request_deadline_us = static_cast<Duration>(deadline_us);
   options.max_in_flight = window;
