@@ -17,7 +17,6 @@
 
 #include "common/histogram.hpp"
 #include "net/stats.hpp"
-#include "runtime/socket_smr.hpp"
 #include "smr/service.hpp"
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
@@ -213,7 +212,10 @@ ThroughputResult run_throughput(consensus::QuorumConfig cfg,
   result.slots_used = nodes[0]->current_slot();
   result.messages = cluster.network().stats().total_messages();
   result.bytes = cluster.network().stats().total_bytes();
-  result.max_inflight_slots = cluster.network().stats().max_inflight_slots();
+  for (const SmrNode* node : nodes) {
+    result.max_inflight_slots = std::max(result.max_inflight_slots,
+                                         node->engine().inflight_high_water());
+  }
   result.payload_allocs = net::PayloadStats::allocs() - allocs_before;
   result.payload_alloc_bytes =
       net::PayloadStats::alloc_bytes() - alloc_bytes_before;
@@ -820,13 +822,14 @@ bool run_socket_cell(SocketCell& cell) {
   // children (SocketPeer::adopted_listen_fd), so nobody races on ports
   // and the published peer table carries the real kernel-chosen ports.
   int listen_fds[kN];
-  runtime::SocketClusterConfig config;
-  config.cfg = consensus::QuorumConfig::create(kN, 1, 1);
-  config.num_clients = clients;
-  config.smr.pipeline_depth = cell.depth;
-  config.smr.max_batch = cell.batch;
-  config.tx_delay_us = cell.link_delay_us;
-  config.peers.resize(kN + clients);
+  ServiceConfig config;
+  config.with_cluster(kN, 1, 1)
+      .with_sessions(clients)
+      .with_pipeline_depth(cell.depth)
+      .with_batch(cell.batch)
+      .with_window(cell.window)
+      .with_link_delay(microseconds(cell.link_delay_us));
+  std::vector<net::SocketPeer> peers(kN + clients);
   for (std::uint32_t id = 0; id < kN; ++id) {
     int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
     if (fd < 0) return false;
@@ -844,8 +847,8 @@ bool run_socket_cell(SocketCell& cell) {
       return false;
     }
     listen_fds[id] = fd;
-    config.peers[id].host = "127.0.0.1";
-    config.peers[id].port = ntohs(addr.sin_port);
+    peers[id].host = "127.0.0.1";
+    peers[id].port = ntohs(addr.sin_port);
   }
 
   pid_t children[kN];
@@ -856,18 +859,18 @@ bool run_socket_cell(SocketCell& cell) {
       g_e15_child_stop = 0;
       std::signal(SIGTERM, [](int) { g_e15_child_stop = 1; });
       std::signal(SIGPIPE, SIG_IGN);
-      runtime::SocketClusterConfig child_config = config;
       for (std::uint32_t other = 0; other < kN; ++other) {
         if (other != id) ::close(listen_fds[other]);
       }
-      child_config.peers[id].adopted_listen_fd = listen_fds[id];
+      SocketDeployment deployment{peers, {id}};
+      deployment.peers[id].adopted_listen_fd = listen_fds[id];
       {
-        runtime::SocketSmrServer server(std::move(child_config), id);
-        server.start();
+        auto server = make_socket_service(config, std::move(deployment));
+        server->start();
         while (!g_e15_child_stop) {
           std::this_thread::sleep_for(milliseconds(10));
         }
-        server.stop();
+        server->stop();
       }
       ::_exit(0);  // skip atexit/recorder in the child
     }
@@ -877,16 +880,23 @@ bool run_socket_cell(SocketCell& cell) {
 
   bool ok = false;
   {
-    runtime::SocketClientOptions options;
-    options.first_client_id = kN;
-    options.sessions = cell.sessions;
-    options.max_in_flight = cell.window;
-    runtime::SocketSmrClient client(config, options);
-    client.start();
+    SocketDeployment deployment{peers, {}};
+    for (std::uint32_t k = 0; k < cell.sessions; ++k) {
+      deployment.hosted.push_back(kN + k);
+    }
+    auto client = make_socket_service(config, std::move(deployment));
+    client->start();
+    const auto completed = [&client] {
+      std::uint64_t sum = 0;
+      for (std::uint32_t k = 0; k < client->num_sessions(); ++k) {
+        sum += client->session(k).completed();
+      }
+      return sum;
+    };
 
     const auto t0 = steady_clock::now();
     for (std::uint64_t i = 0; i < cell.ops; ++i) {
-      auto& session = client.session(static_cast<std::uint32_t>(
+      auto& session = client->session(static_cast<std::uint32_t>(
           i % cell.sessions));
       const std::string key = "key-" + std::to_string(i % 64);
       switch (i % 3) {
@@ -896,16 +906,16 @@ bool run_socket_cell(SocketCell& cell) {
       }
     }
     const auto give_up = t0 + seconds(kSocketCellTimeoutS);
-    while (client.completed() < cell.ops && steady_clock::now() < give_up) {
+    while (completed() < cell.ops && steady_clock::now() < give_up) {
       std::this_thread::sleep_for(milliseconds(2));
     }
     cell.wall_ms = duration_cast<duration<double, std::milli>>(
                        steady_clock::now() - t0)
                        .count();
-    ok = client.completed() == cell.ops;
-    const auto stats = client.socket_stats();
+    ok = completed() == cell.ops;
+    const auto stats = client->socket_network()->stats();
     cell.messages = stats.frames_in + stats.frames_out;
-    client.stop();
+    client->stop();
   }
 
   for (pid_t pid : children) ::kill(pid, SIGTERM);

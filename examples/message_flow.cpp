@@ -1,5 +1,6 @@
 #include <cstdio>
 
+#include "adversary/recording_transport.hpp"
 #include "net/tags.hpp"
 #include "runtime/cluster.hpp"
 #include "trace/trace.hpp"
@@ -25,6 +26,12 @@ runtime::ClusterOptions lockstep(consensus::QuorumConfig cfg) {
   return options;
 }
 
+/// Records every message `cluster` schedules from now on into `log`.
+void record(runtime::Cluster& cluster, adversary::EnvelopeLog& log) {
+  cluster.network().set_observer(
+      [&log](const auto&... args) { log.record(args...); });
+}
+
 std::vector<Value> inputs(std::uint32_t n) {
   std::vector<Value> v;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -39,13 +46,14 @@ void figure_1a() {
   auto options = lockstep(consensus::QuorumConfig::create(4, 1, 1));
   options.node.replica.slow_path = false;
   runtime::Cluster cluster(options, inputs(4));
-  trace::TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster, log);
   cluster.start();
   cluster.run_until_all_correct_decided(10'000);
 
   trace::RenderOptions render;
   render.tags = {net::tags::kPropose, net::tags::kAck};
-  std::printf("%s", trace::render_sequence(recorder, 4, render).c_str());
+  std::printf("%s", trace::render_sequence(log, 4, render).c_str());
   std::printf("=> every process holds %u acks for (x0, view 1) at t=200: "
               "decide after 2 message delays\n\n",
               cluster.config().fast_quorum());
@@ -57,7 +65,8 @@ void figure_1b() {
   auto options = lockstep(consensus::QuorumConfig::create(4, 1, 1));
   options.node.replica.slow_path = false;
   runtime::Cluster cluster(options, inputs(4));
-  trace::TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster, log);
   cluster.crash_at(0, 0);
   cluster.start();
   cluster.run_until_all_correct_decided(1'000'000);
@@ -66,7 +75,7 @@ void figure_1b() {
   render.hide_self_sends = false;  // the new leader's vote to itself matters
   render.tags = {net::tags::kVote, net::tags::kCertReq, net::tags::kCertAck,
                  net::tags::kPropose, net::tags::kAck};
-  std::printf("%s", trace::render_sequence(recorder, 4, render).c_str());
+  std::printf("%s", trace::render_sequence(log, 4, render).c_str());
   auto d = cluster.decision_of(1);
   std::printf("=> new leader p1 collected votes, certified \"%s\" with f+1 "
               "CertAcks and re-proposed; decided in view %llu\n\n",
@@ -79,7 +88,8 @@ void figure_5() {
               "dead ---\n");
   auto options = lockstep(consensus::QuorumConfig::create(7, 2, 1));
   runtime::Cluster cluster(options, inputs(7));
-  trace::TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster, log);
   cluster.crash_at(5, 0);
   cluster.crash_at(6, 0);
   cluster.start();
@@ -88,7 +98,7 @@ void figure_5() {
   trace::RenderOptions render;
   render.tags = {net::tags::kPropose, net::tags::kAck, net::tags::kAckSig,
                  net::tags::kCommit};
-  std::printf("%s", trace::render_sequence(recorder, 7, render).c_str());
+  std::printf("%s", trace::render_sequence(log, 7, render).c_str());
   std::printf("=> only %u acks possible (< fast quorum %u), but "
               "ceil((n+f+1)/2) = %u signed acks form a commit certificate: "
               "decide after 3 delays via Commit\n",

@@ -16,7 +16,8 @@
 /// dictates.
 ///
 /// EnvelopeLog is the delivery-side sibling used by the chaos harness
-/// (src/chaos): attached as a net::SimNetwork observer it records every
+/// (src/chaos) and drawn by the trace renderer (src/trace): attached as a
+/// net::SimNetwork observer it records every
 /// message the network schedules — sender, receiver, send/delivery times,
 /// the wire tag and (for group-scoped SMR traffic) the GroupId — and folds
 /// every payload byte into a running SHA-256. Two runs with equal digests
@@ -81,7 +82,7 @@ struct RecordedEnvelope {
 
 /// Append-only log of every envelope a run scheduled, with a running
 /// digest over the full byte stream. Attach via
-/// `net.set_observer([&log](auto&... a) { log.record(a...); })` — the
+/// `net.set_observer([&log](const auto&... a) { log.record(a...); })` — the
 /// chaos harness does exactly this.
 class EnvelopeLog {
  public:

@@ -625,8 +625,10 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
 }
 
 void SlotMux::note_inflight() {
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->note_inflight_slots(ctx_.id, inflight_slots());
+  if (inflight_slots() > inflight_high_water_.load(std::memory_order_relaxed)) {
+    FASTBFT_DASSERT(host_.affinity_ok(),
+                    "engine stats are single-writer (host thread)");
+    inflight_high_water_.store(inflight_slots(), std::memory_order_relaxed);
   }
 }
 

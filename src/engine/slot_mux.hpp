@@ -13,7 +13,6 @@
 #include "engine/pending_queue.hpp"
 #include "engine/slot_window.hpp"
 #include "engine/timer_wheel.hpp"
-#include "net/stats.hpp"
 #include "smr/batch.hpp"
 #include "viewsync/synchronizer.hpp"
 
@@ -84,10 +83,6 @@ struct EngineContext {
   /// the hosting node can route inbound traffic to the owning engine at a
   /// fixed offset; inbound payloads for a different group are dropped.
   GroupId group = 0;
-
-  /// Optional in-flight-window gauge sink. Sim-only: NetworkStats is not
-  /// thread-safe, so threaded hosts leave it null.
-  net::NetworkStats* stats = nullptr;
 
   /// Signature-verification memo shared by every slot's Verifier on this
   /// node, so votes/certificate entries replayed across certs and
@@ -221,6 +216,12 @@ class SlotMux {
   /// Consensus instances currently live.
   std::uint32_t inflight_slots() const {
     return static_cast<std::uint32_t>(active_.size());
+  }
+
+  /// High-water mark of inflight_slots(): the widest window this engine
+  /// ever ran. Thread-safe (relaxed atomic, like the gauges below).
+  std::uint32_t inflight_high_water() const {
+    return inflight_high_water_.load(std::memory_order_relaxed);
   }
 
   /// Decisions currently parked for in-order apply.
@@ -432,6 +433,7 @@ class SlotMux {
   bool replaying_parked_ = false;
   /// Single-writer (host thread); atomic so stats readers on other
   /// threads can sample them live without racing.
+  std::atomic<std::uint32_t> inflight_high_water_{0};
   std::atomic<std::size_t> reorder_high_water_{0};
   std::atomic<std::size_t> parked_high_water_{0};
   std::atomic<std::uint64_t> clamp_stalls_{0};

@@ -1,5 +1,6 @@
 #include "net/stats.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/codec.hpp"
@@ -30,17 +31,6 @@ void NetworkStats::record_send(const Bytes& payload) {
   }
 }
 
-void NetworkStats::note_inflight_slots(ProcessId node,
-                                       std::uint32_t inflight) {
-  if (node >= inflight_by_node_.size()) inflight_by_node_.resize(node + 1);
-  inflight_by_node_[node] = inflight;
-  if (inflight > max_inflight_slots_) max_inflight_slots_ = inflight;
-}
-
-std::uint32_t NetworkStats::inflight_slots(ProcessId node) const {
-  return node < inflight_by_node_.size() ? inflight_by_node_[node] : 0;
-}
-
 std::uint64_t NetworkStats::messages_of(std::uint8_t tag) const {
   return by_type_[tag].count;
 }
@@ -54,8 +44,6 @@ void NetworkStats::reset() {
   wrapped_by_type_ = {};
   total_messages_ = 0;
   total_bytes_ = 0;
-  inflight_by_node_.clear();
-  max_inflight_slots_ = 0;
 }
 
 std::string NetworkStats::summary() const {
@@ -66,10 +54,6 @@ std::string NetworkStats::summary() const {
     if (ts.count == 0) continue;
     out << "  " << tag_name(static_cast<std::uint8_t>(tag)) << ": "
         << ts.count << " msgs, " << ts.bytes << " bytes\n";
-  }
-  if (by_type_[tags::kSmrWrapped].count > 0) {
-    out << "  SMR max slots in flight per node: " << max_inflight_slots_
-        << "\n";
   }
   return out.str();
 }
@@ -108,24 +92,11 @@ std::string tag_name(std::uint8_t tag) {
 }
 
 SocketCounters& SocketCounters::merge(const SocketCounters& o) {
-  connects_attempted += o.connects_attempted;
-  connects_established += o.connects_established;
-  reconnects += o.reconnects;
-  handshake_rejects += o.handshake_rejects;
-  peer_downs += o.peer_downs;
-  frames_in += o.frames_in;
-  frames_out += o.frames_out;
-  heartbeats_in += o.heartbeats_in;
-  heartbeats_out += o.heartbeats_out;
-  bytes_in += o.bytes_in;
-  bytes_out += o.bytes_out;
-  writev_calls += o.writev_calls;
-  frames_dropped += o.frames_dropped;
-  decode_errors += o.decode_errors;
-  delivery_allocs += o.delivery_allocs;
-  delivery_reuses += o.delivery_reuses;
-  if (o.send_queue_high_water > send_queue_high_water)
-    send_queue_high_water = o.send_queue_high_water;
+#define FASTBFT_SUM(name) name += o.name;
+#define FASTBFT_MAX(name) name = std::max(name, o.name);
+  FASTBFT_SOCKET_COUNTERS(FASTBFT_SUM, FASTBFT_MAX)
+#undef FASTBFT_SUM
+#undef FASTBFT_MAX
   return *this;
 }
 
@@ -157,26 +128,9 @@ std::string SocketCounters::summary(const std::string& indent) const {
 
 SocketCounters SocketStats::snapshot() const {
   SocketCounters c;
-  const auto get = [](const std::atomic<std::uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
-  };
-  c.connects_attempted = get(connects_attempted);
-  c.connects_established = get(connects_established);
-  c.reconnects = get(reconnects);
-  c.handshake_rejects = get(handshake_rejects);
-  c.peer_downs = get(peer_downs);
-  c.frames_in = get(frames_in);
-  c.frames_out = get(frames_out);
-  c.heartbeats_in = get(heartbeats_in);
-  c.heartbeats_out = get(heartbeats_out);
-  c.bytes_in = get(bytes_in);
-  c.bytes_out = get(bytes_out);
-  c.writev_calls = get(writev_calls);
-  c.frames_dropped = get(frames_dropped);
-  c.decode_errors = get(decode_errors);
-  c.delivery_allocs = get(delivery_allocs);
-  c.delivery_reuses = get(delivery_reuses);
-  c.send_queue_high_water = get(send_queue_high_water);
+#define FASTBFT_LOAD(name) c.name = name.load(std::memory_order_relaxed);
+  FASTBFT_SOCKET_COUNTERS(FASTBFT_LOAD, FASTBFT_LOAD)
+#undef FASTBFT_LOAD
   return c;
 }
 

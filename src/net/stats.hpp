@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -13,9 +12,7 @@
 /// Per-message-type traffic accounting. The first payload byte is the type
 /// tag; the pretty-printer maps known tags to names so benchmark output is
 /// readable. SMR_WRAPPED payloads additionally carry an inner consensus
-/// message, which is counted by its own tag; the SMR engine also reports
-/// how many slots it has in flight (note_inflight_slots) so the pipeline
-/// window is visible in the same place.
+/// message, which is counted by its own tag.
 
 namespace fastbft::net {
 
@@ -45,18 +42,6 @@ class NetworkStats {
   /// SMR_WRAPPED messages whose inner consensus message has `tag`.
   std::uint64_t wrapped_messages_of(std::uint8_t tag) const;
 
-  /// Called by the SMR engine whenever its window changes: `inflight` is
-  /// the number of consensus slots currently live on reporting node
-  /// `node` (the stats object is shared by the whole simulated cluster,
-  /// so the gauge is tracked per node).
-  void note_inflight_slots(ProcessId node, std::uint32_t inflight);
-
-  /// Most recent in-flight count reported by `node` (0 if never reported).
-  std::uint32_t inflight_slots(ProcessId node) const;
-
-  /// High-water in-flight count across all nodes and all time.
-  std::uint32_t max_inflight_slots() const { return max_inflight_slots_; }
-
   void reset();
 
   /// Multi-line human-readable summary.
@@ -69,8 +54,6 @@ class NetworkStats {
   std::array<std::uint64_t, 256> wrapped_by_type_{};
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::vector<std::uint32_t> inflight_by_node_;
-  std::uint32_t max_inflight_slots_ = 0;
 };
 
 /// Maps a payload tag to a short name ("PROPOSE", "ACK", ...). Unknown tags
@@ -79,32 +62,40 @@ std::string tag_name(std::uint8_t tag);
 
 // --- Socket-transport counters ----------------------------------------------
 
+/// Every socket counter, named once: SUM(name) for event counts, which
+/// add up under SocketCounters::merge, MAX(name) for high-water gauges,
+/// which keep the larger side. The delivery pair is the zero-copy
+/// invariant (it mirrors PayloadStats envelope accounting): one
+/// delivery_alloc when a connection's delivery buffer had to grow, one
+/// delivery_reuse when an inbound frame reached the receive handler out
+/// of recycled capacity. In steady state reuses dominate and allocs
+/// plateau.
+#define FASTBFT_SOCKET_COUNTERS(SUM, MAX)                                   \
+  SUM(connects_attempted)                                                   \
+  SUM(connects_established)                                                 \
+  SUM(reconnects)        /* established after a prior establish */          \
+  SUM(handshake_rejects) /* bad magic/version/identity */                   \
+  SUM(peer_downs)        /* rx-silence heartbeat timeouts */                \
+  SUM(frames_in)                                                            \
+  SUM(frames_out)                                                           \
+  SUM(heartbeats_in)                                                        \
+  SUM(heartbeats_out)                                                       \
+  SUM(bytes_in)                                                             \
+  SUM(bytes_out)                                                            \
+  SUM(writev_calls)      /* frames_out / writev_calls = batching */         \
+  SUM(frames_dropped)    /* send-queue cap overflow */                      \
+  SUM(decode_errors)     /* oversized/garbage inbound framing */            \
+  SUM(delivery_allocs)                                                      \
+  SUM(delivery_reuses)                                                      \
+  MAX(send_queue_high_water) /* max frames ever queued */
+
 /// Plain snapshot of one connection's (or one aggregate's) counters.
 /// Copyable, mergeable; what the smr_server stats dump and the socket
 /// tests consume.
 struct SocketCounters {
-  std::uint64_t connects_attempted = 0;
-  std::uint64_t connects_established = 0;
-  std::uint64_t reconnects = 0;        // established after a prior establish
-  std::uint64_t handshake_rejects = 0; // bad magic/version/identity
-  std::uint64_t peer_downs = 0;        // rx-silence heartbeat timeouts
-  std::uint64_t frames_in = 0;
-  std::uint64_t frames_out = 0;
-  std::uint64_t heartbeats_in = 0;
-  std::uint64_t heartbeats_out = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t writev_calls = 0;      // frames_out / writev_calls = batching
-  std::uint64_t frames_dropped = 0;    // send-queue cap overflow
-  std::uint64_t decode_errors = 0;     // oversized/garbage inbound framing
-  /// Zero-copy invariant pair (mirrors PayloadStats envelope accounting):
-  /// one delivery_alloc when the per-connection delivery buffer had to
-  /// grow, one delivery_reuse when an inbound frame was handed to the
-  /// receive handler out of recycled capacity. Steady state: reuses
-  /// dominate, allocs plateau.
-  std::uint64_t delivery_allocs = 0;
-  std::uint64_t delivery_reuses = 0;
-  std::uint64_t send_queue_high_water = 0;  // max frames ever queued
+#define FASTBFT_COUNTER(name) std::uint64_t name = 0;
+  FASTBFT_SOCKET_COUNTERS(FASTBFT_COUNTER, FASTBFT_COUNTER)
+#undef FASTBFT_COUNTER
 
   SocketCounters& merge(const SocketCounters& o);
 
@@ -117,23 +108,9 @@ struct SocketCounters {
 /// loop, snapshot()-able from any thread (the SIGTERM stats dump, tests).
 class SocketStats {
  public:
-  std::atomic<std::uint64_t> connects_attempted{0};
-  std::atomic<std::uint64_t> connects_established{0};
-  std::atomic<std::uint64_t> reconnects{0};
-  std::atomic<std::uint64_t> handshake_rejects{0};
-  std::atomic<std::uint64_t> peer_downs{0};
-  std::atomic<std::uint64_t> frames_in{0};
-  std::atomic<std::uint64_t> frames_out{0};
-  std::atomic<std::uint64_t> heartbeats_in{0};
-  std::atomic<std::uint64_t> heartbeats_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> writev_calls{0};
-  std::atomic<std::uint64_t> frames_dropped{0};
-  std::atomic<std::uint64_t> decode_errors{0};
-  std::atomic<std::uint64_t> delivery_allocs{0};
-  std::atomic<std::uint64_t> delivery_reuses{0};
-  std::atomic<std::uint64_t> send_queue_high_water{0};
+#define FASTBFT_COUNTER(name) std::atomic<std::uint64_t> name{0};
+  FASTBFT_SOCKET_COUNTERS(FASTBFT_COUNTER, FASTBFT_COUNTER)
+#undef FASTBFT_COUNTER
 
   void bump(std::atomic<std::uint64_t>& c, std::uint64_t n = 1) {
     c.fetch_add(n, std::memory_order_relaxed);

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <numeric>
 #include <optional>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "engine/loop_host.hpp"
@@ -17,9 +19,9 @@ namespace {
 /// Runtime-appropriate request timeouts when the config leaves 0: a
 /// healthy request completes in a handful of message delays; the timeout
 /// must also ride out one view change of a stalled slot before retrying
-/// (simulator base_timeout 1200 ticks / threaded 25 ms).
+/// (simulator base_timeout 1200 ticks / wall-clock 25 ms).
 constexpr Duration kSimDefaultRequestTimeout = 6'000;        // ticks
-constexpr Duration kThreadedDefaultRequestTimeout = 100'000; // µs
+constexpr Duration kWallClockDefaultRequestTimeout = 100'000; // µs
 
 SessionConfig make_session_config(const ServiceConfig& config,
                                   Duration timeout,
@@ -180,23 +182,33 @@ class SimService final : public Service {
   bool started_ = false;
 };
 
-// --- Threaded backend --------------------------------------------------------
+// --- Wall-clock backends -----------------------------------------------------
 
-/// One net::ThreadedNetwork event loop per replica and per session. All
-/// of a replica's protocol code runs on its loop thread; the calling
-/// thread reaches a running replica only through live_ (relaxed-atomic
-/// stats, republished under mutex_ by restart) and through replica()
-/// while no loop runs.
-class ThreadedService final : public Service {
+/// One event loop per hosted endpoint, over `Net` (net::ThreadedNetwork,
+/// which hosts every endpoint in this process, or net::SocketNetwork,
+/// which hosts the ids one process of a TCP cluster runs). All of a
+/// replica's protocol code runs on its loop thread; the calling thread
+/// reaches a running replica only through live_ (relaxed-atomic stats,
+/// republished under mutex_ by restart) and through replica() while no
+/// loop runs.
+template <typename Net>
+class LoopService final : public Service {
+  /// Crash and restart are in-process fault injection; a TCP replica is
+  /// crashed by killing its process.
+  static constexpr bool kInProcess = std::is_same_v<Net, net::ThreadedNetwork>;
+
  public:
-  explicit ThreadedService(ServiceConfig config)
+  LoopService(ServiceConfig config, std::unique_ptr<Net> net,
+              std::vector<ProcessId> hosted)
       : config_(std::move(config)),
-        net_(config_.cluster.n, net::ThreadedNetworkConfig{config_.link_delay},
-             config_.num_sessions),
+        net_(std::move(net)),
         keys_(std::make_shared<const crypto::KeyStore>(config_.key_seed,
                                                        config_.cluster.n)),
         leader_of_(consensus::round_robin_leader(config_.cluster.n)),
         smr_(make_smr_options(config_)),
+        hosts_(net_->total_size()),
+        nodes_(config_.cluster.n),
+        live_(config_.cluster.n, nullptr),
         faulty_(config_.cluster.n, false) {
     const auto& cfg = config_.cluster;
     FASTBFT_ASSERT(cfg.satisfies_bound(), "invalid quorum config");
@@ -207,50 +219,52 @@ class ThreadedService final : public Service {
     // on a µs clock.
     smr_.node.sync.base_timeout = config_.sync_base_timeout_us;
 
-    for (ProcessId pid = 0; pid < net_.total_size(); ++pid) {
-      hosts_.push_back(std::make_unique<engine::LoopHost>(net_.loop(pid)));
-    }
-    for (ProcessId id = 0; id < cfg.n; ++id) {
-      nodes_.push_back(make_node(id));
-      live_.push_back(nodes_.back().get());
-      // The handler reads nodes_[id] at delivery time, so restart() can
-      // swap in a fresh node (on this same loop thread) without
-      // re-attaching.
-      net_.attach(id, [this, id](ProcessId from, const Bytes& payload) {
-        nodes_[id]->on_message(from, payload);
-      });
-    }
-
-    Duration timeout = config_.request_timeout != 0
-                           ? config_.request_timeout
-                           : kThreadedDefaultRequestTimeout;
-    for (std::uint32_t k = 0; k < config_.num_sessions; ++k) {
-      ProcessId pid = cfg.n + k;
-      auto session = std::make_unique<ClientSession>(
-          *hosts_[pid], net_.endpoint(pid),
-          make_session_config(config_, timeout, keys_));
-      net_.attach(pid,
-                  [s = session.get()](ProcessId from, const Bytes& payload) {
-                    s->on_message(from, payload);
-                  });
-      sessions_.push_back(std::move(session));
+    const Duration timeout = config_.request_timeout != 0
+                                 ? config_.request_timeout
+                                 : kWallClockDefaultRequestTimeout;
+    std::sort(hosted.begin(), hosted.end());
+    for (ProcessId pid : hosted) {
+      FASTBFT_ASSERT(pid < net_->total_size(), "hosted id out of range");
+      FASTBFT_ASSERT(!hosts_[pid], "hosted id listed twice");
+      if (pid < cfg.n) {
+        // The handler reads nodes_[pid] at delivery time, so restart()
+        // can swap in a fresh node (on this same loop thread) without
+        // re-attaching.
+        net_->attach(pid, [this, pid](ProcessId from, const Bytes& payload) {
+          nodes_[pid]->on_message(from, payload);
+        });
+        hosts_[pid] = std::make_unique<engine::LoopHost>(net_->loop(pid));
+        nodes_[pid] = make_node(pid);
+        live_[pid] = nodes_[pid].get();
+      } else {
+        const std::size_t k = sessions_.size();
+        net_->attach(pid, [this, k](ProcessId from, const Bytes& payload) {
+          sessions_[k]->on_message(from, payload);
+        });
+        hosts_[pid] = std::make_unique<engine::LoopHost>(net_->loop(pid));
+        sessions_.push_back(std::make_unique<ClientSession>(
+            *hosts_[pid], net_->endpoint(pid),
+            make_session_config(config_, timeout, keys_)));
+      }
     }
   }
 
-  ~ThreadedService() override { stop(); }
+  ~LoopService() override { stop(); }
 
-  /// Opens every replica's initial slot window while no loop thread runs
-  /// (crashed-before-start replicas too: their traffic and timers are
-  /// simply never serviced), then starts the loops.
+  /// Opens every hosted replica's initial slot window while no loop
+  /// thread runs (crashed-before-start replicas too: their traffic and
+  /// timers are simply never serviced), then starts the loops.
   void start() override {
     FASTBFT_ASSERT(!started_, "already started");
     started_ = true;
-    for (auto& node : nodes_) node->start();
-    net_.start();
+    for (auto& node : nodes_) {
+      if (node) node->start();
+    }
+    net_->start();
   }
 
   void stop() override {
-    net_.stop();
+    net_->stop();
     stopped_ = true;
   }
 
@@ -262,13 +276,16 @@ class ThreadedService final : public Service {
   }
 
   void crash(ProcessId replica) override {
-    FASTBFT_ASSERT(replica < config_.cluster.n, "crash: id out of range");
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      faulty_[replica] = true;
+    FASTBFT_ASSERT(kInProcess, "crash: kill the replica's process instead");
+    if constexpr (kInProcess) {
+      FASTBFT_ASSERT(replica < config_.cluster.n, "crash: id out of range");
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        faulty_[replica] = true;
+      }
+      net_->disconnect(replica);
+      wake();
     }
-    net_.disconnect(replica);
-    wake();
   }
 
   /// The replica rejoins as a FRESH SmrNode; recovering it is the
@@ -280,25 +297,28 @@ class ThreadedService final : public Service {
   /// race-free. Until the task runs, the stats accessors still read the
   /// crashed incarnation.
   void restart(ProcessId replica) override {
-    FASTBFT_ASSERT(replica < config_.cluster.n, "restart: id out of range");
-    FASTBFT_ASSERT(started_ && !stopped_, "restart: only mid-run");
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      FASTBFT_ASSERT(faulty_[replica], "restart: replica never crashed");
-      faulty_[replica] = false;
-    }
-    net_.loop(replica).post([this, replica] {
-      auto fresh = make_node(replica);
+    FASTBFT_ASSERT(kInProcess, "restart: restart the replica's process");
+    if constexpr (kInProcess) {
+      FASTBFT_ASSERT(replica < config_.cluster.n, "restart: id out of range");
+      FASTBFT_ASSERT(started_ && !stopped_, "restart: only mid-run");
       {
-        // Republish before the old node dies: readers dereference live_
-        // under this mutex, so none can still hold the old node after.
         std::lock_guard<std::mutex> lock(mutex_);
-        live_[replica] = fresh.get();
+        FASTBFT_ASSERT(faulty_[replica], "restart: replica never crashed");
+        faulty_[replica] = false;
       }
-      nodes_[replica] = std::move(fresh);
-      net_.reconnect(replica);
-      nodes_[replica]->start();
-    });
+      net_->loop(replica).post([this, replica] {
+        auto fresh = make_node(replica);
+        {
+          // Republish before the old node dies: readers dereference live_
+          // under this mutex, so none can still hold the old node after.
+          std::lock_guard<std::mutex> lock(mutex_);
+          live_[replica] = fresh.get();
+        }
+        nodes_[replica] = std::move(fresh);
+        net_->reconnect(replica);
+        nodes_[replica]->start();
+      });
+    }
   }
 
   bool run_until(std::function<bool()> done,
@@ -320,12 +340,12 @@ class ThreadedService final : public Service {
 
   std::uint64_t applied_commands(ProcessId replica) const override {
     std::lock_guard<std::mutex> lock(mutex_);
-    return live_.at(replica)->applied_commands();
+    return live(replica).applied_commands();
   }
 
   SmrNode::EngineStats engine_stats(ProcessId replica) const override {
     std::lock_guard<std::mutex> lock(mutex_);
-    return live_.at(replica)->engine_stats();
+    return live(replica).engine_stats();
   }
 
   bool is_faulty(ProcessId replica) const override {
@@ -338,17 +358,27 @@ class ThreadedService final : public Service {
     return digests_agree(
         config_.cluster.n,
         [this](ProcessId id) -> const SmrNode& { return *nodes_[id]; },
-        [this](ProcessId id) { return faulty_[id]; });
+        [this](ProcessId id) { return faulty_[id] || !nodes_[id]; });
   }
 
   SmrNode& replica(ProcessId id) override {
     FASTBFT_ASSERT(!started_ || stopped_,
                    "replica(): only before start() or after stop()");
-    return *nodes_.at(id);
+    FASTBFT_ASSERT(nodes_.at(id) != nullptr,
+                   "replica(): not hosted by this process");
+    return *nodes_[id];
   }
 
   std::uint64_t delivered_messages() const override {
-    return net_.delivered_count();
+    return net_->delivered_count();
+  }
+
+  net::SocketNetwork* socket_network() override {
+    if constexpr (kInProcess) {
+      return nullptr;
+    } else {
+      return net_.get();
+    }
   }
 
  private:
@@ -356,14 +386,20 @@ class ThreadedService final : public Service {
   /// predicate that applies do not signal (session completions, crashes).
   static constexpr std::chrono::milliseconds kRecheck{1};
 
+  /// The replica's current incarnation; callers hold mutex_.
+  const SmrNode& live(ProcessId replica) const {
+    FASTBFT_ASSERT(live_.at(replica) != nullptr,
+                   "replica not hosted by this process");
+    return *live_[replica];
+  }
+
   /// Constructor only (no timers armed), so it is safe on the setup
   /// thread and on the replica's loop thread alike.
   std::unique_ptr<SmrNode> make_node(ProcessId id) {
     engine::EngineContext ectx{config_.cluster, id, keys_, leader_of_,
-                               /*group=*/0, /*stats=*/nullptr,
-                               /*verify_cache=*/nullptr};
+                               /*group=*/0, /*verify_cache=*/nullptr};
     return std::make_unique<SmrNode>(
-        *hosts_[id], std::move(ectx), net_.endpoint(id), smr_,
+        *hosts_[id], std::move(ectx), net_->endpoint(id), smr_,
         [this](ProcessId, GroupId, Slot, const std::vector<Command>&) {
           wake();
         });
@@ -377,13 +413,15 @@ class ThreadedService final : public Service {
   }
 
   ServiceConfig config_;
-  net::ThreadedNetwork net_;
+  std::unique_ptr<Net> net_;
   std::shared_ptr<const crypto::KeyStore> keys_;
   consensus::LeaderFn leader_of_;
   SmrOptions smr_;
-  /// One per endpoint (replicas, then sessions), indexed by ProcessId.
+  /// One per hosted endpoint (replicas, then sessions), indexed by
+  /// ProcessId; null for endpoints other processes host.
   std::vector<std::unique_ptr<engine::LoopHost>> hosts_;
-  /// Touched only by replica id's loop thread mid-run (the restart swap).
+  /// Indexed by replica id, null if not hosted. Touched only by replica
+  /// id's loop thread mid-run (the restart swap).
   std::vector<std::unique_ptr<SmrNode>> nodes_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
 
@@ -404,7 +442,34 @@ std::unique_ptr<Service> make_sim_service(const ServiceConfig& config) {
 }
 
 std::unique_ptr<Service> make_threaded_service(const ServiceConfig& config) {
-  return std::make_unique<ThreadedService>(config);
+  std::vector<ProcessId> hosted(config.cluster.n + config.num_sessions);
+  std::iota(hosted.begin(), hosted.end(), ProcessId{0});
+  return std::make_unique<LoopService<net::ThreadedNetwork>>(
+      config,
+      std::make_unique<net::ThreadedNetwork>(
+          config.cluster.n, net::ThreadedNetworkConfig{config.link_delay},
+          config.num_sessions),
+      std::move(hosted));
+}
+
+std::unique_ptr<Service> make_socket_service(const ServiceConfig& config,
+                                             SocketDeployment deployment) {
+  FASTBFT_ASSERT(
+      deployment.peers.size() == config.cluster.n + config.num_sessions,
+      "peers table must cover every replica and session endpoint");
+  ServiceConfig socket_config = config;
+  // On-demand windows: over a wall-clock transport, eager noop slots are
+  // not free — they compete with command slots for real CPU (and more
+  // than halved command throughput on a loaded loopback cluster).
+  socket_config.smr.eager_windows = false;
+  net::SocketNetworkConfig ncfg;
+  ncfg.cluster_size = config.cluster.n;
+  ncfg.peers = std::move(deployment.peers);
+  ncfg.tx_delay_us = config.link_delay.count();
+  return std::make_unique<LoopService<net::SocketNetwork>>(
+      std::move(socket_config),
+      std::make_unique<net::SocketNetwork>(std::move(ncfg)),
+      std::move(deployment.hosted));
 }
 
 }  // namespace fastbft::smr

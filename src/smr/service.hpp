@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "net/sim_network.hpp"
+#include "net/socket_network.hpp"
 #include "smr/session.hpp"
 #include "smr/smr_node.hpp"
 
@@ -16,14 +17,19 @@
 /// operations completing per-request Futures on an f + 1 quorum of
 /// signed, matching replica replies.
 ///
-/// The same session code runs on both runtimes; the factory picks the
-/// substrate:
+/// The same session code runs on three substrates behind this one facade;
+/// the factory picks the substrate:
 ///  * make_sim_service — the deterministic simulator (runtime::Cluster).
 ///    Drive progress with run_until; simulated time, reproducible runs.
 ///  * make_threaded_service — real OS threads and wall-clock time: one
 ///    net::ThreadedNetwork event loop per replica and per session, each
 ///    replica an SmrNode over an engine::LoopHost. Futures are blockable;
 ///    run_until sleeps until a replica applies a slot.
+///  * make_socket_service — the same wall-clock wiring over TCP
+///    (net::SocketNetwork), one OS process per deployment: each process
+///    builds the service from the same ServiceConfig and runs only the
+///    replicas and sessions its SocketDeployment names
+///    (tools/smr_server, tools/smr_client, bench E15).
 ///
 /// Lifecycle: configure -> construct (sessions exist immediately) ->
 /// start() -> submit through sessions / crash() / restart() -> stop().
@@ -70,7 +76,9 @@ struct ServiceConfig {
   /// Simulator runtime only: network model (Delta, jitter, seed).
   net::SimNetworkConfig sim_net;
 
-  /// Threaded runtime only: LAN model + wall-clock view-change timeout.
+  /// Wall-clock runtimes only: one-way link delay (the threaded LAN model;
+  /// on TCP the emulated latency, which must match in every process) and
+  /// the view-change timeout.
   std::chrono::microseconds link_delay{0};
   Duration sync_base_timeout_us = 25'000;
 
@@ -161,24 +169,28 @@ class Service {
   /// construction; nothing executes until start().
   virtual void start() = 0;
 
-  /// Shuts the cluster down (joins threads on the threaded runtime).
+  /// Shuts the cluster down (joins threads on the wall-clock runtimes).
   /// Store introspection (stores_agree) is safe after this.
   virtual void stop() = 0;
 
+  /// The sessions this process hosts, in endpoint-id order: all of
+  /// them, except on a socket service, which hosts only the sessions its
+  /// deployment names.
   virtual ClientSession& session(std::uint32_t index) = 0;
   virtual std::uint32_t num_sessions() const = 0;
 
   /// Fail-stop a replica before start() or mid-run, and crash-recover it
-  /// mid-run (fault injection; sessions reach every replica, so a
-  /// crashed one costs them nothing).
+  /// mid-run (in-process fault injection; sessions reach every replica,
+  /// so a crashed one costs them nothing). A socket service asserts:
+  /// there, kill the replica's process instead.
   virtual void crash(ProcessId replica) = 0;
   virtual void restart(ProcessId replica) = 0;
 
   /// Drives the service until done() returns true or ~`budget` elapses;
   /// returns done()'s final verdict. On the simulator this steps the
-  /// scheduler (1 ms of budget = 1000 simulated ticks); on the threaded
-  /// runtime it re-checks done() whenever a replica applies a slot and at
-  /// least every millisecond. done() must be safe to call from the
+  /// scheduler (1 ms of budget = 1000 simulated ticks); on the wall-clock
+  /// runtimes it re-checks done() whenever a hosted replica applies a slot
+  /// and at least every millisecond. done() must be safe to call from the
   /// driving thread.
   virtual bool run_until(std::function<bool()> done,
                          std::chrono::milliseconds budget) = 0;
@@ -191,15 +203,17 @@ class Service {
   virtual const consensus::QuorumConfig& quorum() const = 0;
 
   // --- Introspection (tests, benchmarks) -------------------------------------
+  // A socket service answers per-replica queries only for the replicas it
+  // hosts (asserted); await_applied() therefore needs every replica.
 
-  /// Commands replica `id` applied so far (thread-safe on both runtimes).
+  /// Commands replica `id` applied so far (thread-safe on every runtime).
   virtual std::uint64_t applied_commands(ProcessId replica) const = 0;
 
   /// Live engine observability for one replica — the effective pipeline
   /// depth/batch currently honoured (the adaptive controller's values
   /// when with_adaptive is on, the static knobs otherwise), adaptive
   /// backoff events, and the reorder-backlog high-water / clamp-stall
-  /// counters. Thread-safe on both runtimes while the service runs.
+  /// counters. Thread-safe on every runtime while the service runs.
   virtual SmrNode::EngineStats engine_stats(ProcessId replica) const = 0;
 
   /// True iff `replica` crashed (and, on the sim runtime, was not yet
@@ -222,24 +236,42 @@ class Service {
         budget);
   }
 
-  /// True iff every correct replica's KV store digest matches. Threaded
-  /// runtime: only valid after stop().
+  /// True iff every correct hosted replica's KV store digest matches.
+  /// Wall-clock runtimes: only valid after stop().
   virtual bool stores_agree() const = 0;
 
   /// Replica `id` itself (engine window, catch-up policy, KV store, and
   /// on_message for pre-start request injection). Simulator: exists from
-  /// start() on. Threaded runtime: only before start() or after stop(),
+  /// start() on. Wall-clock runtimes: only before start() or after stop(),
   /// while no loop thread runs (asserted).
   virtual SmrNode& replica(ProcessId id) = 0;
 
-  /// Messages the network carried so far (threaded: delivered;
-  /// simulator: NetworkStats::total_messages).
+  /// Messages the network carried so far (wall-clock: delivered to this
+  /// process's endpoints; simulator: NetworkStats::total_messages).
   virtual std::uint64_t delivered_messages() const = 0;
 
   /// Simulator runtime only: the underlying SimNetwork (fault hooks,
-  /// observers, scheduler). nullptr on the threaded runtime — the chaos
+  /// observers, scheduler). nullptr on the wall-clock runtimes — the chaos
   /// harness (src/chaos) requires a sim service and checks this.
   virtual net::SimNetwork* sim_network() { return nullptr; }
+
+  /// Socket runtime only: the underlying SocketNetwork (per-link
+  /// counters, stats dump). nullptr on the other runtimes.
+  virtual net::SocketNetwork* socket_network() { return nullptr; }
+};
+
+/// Where one socket-service process sits in the cluster. Every process
+/// builds its service from the same ServiceConfig plus its own
+/// deployment.
+struct SocketDeployment {
+  /// Address of every endpoint: replicas 0..n-1, then sessions n..
+  /// n+num_sessions-1 (sessions need no listen address). Identical in
+  /// every process, except that a process may hand a hosted replica an
+  /// already-listening fd (SocketPeer::adopted_listen_fd).
+  std::vector<net::SocketPeer> peers;
+
+  /// Endpoint ids this process runs: replicas, sessions or both.
+  std::vector<ProcessId> hosted;
 };
 
 /// Deterministic-simulator service.
@@ -247,5 +279,9 @@ std::unique_ptr<Service> make_sim_service(const ServiceConfig& config);
 
 /// Real-threads, wall-clock service.
 std::unique_ptr<Service> make_threaded_service(const ServiceConfig& config);
+
+/// Wall-clock service over TCP, running the endpoints `deployment` hosts.
+std::unique_ptr<Service> make_socket_service(const ServiceConfig& config,
+                                             SocketDeployment deployment);
 
 }  // namespace fastbft::smr

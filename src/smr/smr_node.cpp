@@ -11,7 +11,6 @@ namespace fastbft::smr {
 SmrNode::SmrNode(const runtime::ProcessContext& ctx, SmrOptions options,
                  CommitCallback on_commit)
     : ectx_{ctx.cfg, ctx.id, ctx.keys, ctx.leader_of, /*group=*/0,
-            ctx.network != nullptr ? &ctx.network->stats() : nullptr,
             /*verify_cache=*/nullptr},
       options_(std::move(options)),
       on_commit_(std::move(on_commit)),

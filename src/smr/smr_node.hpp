@@ -35,9 +35,8 @@
 /// The shell is host-agnostic like the engine underneath it: the
 /// ProcessContext constructor runs it on the deterministic simulator
 /// (owning a SimHost), while the Host constructor runs the identical code
-/// over any execution context — smr::Service's threaded backend and
-/// runtime::SocketSmrServer use it with a wall-clock LoopHost per
-/// event-loop thread.
+/// over any execution context — smr::Service's wall-clock backends
+/// (threaded and TCP) use it with a LoopHost per event-loop thread.
 ///
 /// Wire protocol:
 ///  * Requests reach every replica as SMR_REQUEST, straight from their

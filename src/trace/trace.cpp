@@ -9,24 +9,6 @@
 
 namespace fastbft::trace {
 
-TraceRecorder::TraceRecorder(net::SimNetwork& network) {
-  network.set_observer(
-      [this](const net::Envelope& env, TimePoint sent, TimePoint delivered) {
-        messages_.push_back(TracedMessage{
-            env.from, env.to, env.payload.empty() ? std::uint8_t{0xff}
-                                                  : env.payload[0],
-            env.payload.size(), sent, delivered});
-      });
-}
-
-std::vector<TracedMessage> TraceRecorder::of_tag(std::uint8_t tag) const {
-  std::vector<TracedMessage> out;
-  for (const auto& m : messages_) {
-    if (m.tag == tag) out.push_back(m);
-  }
-  return out;
-}
-
 namespace {
 
 /// Broadcast grouping key: one rendered line per (send time, sender, tag,
@@ -58,18 +40,18 @@ std::string receiver_list(const std::set<ProcessId>& receivers,
 
 }  // namespace
 
-std::string render_sequence(const TraceRecorder& recorder, std::uint32_t n,
-                            const RenderOptions& options) {
+std::string render_sequence(const adversary::EnvelopeLog& log,
+                            std::uint32_t n, const RenderOptions& options) {
   std::map<GroupKey, std::set<ProcessId>> groups;
-  for (const auto& m : recorder.messages()) {
+  for (const auto& m : log.records()) {
     if (options.hide_self_sends && m.from == m.to) continue;
     if (m.sent > options.until) continue;
     if (!options.tags.empty() &&
-        std::find(options.tags.begin(), options.tags.end(), m.tag) ==
+        std::find(options.tags.begin(), options.tags.end(), m.kind.tag) ==
             options.tags.end()) {
       continue;
     }
-    groups[GroupKey{m.sent, m.from, m.tag, m.delivered}].insert(m.to);
+    groups[GroupKey{m.sent, m.from, m.kind.tag, m.delivered}].insert(m.to);
   }
 
   std::ostringstream out;

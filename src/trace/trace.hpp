@@ -3,40 +3,16 @@
 #include <string>
 #include <vector>
 
-#include "net/sim_network.hpp"
+#include "adversary/recording_transport.hpp"
 
 /// \file trace.hpp
-/// Message-flow tracing: records every message crossing the simulated
-/// network and renders a sequence diagram, reproducing the paper's
-/// protocol figures (Fig. 1a — fast path, Fig. 1b — view change,
-/// Fig. 5 — slow path) from *actual executions* rather than by drawing
-/// them. See examples/message_flow.cpp.
+/// Message-flow rendering: draws the messages an adversary::EnvelopeLog
+/// recorded off a simulated network as a sequence diagram, reproducing
+/// the paper's protocol figures (Fig. 1a — fast path, Fig. 1b — view
+/// change, Fig. 5 — slow path) from *actual executions* rather than by
+/// drawing them. See examples/message_flow.cpp.
 
 namespace fastbft::trace {
-
-struct TracedMessage {
-  ProcessId from = kNoProcess;
-  ProcessId to = kNoProcess;
-  std::uint8_t tag = 0;
-  std::size_t bytes = 0;
-  TimePoint sent = 0;
-  TimePoint delivered = 0;
-};
-
-/// Attaches to a SimNetwork (as its observer) and accumulates messages.
-class TraceRecorder {
- public:
-  explicit TraceRecorder(net::SimNetwork& network);
-
-  const std::vector<TracedMessage>& messages() const { return messages_; }
-  void clear() { messages_.clear(); }
-
-  /// Messages of one tag, in send order.
-  std::vector<TracedMessage> of_tag(std::uint8_t tag) const;
-
- private:
-  std::vector<TracedMessage> messages_;
-};
 
 struct RenderOptions {
   /// Only render these tags (empty = all).
@@ -56,7 +32,7 @@ struct RenderOptions {
 ///   t=100   p1 -> *               ACK        (delivered t=200)
 ///
 /// '*' means all other processes.
-std::string render_sequence(const TraceRecorder& recorder, std::uint32_t n,
-                            const RenderOptions& options = {});
+std::string render_sequence(const adversary::EnvelopeLog& log,
+                            std::uint32_t n, const RenderOptions& options = {});
 
 }  // namespace fastbft::trace

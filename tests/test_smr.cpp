@@ -500,12 +500,12 @@ TEST(SmrPipelined, NodesExposeEngineWindow) {
   EXPECT_EQ(h.nodes[0]->current_slot(), 4u) << "window opens depth slots";
   EXPECT_EQ(h.nodes[0]->engine().inflight_slots(), 4u);
   EXPECT_EQ(h.nodes[0]->engine().next_to_apply(), 1u);
-  EXPECT_EQ(h.cluster->network().stats().inflight_slots(0), 4u)
-      << "the per-node gauge tracks this node's window";
+  EXPECT_EQ(h.nodes[0]->engine().inflight_high_water(), 4u)
+      << "the engine's gauge tracks this node's window";
   h.cluster->run_until(50'000);
   EXPECT_GT(h.nodes[0]->noop_slots(), 0u);
-  // The network-level gauge saw the full window too.
-  EXPECT_GE(h.cluster->network().stats().max_inflight_slots(), 4u);
+  // The high-water saw the full window too.
+  EXPECT_GE(h.nodes[0]->engine().inflight_high_water(), 4u);
   // Every applied slot was proposed: each proposal broadcast counts as
   // n wrapped PROPOSE messages.
   EXPECT_GE(h.cluster->network().stats().wrapped_messages_of(

@@ -15,7 +15,7 @@
 
 #include "net/frame.hpp"
 #include "net/socket_network.hpp"
-#include "runtime/socket_smr.hpp"
+#include "smr/service.hpp"
 
 /// Integration tests for the TCP socket transport — the ONE test binary
 /// that touches real sockets (everything message-level lives in
@@ -305,74 +305,88 @@ TEST(SocketTransportTest, GarbageHandshakeIsRejected) {
 // --- Full SMR over sockets ---------------------------------------------------
 
 TEST(SocketTransportTest, SmrClusterCommitsOverRealSockets) {
-  // Four SocketSmrServers and one SocketSmrClient inside this process,
-  // each with its OWN SocketNetwork — all consensus and client traffic
-  // crosses loopback TCP, exactly the smr_server/smr_client topology
-  // minus the process boundary (bench E15 and CI's multiprocess smoke
-  // cover the forked version).
+  // Four one-replica socket services and one two-session socket service
+  // inside this process, each with its OWN SocketNetwork — all consensus
+  // and client traffic crosses loopback TCP, exactly the
+  // smr_server/smr_client topology minus the process boundary (bench E15
+  // and CI's multiprocess smoke cover the forked version).
   constexpr std::uint32_t kN = 4;
   constexpr std::uint64_t kOps = 40;
 
-  runtime::SocketClusterConfig config;
-  config.cfg = consensus::QuorumConfig::create(kN, 1, 1);
-  config.num_clients = 2;
-  config.smr.pipeline_depth = 4;
-  config.smr.max_batch = 4;
-  config.peers.resize(kN + config.num_clients);
+  smr::ServiceConfig config;
+  config.with_cluster(kN, 1, 1)
+      .with_sessions(2)
+      .with_pipeline_depth(4)
+      .with_batch(4)
+      .with_window(4);
+  std::vector<SocketPeer> peers(kN + 2);
   std::vector<BoundListener> listeners;
   for (std::uint32_t id = 0; id < kN; ++id) {
     listeners.push_back(bind_loopback());
-    config.peers[id].port = listeners[id].port;
+    peers[id].port = listeners[id].port;
   }
 
-  std::vector<std::unique_ptr<runtime::SocketSmrServer>> servers;
+  std::vector<std::unique_ptr<smr::Service>> servers;
   for (std::uint32_t id = 0; id < kN; ++id) {
-    runtime::SocketClusterConfig own = config;
+    smr::SocketDeployment own{peers, {id}};
     own.peers[id].adopted_listen_fd = listeners[id].fd;
-    servers.push_back(
-        std::make_unique<runtime::SocketSmrServer>(std::move(own), id));
+    servers.push_back(smr::make_socket_service(config, std::move(own)));
     servers.back()->start();
   }
 
-  runtime::SocketClientOptions options;
-  options.first_client_id = kN;
-  options.sessions = 2;
-  options.max_in_flight = 4;
-  runtime::SocketSmrClient client(config, options);
-  client.start();
+  auto client = smr::make_socket_service(
+      config, smr::SocketDeployment{peers, {kN, kN + 1}});
+  ASSERT_EQ(client->num_sessions(), 2u);
+  const auto completed = [&client] {
+    return client->session(0).completed() + client->session(1).completed();
+  };
+  client->start();
   for (std::uint64_t i = 0; i < kOps; ++i) {
-    auto& session = client.session(static_cast<std::uint32_t>(i % 2));
+    auto& session = client->session(static_cast<std::uint32_t>(i % 2));
     if (i % 2 == 0) {
       session.put("key-" + std::to_string(i % 8), "v" + std::to_string(i));
     } else {
       session.get("key-" + std::to_string(i % 8));
     }
   }
-  ASSERT_TRUE(eventually([&] { return client.completed() >= kOps; }, 30000ms));
-  EXPECT_EQ(client.deadline_timeouts(), 0u);
+  ASSERT_TRUE(eventually([&] { return completed() >= kOps; }, 30000ms));
+  EXPECT_EQ(client->session(0).deadline_timeouts() +
+                client->session(1).deadline_timeouts(),
+            0u);
 
   // Every correct replica applies every command; the transport never
   // dropped or misframed anything along the way.
   ASSERT_TRUE(eventually([&] {
-    for (const auto& server : servers) {
-      if (server->applied_commands() < kOps) return false;
+    for (ProcessId id = 0; id < kN; ++id) {
+      if (servers[id]->applied_commands(id) < kOps) return false;
     }
     return true;
   }));
-  for (const auto& server : servers) {
-    const auto stats = server->socket_stats();
+  for (ProcessId id = 0; id < kN; ++id) {
+    SocketNetwork& net = *servers[id]->socket_network();
+    const auto stats = net.stats();
     EXPECT_EQ(stats.decode_errors, 0u);
     EXPECT_EQ(stats.frames_dropped, 0u);
     EXPECT_EQ(stats.handshake_rejects, 0u);
     // Each session sends every request to every replica, so every server
     // holds a link from each client endpoint that carried frames.
     for (ProcessId client_id = kN; client_id < kN + 2; ++client_id) {
-      EXPECT_GE(server->link_stats(client_id).frames_in, kOps / 2)
-          << "p" << server->id() << " <- client " << client_id;
+      EXPECT_GE(net.link_stats(id, client_id).frames_in, kOps / 2)
+          << "p" << id << " <- client " << client_id;
     }
   }
-  client.stop();
+  client->stop();
   for (auto& server : servers) server->stop();
+}
+
+TEST(SocketTransportDeathTest, SocketServiceHasNoInProcessFaultInjection) {
+  // A TCP replica crashes when its process dies; crash()/restart() on a
+  // socket service are programming errors, not no-ops.
+  auto service = smr::make_socket_service(
+      smr::ServiceConfig{},
+      smr::SocketDeployment{std::vector<SocketPeer>(5), {0}});
+  EXPECT_DEATH(service->crash(0), "kill the replica's process");
+  EXPECT_DEATH(service->restart(0), "restart the replica's process");
 }
 
 }  // namespace

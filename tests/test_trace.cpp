@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "adversary/recording_transport.hpp"
 #include "net/tags.hpp"
 #include "runtime/cluster.hpp"
 #include "trace/trace.hpp"
@@ -15,6 +16,11 @@ runtime::ClusterOptions lockstep() {
   return options;
 }
 
+/// Records every message `network` schedules into `log`.
+void record(net::SimNetwork& network, adversary::EnvelopeLog& log) {
+  network.set_observer([&log](const auto&... args) { log.record(args...); });
+}
+
 std::vector<Value> inputs() {
   return {Value::of_string("a"), Value::of_string("b"),
           Value::of_string("c"), Value::of_string("d")};
@@ -22,32 +28,37 @@ std::vector<Value> inputs() {
 
 TEST(Trace, RecordsEveryMessage) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
-  EXPECT_EQ(recorder.messages().size(),
+  EXPECT_EQ(log.records().size(),
             cluster.network().stats().total_messages());
 }
 
 TEST(Trace, TagFilter) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
-  auto proposes = recorder.of_tag(net::tags::kPropose);
-  EXPECT_EQ(proposes.size(), 4u);  // one broadcast from the leader
-  for (const auto& m : proposes) {
+  std::size_t proposes = 0;
+  for (const auto& m : log.records()) {
+    if (m.kind.tag != net::tags::kPropose) continue;
+    ++proposes;
     EXPECT_EQ(m.from, 0u);
     EXPECT_EQ(m.sent, 0);
   }
+  EXPECT_EQ(proposes, 4u);  // one broadcast from the leader
 }
 
 TEST(Trace, DeliveryTimesRespectDelta) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
-  for (const auto& m : recorder.messages()) {
+  for (const auto& m : log.records()) {
     if (m.from == m.to) {
       EXPECT_EQ(m.delivered, m.sent);
     } else {
@@ -58,13 +69,14 @@ TEST(Trace, DeliveryTimesRespectDelta) {
 
 TEST(Trace, RenderCollapsesBroadcasts) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
 
   RenderOptions options;
   options.tags = {net::tags::kPropose};
-  std::string diagram = render_sequence(recorder, 4, options);
+  std::string diagram = render_sequence(log, 4, options);
   // Leader's broadcast renders as one line to '*', not four lines.
   EXPECT_NE(diagram.find("p0 -> *"), std::string::npos);
   EXPECT_NE(diagram.find("PROPOSE"), std::string::npos);
@@ -73,21 +85,23 @@ TEST(Trace, RenderCollapsesBroadcasts) {
 
 TEST(Trace, RenderHidesSelfSendsByDefault) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
-  std::string diagram = render_sequence(recorder, 4, {});
+  std::string diagram = render_sequence(log, 4, {});
   EXPECT_EQ(diagram.find("p0 -> {p0}"), std::string::npos);
 }
 
 TEST(Trace, RenderUntilCutsOff) {
   runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
+  adversary::EnvelopeLog log;
+  record(cluster.network(), log);
   cluster.start();
   ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
   RenderOptions options;
   options.until = 50;  // only the t=0 sends
-  std::string diagram = render_sequence(recorder, 4, options);
+  std::string diagram = render_sequence(log, 4, options);
   // No rendered line may *start* at t=100 (note "delivered t=100" appears
   // inside the t=0 lines).
   EXPECT_EQ(diagram.find("\nt=100\t"), std::string::npos);
@@ -102,25 +116,16 @@ TEST(Trace, ParkedMessagesMarkedDelayed) {
   net::SimNetwork network(sched, 2, config);
   network.attach(0, [](ProcessId, const Bytes&) {});
   network.attach(1, [](ProcessId, const Bytes&) {});
-  TraceRecorder recorder(network);
+  adversary::EnvelopeLog log;
+  record(network, log);
   network.set_script([](const net::Envelope&, TimePoint) {
     return std::optional<TimePoint>(kTimeInfinity);
   });
   network.send(0, 1, {net::tags::kAck});
-  ASSERT_EQ(recorder.messages().size(), 1u);
-  EXPECT_GE(recorder.messages()[0].delivered, kTimeInfinity);
-  std::string diagram = render_sequence(recorder, 2, {});
+  ASSERT_EQ(log.records().size(), 1u);
+  EXPECT_GE(log.records()[0].delivered, kTimeInfinity);
+  std::string diagram = render_sequence(log, 2, {});
   EXPECT_NE(diagram.find("delayed indefinitely"), std::string::npos);
-}
-
-TEST(Trace, ClearResets) {
-  runtime::Cluster cluster(lockstep(), inputs());
-  TraceRecorder recorder(cluster.network());
-  cluster.start();
-  ASSERT_TRUE(cluster.run_until_all_correct_decided(10'000));
-  EXPECT_FALSE(recorder.messages().empty());
-  recorder.clear();
-  EXPECT_TRUE(recorder.messages().empty());
 }
 
 }  // namespace

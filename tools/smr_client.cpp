@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/socket_smr.hpp"
+#include "smr/service.hpp"
 
 namespace {
 
@@ -121,38 +121,52 @@ int main(int argc, char** argv) {
   if (peers_arg.empty()) usage(argv[0]);
   if (first < 0) first = n;
 
-  runtime::SocketClusterConfig config;
-  config.cfg = consensus::QuorumConfig::create(n, f, t);
-  config.num_clients = clients;
-  config.key_seed = seed;
-  config.tx_delay_us = static_cast<Duration>(link_delay);
-  config.peers = parse_peers(peers_arg);
-  if (config.peers.size() != n) {
+  smr::ServiceConfig config;
+  config.with_cluster(n, f, t)
+      .with_sessions(clients)
+      .with_seed(seed)
+      .with_window(window)
+      .with_request_timeout(static_cast<Duration>(timeout_us))
+      .with_deadline(static_cast<Duration>(deadline_us))
+      .with_link_delay(std::chrono::microseconds(link_delay));
+  smr::SocketDeployment deployment{parse_peers(peers_arg), {}};
+  if (deployment.peers.size() != n) {
     std::fprintf(stderr, "--peers must list exactly %u replicas (got %zu)\n",
-                 n, config.peers.size());
+                 n, deployment.peers.size());
     return 2;
   }
-  config.peers.resize(n + clients);
+  deployment.peers.resize(n + clients);
+  if (sessions == 0 || first < static_cast<long>(n) ||
+      first + static_cast<long>(sessions) > static_cast<long>(n + clients)) {
+    std::fprintf(stderr,
+                 "--first/--sessions must name 1 or more client ids in "
+                 "[%u, %u)\n",
+                 n, n + clients);
+    return 2;
+  }
+  for (unsigned k = 0; k < sessions; ++k) {
+    deployment.hosted.push_back(static_cast<ProcessId>(first + k));
+  }
 
-  runtime::SocketClientOptions options;
-  options.first_client_id = static_cast<ProcessId>(first);
-  options.sessions = sessions;
-  options.request_timeout_us = static_cast<Duration>(timeout_us);
-  options.request_deadline_us = static_cast<Duration>(deadline_us);
-  options.max_in_flight = window;
-
-  runtime::SocketSmrClient client(std::move(config), options);
+  auto client = smr::make_socket_service(config, std::move(deployment));
+  const auto completed = [&client] {
+    std::uint64_t sum = 0;
+    for (std::uint32_t k = 0; k < client->num_sessions(); ++k) {
+      sum += client->session(k).completed();
+    }
+    return sum;
+  };
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  client.start();
+  client->start();
 
   const auto t0 = std::chrono::steady_clock::now();
   const std::string value(value_bytes, 'x');
   for (unsigned long i = 0; i < ops; ++i) {
-    auto& session = client.session(i % sessions);
+    auto& session = client->session(i % sessions);
     const std::string key = "key-" + std::to_string(i % keyspace);
     if (workload == "put") {
       session.put(key, value + std::to_string(i));
@@ -166,7 +180,7 @@ int main(int argc, char** argv) {
   }
 
   const auto give_up = t0 + std::chrono::seconds(max_seconds);
-  while (client.completed() < ops && !g_stop &&
+  while (completed() < ops && !g_stop &&
          std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -175,8 +189,11 @@ int main(int argc, char** argv) {
       std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0)
           .count();
 
-  const std::uint64_t done = client.completed();
-  const std::uint64_t timeouts = client.deadline_timeouts();
+  const std::uint64_t done = completed();
+  std::uint64_t timeouts = 0;
+  for (std::uint32_t k = 0; k < client->num_sessions(); ++k) {
+    timeouts += client->session(k).deadline_timeouts();
+  }
   std::printf(
       "smr_client: %llu/%lu ops completed in %.3f s (%.1f ops/s), "
       "%llu deadline timeouts\n",
@@ -184,8 +201,8 @@ int main(int argc, char** argv) {
       secs > 0 ? static_cast<double>(done) / secs : 0.0,
       static_cast<unsigned long long>(timeouts));
   std::printf("--- smr_client socket stats ---\n%s",
-              client.stats_summary().c_str());
+              client->socket_network()->stats_summary().c_str());
   std::fflush(stdout);
-  client.stop();
+  client->stop();
   return (done == ops && timeouts == 0) ? 0 : 1;
 }

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
-#include "runtime/socket_smr.hpp"
+#include "smr/service.hpp"
 
 namespace {
 
@@ -115,39 +115,40 @@ int main(int argc, char** argv) {
     else usage(argv[0]);
   }
   if (t == 0) t = f;
-  if (id < 0 || peers_arg.empty()) usage(argv[0]);
+  if (id < 0 || id >= static_cast<long>(n) || peers_arg.empty()) {
+    usage(argv[0]);
+  }
 
-  runtime::SocketClusterConfig config;
-  config.cfg = consensus::QuorumConfig::create(n, f, t);
-  config.num_clients = clients;
-  config.key_seed = seed;
+  smr::ServiceConfig config;
+  config.with_cluster(n, f, t)
+      .with_sessions(clients)
+      .with_seed(seed)
+      .with_shards(shards)
+      .with_pipeline_depth(depth)
+      .with_batch(batch)
+      .with_snapshots(snapshot_interval)
+      .with_link_delay(std::chrono::microseconds(link_delay));
   config.sync_base_timeout_us = static_cast<Duration>(sync_timeout);
-  config.tx_delay_us = static_cast<Duration>(link_delay);
-  config.smr.num_groups = shards;
-  config.smr.pipeline_depth = depth;
-  config.smr.max_batch = batch;
-  config.smr.snapshot_interval = snapshot_interval;
-  config.smr.adaptive.enabled = adaptive;
-  if (adaptive) config.smr.adaptive.latency_target = 20'000;  // 20 ms p99
-  config.peers = parse_peers(peers_arg);
-  if (config.peers.size() != n) {
+  if (adaptive) config.with_adaptive(20'000);  // 20 ms p99
+  smr::SocketDeployment deployment{parse_peers(peers_arg),
+                                   {static_cast<ProcessId>(id)}};
+  if (deployment.peers.size() != n) {
     std::fprintf(stderr, "--peers must list exactly %u replicas (got %zu)\n",
-                 n, config.peers.size());
+                 n, deployment.peers.size());
     return 2;
   }
   // Client endpoints never listen; they dial us.
-  config.peers.resize(n + clients);
+  deployment.peers.resize(n + clients);
 
   if (verbose) Log::level = LogLevel::Debug;
 
-  runtime::SocketSmrServer server(std::move(config),
-                                  static_cast<ProcessId>(id));
+  auto server = smr::make_socket_service(config, std::move(deployment));
 
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  server.start();
+  server->start();
   std::printf("smr_server: replica %ld up (n=%u f=%u t=%u shards=%u depth=%u)\n",
               id, n, f, t, shards, depth);
   std::fflush(stdout);
@@ -156,9 +157,22 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  std::printf("--- smr_server replica %ld stats ---\n%s", id,
-              server.stats_summary().c_str());
+  // Stop first: the dump then reads final counters, and replica() is
+  // only open while no loop thread runs.
+  server->stop();
+  const auto self = static_cast<ProcessId>(id);
+  const auto engine = server->engine_stats(self);
+  using ull = unsigned long long;
+  std::printf("--- smr_server replica %ld stats ---\n", id);
+  std::printf("replica %ld applied %llu commands (%llu noop slots), "
+              "%llu snapshot installs\n",
+              id, static_cast<ull>(server->applied_commands(self)),
+              static_cast<ull>(server->replica(self).noop_slots()),
+              static_cast<ull>(engine.snapshots_installed));
+  std::printf("engine: depth %u, batch %u, parked high-water %zu\n",
+              engine.effective_depth, engine.effective_batch,
+              engine.parked_high_water);
+  std::printf("%s", server->socket_network()->stats_summary().c_str());
   std::fflush(stdout);
-  server.stop();
   return 0;
 }
