@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Ablation benches for the design choices DESIGN.md calls out:
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Ablation benches for design choices:
 ///  A1 — CertReq fan-out: the paper's minimal 2f + 1 targets vs
 ///       broadcasting to all n (same liveness, different traffic);
 ///  A2 — slow path enabled vs disabled in the fault-free common case

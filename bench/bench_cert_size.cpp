@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiment E4 (DESIGN.md §5): progress certificates stay O(f) bytes
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E4: progress certificates stay O(f) bytes
 /// regardless of how many views have passed — the point of the extra
 /// CertReq/CertAck round-trip in Section 3.2. Three series:
 ///

@@ -4,7 +4,9 @@
 #include "runtime/cluster.hpp"
 #include "smr/batch.hpp"
 
-/// Experiment E9b (DESIGN.md §5): wall-clock cost of message
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E9b: wall-clock cost of message
 /// serialization/parsing and of the full simulation substrate (events/sec),
 /// grounding the simulated-time results in real machine cost.
 

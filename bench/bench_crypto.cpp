@@ -4,7 +4,9 @@
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
-/// Experiment E9 (DESIGN.md §5): wall-clock microbenchmarks of the crypto
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E9: wall-clock microbenchmarks of the crypto
 /// substrate — the per-message costs a deployment would pay.
 
 namespace fastbft::crypto {

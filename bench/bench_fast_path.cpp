@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiments E1 and E6 (DESIGN.md §5): the fast path decides in exactly
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiments E1 and E6: the fast path decides in exactly
 /// two message delays.
 ///
 /// E1 — vanilla protocol, n = 5f - 1 (paper Fig. 1a, Section 3.1): with a

@@ -3,7 +3,9 @@
 #include "adversary/lower_bound.hpp"
 #include "roles/separated.hpp"
 
-/// Experiment E7 (DESIGN.md §5): Theorem 4.5 made executable. The scripted
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E7: Theorem 4.5 made executable. The scripted
 /// adversary (equivocating leader + colluding acker + delayed quorums +
 /// crafted view change; see src/adversary/lower_bound.hpp) forces two
 /// correct processes to decide different values at n = 3f + 2t - 2, and

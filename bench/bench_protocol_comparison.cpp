@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiment E8a (DESIGN.md §5): cross-protocol comparison. Two framings:
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E8a: cross-protocol comparison. Two framings:
 ///  * equal guarantees — each protocol at its minimal n for the same (f, t);
 ///  * equal budget — a fixed fleet of n machines: what does each protocol
 ///    deliver with it?

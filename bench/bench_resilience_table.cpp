@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiment E2 (DESIGN.md §5): the resilience table of the paper's
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E2: the resilience table of the paper's
 /// introduction — how many processes each protocol needs for f Byzantine
 /// faults while staying fast with up to t actual faults, and the measured
 /// common-case latency at that minimal size.

@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiment E5 (DESIGN.md §5): the slow path of Appendix A (paper
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E5: the slow path of Appendix A (paper
 /// Fig. 5). With n = 3f + 2t - 1, the protocol decides in:
 ///   2 delays (fast path)  when actual faults <= t,
 ///   3 delays (slow path)  when t < actual faults <= f,

@@ -21,7 +21,9 @@
 #include "smr/shard.hpp"
 #include "smr/smr_node.hpp"
 
-/// Experiment E8d (DESIGN.md §5): replicated state machine throughput on
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E8d: replicated state machine throughput on
 /// top of the consensus core — decided commands per 1000 simulated Delta,
 /// by batch size, cluster configuration and pipeline depth. A sequential
 /// log (depth 1) pays ~2 message delays plus slot-turnaround per slot, so
@@ -156,65 +158,44 @@ ThroughputResult run_throughput(consensus::QuorumConfig cfg,
                                 std::uint32_t batch, std::uint64_t commands,
                                 std::uint64_t seed = 1,
                                 std::uint32_t pipeline_depth = 1) {
-  runtime::ClusterOptions options;
-  options.cfg = cfg;
-  options.net.delta = 100;
-  options.net.min_delay = 100;
-  options.net.seed = seed;
-
-  std::vector<SmrNode*> nodes(cfg.n, nullptr);
-  SmrOptions smr_options;
-  smr_options.max_batch = batch;
-  smr_options.target_commands = commands;
-  smr_options.pipeline_depth = pipeline_depth;
-  options.node_factory = [&nodes, smr_options](
-                             const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    auto node = std::make_unique<SmrNode>(ctx, smr_options, nullptr);
-    nodes[ctx.id] = node.get();
-    return node;
-  };
+  ServiceConfig config;
+  config.cluster = cfg;
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = 100;
+  config.sim_net.seed = seed;
+  config.smr.max_batch = batch;
+  config.smr.pipeline_depth = pipeline_depth;
 
   std::uint64_t allocs_before = net::PayloadStats::allocs();
   std::uint64_t alloc_bytes_before = net::PayloadStats::alloc_bytes();
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(cfg.n, Value::of_string("x")));
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
+  auto service = make_sim_service(config);
+  service->start();
+  sim::Scheduler& sched = service->sim_network()->scheduler();
+  sched.schedule_at(0, [&] {
     for (std::uint64_t i = 1; i <= commands; ++i) {
-      nodes[0]->submit(Command::put("key" + std::to_string(i % 64),
-                                    "value-" + std::to_string(i), 1, i));
+      service->replica(0).submit(Command::put("key" + std::to_string(i % 64),
+                                              "value-" + std::to_string(i),
+                                              1, i));
     }
   });
 
   // Run until every node applied everything (or a generous bound).
-  TimePoint deadline = 50'000'000;
-  while (cluster.scheduler().now() < deadline) {
-    bool done = true;
-    for (auto* node : nodes) {
-      if (node->applied_commands() < commands) {
-        done = false;
-        break;
-      }
-    }
-    if (done) break;
-    if (!cluster.scheduler().step()) break;
-  }
+  service->await_applied(commands, std::chrono::milliseconds(50'000));
 
   ThroughputResult result;
-  double time = static_cast<double>(cluster.scheduler().now());
+  double time = static_cast<double>(sched.now());
   if (time > 0) {
     result.commands_per_kdelta =
         static_cast<double>(commands) / (time / (100.0 * 1000.0));
     result.ticks_per_command = time / static_cast<double>(commands);
   }
-  result.slots_used = nodes[0]->current_slot();
-  result.messages = cluster.network().stats().total_messages();
-  result.bytes = cluster.network().stats().total_bytes();
-  for (const SmrNode* node : nodes) {
-    result.max_inflight_slots = std::max(result.max_inflight_slots,
-                                         node->engine().inflight_high_water());
+  result.slots_used = service->replica(0).current_slot();
+  result.messages = service->sim_network()->stats().total_messages();
+  result.bytes = service->sim_network()->stats().total_bytes();
+  for (ProcessId id = 0; id < cfg.n; ++id) {
+    result.max_inflight_slots =
+        std::max(result.max_inflight_slots,
+                 service->replica(id).engine().inflight_high_water());
   }
   result.payload_allocs = net::PayloadStats::allocs() - allocs_before;
   result.payload_alloc_bytes =
@@ -308,7 +289,6 @@ void wall_clock_pipeline_sweep() {
                       .with_batch(8)
                       .with_pipeline_depth(depth)
                       .with_link_delay(kLinkDelay);
-    config.smr.target_commands = kCommands;
     auto service = make_threaded_service(config);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
       inject(*service, Command::put("key" + std::to_string(i % 64),
@@ -735,13 +715,13 @@ void sharded_group_sweep() {
                       .with_pipeline_depth(kDepth)
                       .with_shards(shards)
                       .with_link_delay(kLinkDelay);
-    // Keys hash unevenly across groups, so each group gets its own quota
-    // (the shard map is the same pure function the replicas route by).
-    std::vector<std::uint64_t> targets(shards, 0);
+    // Keys hash unevenly across groups: the spread column shows each
+    // group's share (the shard map is the same pure function the replicas
+    // route by).
+    std::vector<std::uint64_t> shares(shards, 0);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
-      ++targets[shard_of(key_of(i), shards)];
+      ++shares[shard_of(key_of(i), shards)];
     }
-    config.smr.group_targets = targets;
     auto service = make_threaded_service(config);
     for (std::uint64_t i = 1; i <= kCommands; ++i) {
       inject(*service, Command::put(key_of(i), "value-" + std::to_string(i),
@@ -760,7 +740,7 @@ void sharded_group_sweep() {
     }
     if (shards == 1) baseline_ms = ms;
     std::uint64_t min_share = kCommands, max_share = 0;
-    for (std::uint64_t share : targets) {
+    for (std::uint64_t share : shares) {
       min_share = std::min(min_share, share);
       max_share = std::max(max_share, share);
     }
@@ -1128,8 +1108,8 @@ int main(int argc, char** argv) {
     return only.empty() || only.find(experiment) != std::string::npos;
   };
 
-  std::printf("bench_smr_throughput: experiment E8d/E8e — replicated KV "
-              "store throughput\n");
+  std::printf("bench_smr_throughput: replicated KV store experiments (%s)\n",
+              only.empty() ? "all" : only.c_str());
   if (selected("E8d")) fastbft::smr::batch_sweep();
   if (selected("E8g")) fastbft::smr::pipeline_sweep();
   if (selected("E9")) fastbft::smr::wall_clock_pipeline_sweep();

@@ -10,8 +10,8 @@
 
 /// \file bench_util.hpp
 /// Shared helpers for the experiment binaries in bench/. Each binary
-/// regenerates one experiment from DESIGN.md §5 and prints a table;
-/// EXPERIMENTS.md records the output next to the paper's claims.
+/// regenerates experiments listed in README.md ("Experiments") and
+/// prints a table.
 
 namespace fastbft::bench {
 

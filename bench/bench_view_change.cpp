@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
-/// Experiment E3 (DESIGN.md §5): the view-change protocol of Fig. 1b — two
+/// Index of every experiment: README.md, "Experiments".
+///
+/// Experiment E3: the view-change protocol of Fig. 1b — two
 /// phases (vote collection, then CertReq/CertAck certification) before the
 /// new leader proposes. Measures time-to-decision and message complexity
 /// when the initial leader is dead, across f, for ours vs the baselines.

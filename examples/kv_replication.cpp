@@ -1,6 +1,7 @@
+#include <chrono>
 #include <cstdio>
 
-#include "smr/smr_node.hpp"
+#include "smr/service.hpp"
 
 /// Replicated key-value store: the classic SMR application the paper's
 /// introduction motivates. Seven replicas (f = 2, t = 1), a client stream
@@ -13,79 +14,61 @@ using namespace fastbft;
 using smr::Command;
 
 int main() {
-  auto cfg = consensus::QuorumConfig::create(/*n=*/7, /*f=*/2, /*t=*/1);
-
-  runtime::ClusterOptions options;
-  options.cfg = cfg;
-  options.net.delta = 100;
-  options.net.min_delay = 100;
-
-  std::vector<smr::SmrNode*> nodes(cfg.n, nullptr);
-  smr::SmrOptions smr_options;
-  smr_options.max_batch = 4;
-  smr_options.target_commands = 9;
-  options.node_factory = [&nodes, smr_options](
-                             const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    auto node = std::make_unique<smr::SmrNode>(
-        ctx, smr_options,
-        [](ProcessId pid, GroupId, Slot slot,
-           const std::vector<Command>& commands) {
-          if (pid != 1) return;  // log one replica's view of the log
-          for (const auto& cmd : commands) {
-            std::printf("  p1 applied [slot %llu] %s\n",
-                        static_cast<unsigned long long>(slot),
-                        cmd.to_string().c_str());
-          }
-        });
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(cfg.n, Value::of_string("-")));
-  cluster.crash_at(6, 700);  // one replica dies mid-stream
-  cluster.start();
+  smr::ServiceConfig config;
+  config.with_cluster(/*n=*/7, /*f=*/2, /*t=*/1).with_batch(4);
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = 100;
+  auto service = smr::make_sim_service(config);
+  sim::Scheduler& sched = service->sim_network()->scheduler();
+  service->start();
+  sched.schedule_at(700, [&] { service->crash(6); });  // dies mid-stream
 
   // A client submits a session's worth of commands through replica 2.
-  cluster.scheduler().schedule_at(0, [&] {
-    std::uint64_t seq = 0;
-    for (const Command& cmd : {
-             Command::put("user:1:name", "alice", 1, ++seq),
-             Command::put("user:1:plan", "pro", 1, ++seq),
-             Command::put("user:2:name", "bob", 1, ++seq),
-             Command::put("user:2:plan", "free", 1, ++seq),
-             Command::put("user:1:plan", "enterprise", 1, ++seq),
-             Command::del("user:2:plan", 1, ++seq),
-             Command::put("user:3:name", "carol", 1, ++seq),
-             Command::put("billing:cycle", "2026-06", 1, ++seq),
-             Command::del("user:3:name", 1, ++seq),
-         }) {
-      nodes[2]->submit(cmd);
-    }
+  const std::vector<Command> commands = {
+      Command::put("user:1:name", "alice", 1, 1),
+      Command::put("user:1:plan", "pro", 1, 2),
+      Command::put("user:2:name", "bob", 1, 3),
+      Command::put("user:2:plan", "free", 1, 4),
+      Command::put("user:1:plan", "enterprise", 1, 5),
+      Command::del("user:2:plan", 1, 6),
+      Command::put("user:3:name", "carol", 1, 7),
+      Command::put("billing:cycle", "2026-06", 1, 8),
+      Command::del("user:3:name", 1, 9),
+  };
+  sched.schedule_at(0, [&] {
+    for (const Command& cmd : commands) service->replica(2).submit(cmd);
   });
 
-  std::printf("replicating 9 commands across %u replicas (replica 6 crashes "
-              "at t=700)...\n",
-              cfg.n);
-  cluster.run_until(2'000'000);
+  std::printf("replicating %zu commands across %u replicas (replica 6 "
+              "crashes at t=700)...\n",
+              commands.size(), config.cluster.n);
+  // Log one replica's progress, then wait for every correct replica.
+  std::uint64_t logged = 0;
+  service->run_until(
+      [&] {
+        std::uint64_t applied = service->replica(1).applied_commands();
+        if (applied != logged) {
+          std::printf("  t=%llu: p1 has applied %llu commands\n",
+                      static_cast<unsigned long long>(sched.now()),
+                      static_cast<unsigned long long>(applied));
+          logged = applied;
+        }
+        return logged == commands.size();
+      },
+      std::chrono::milliseconds(2000));
+  service->await_applied(commands.size(), std::chrono::milliseconds(2000));
 
   std::printf("\nfinal state on each surviving replica:\n");
   for (ProcessId id = 0; id < 6; ++id) {
-    auto digest = nodes[id]->store().state_digest();
+    const smr::SmrNode& node = service->replica(id);
+    auto digest = node.store().state_digest();
     std::printf("  p%u: %llu commands applied, user:1:plan=%s, digest=%s...\n",
-                id,
-                static_cast<unsigned long long>(nodes[id]->applied_commands()),
-                nodes[id]->store().get("user:1:plan").value_or("<none>").c_str(),
+                id, static_cast<unsigned long long>(node.applied_commands()),
+                node.store().get("user:1:plan").value_or("<none>").c_str(),
                 to_hex(Bytes(digest.begin(), digest.begin() + 6)).c_str());
   }
 
-  bool converged = true;
-  for (ProcessId id = 1; id < 6; ++id) {
-    converged &= nodes[id]->store().state_digest() ==
-                 nodes[0]->store().state_digest();
-  }
+  bool converged = service->stores_agree();
   std::printf("\nreplica state machines identical: %s\n",
               converged ? "yes" : "NO (bug!)");
   return converged ? 0 : 1;

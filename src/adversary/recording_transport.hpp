@@ -65,9 +65,6 @@ struct WireKind {
 /// the sharded SmrNode uses for routing).
 WireKind classify_payload(ByteView payload);
 
-/// Human-readable name for a wire tag ("SMR_WRAPPED", "PROPOSE", ...).
-std::string tag_name(std::uint8_t tag);
-
 /// One delivered (or scheduled-for-delivery) message, as observed at send
 /// time. `delivered == kTimeInfinity` marks a message a DeliveryScript
 /// parked.

@@ -14,7 +14,7 @@
 /// \file signer.hpp
 /// Signature scheme used by the protocols.
 ///
-/// Substitution note (see DESIGN.md §2): the paper assumes standard digital
+/// Substitution note: the paper assumes standard digital
 /// signatures with a PKI. This library implements *simulation signatures*:
 /// a cluster `KeyStore` derives one 32-byte secret per process from a master
 /// seed, and a signature is HMAC-SHA-256(secret_i, domain ‖ SHA-256(message))

@@ -128,7 +128,7 @@ void SlotMux::fill_window() {
   // The window honours the *effective* depth — the controller's when
   // adaptive control is on. A backoff does not cancel already-open slots;
   // the window shrinks as they decide and refills at the smaller depth.
-  while (!done() && next_start_ < next_apply_ + effective_depth()) {
+  while (next_start_ < next_apply_ + effective_depth()) {
     if (!options_.eager_windows && !pending_.has_unclaimed()) break;
     if (options_.max_reorder_backlog > 0 &&
         reorder_.size() > options_.max_reorder_backlog) {
@@ -174,10 +174,7 @@ void SlotMux::replay_parked() {
   while (!parked_.empty() &&
          parked_.begin()->first < next_apply_ + max_window_depth()) {
     auto node = parked_.extract(parked_.begin());
-    for (auto& [from, payload] : node.mapped()) {
-      if (done()) break;
-      on_wrapped(from, payload);
-    }
+    for (auto& [from, payload] : node.mapped()) on_wrapped(from, payload);
   }
   replaying_parked_ = false;
 }
@@ -447,7 +444,7 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
       park_wrapped(slot, from, payload);
       return;
     }
-    while (!done() && next_start_ <= slot) start_slot(next_start_++);
+    while (next_start_ <= slot) start_slot(next_start_++);
     note_inflight();
   }
   Instance* inst = find_active(slot);

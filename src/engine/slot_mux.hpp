@@ -69,8 +69,7 @@
 namespace fastbft::engine {
 
 /// Cluster identity and key material the engine needs; host-independent.
-/// (The simulator fills this from runtime::ProcessContext; the threaded
-/// runtime builds it directly.)
+/// (smr::Service builds one per replica, on every runtime.)
 struct EngineContext {
   consensus::QuorumConfig cfg;
   ProcessId id = kNoProcess;
@@ -79,7 +78,7 @@ struct EngineContext {
 
   /// Consensus group this engine instance runs (sharded SMR: a node hosts
   /// one SlotMux per group). Stamped into every group-scoped wire message
-  /// (SMR_WRAPPED / SMR_DECIDED / SMR_SNAP_*) right after the tag byte so
+  /// (SMR_WRAPPED / SMR_DECIDED / SNAPSHOT_*) right after the tag byte so
   /// the hosting node can route inbound traffic to the owning engine at a
   /// fixed offset; inbound payloads for a different group are dropped.
   GroupId group = 0;
@@ -99,10 +98,6 @@ struct SlotMuxOptions {
 
   /// Maximum commands claimed into one slot proposal.
   std::uint32_t max_batch = 8;
-
-  /// Stop opening new slots once this many commands were applied
-  /// (0 = never stop; the driver bounds the run instead).
-  std::uint64_t target_commands = 0;
 
   /// Rotate the view-1 leader by slot index (slot s view v is led by the
   /// base round-robin leader of view v + s - 1). Spreads proposal load
@@ -358,11 +353,6 @@ class SlotMux {
     TimePoint started_at = 0;
   };
   using ActiveSlot = std::pair<Slot, std::unique_ptr<Instance>>;
-
-  bool done() const {
-    return options_.target_commands > 0 &&
-           applied_commands() >= options_.target_commands;
-  }
 
   void fill_window();
   void park_wrapped(Slot slot, ProcessId from, ByteView payload);

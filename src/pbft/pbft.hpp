@@ -16,7 +16,7 @@
 /// This is the "three message delays with optimal resilience" comparison
 /// point of the paper's introduction (experiments E2 and E8).
 ///
-/// Simplifications relative to deployed PBFT (documented per DESIGN.md):
+/// Simplifications relative to deployed PBFT:
 ///  * single-shot consensus (no sequence-number windows, no checkpoints);
 ///  * the new-view message is folded into a justified pre-prepare that
 ///    carries the 2f + 1 view-change records (same idea, fewer message

@@ -37,12 +37,6 @@ SessionConfig make_session_config(const ServiceConfig& config,
   return scfg;
 }
 
-SmrOptions make_smr_options(const ServiceConfig& config) {
-  SmrOptions smr = config.smr;
-  smr.num_clients = config.num_sessions;  // the service owns this range
-  return smr;
-}
-
 /// Digest agreement over the replicas `faulty` does not exclude.
 template <typename NodeAt, typename Faulty>
 bool digests_agree(std::uint32_t n, NodeAt node_at, Faulty faulty) {
@@ -73,14 +67,17 @@ class SimService final : public Service {
     options.net = config_.sim_net;
     options.key_seed = config_.key_seed;
     options.extra_endpoints = config_.num_sessions;
-    SmrOptions smr = make_smr_options(config_);
     nodes_.resize(cfg.n, nullptr);
-    options.node_factory = [this, smr](const runtime::ProcessContext& ctx,
-                                       const runtime::NodeOptions&,
-                                       runtime::Node::DecideCallback) {
-      SmrOptions tuned = smr;
+    options.node_factory = [this](const runtime::ProcessContext& ctx,
+                                  const runtime::NodeOptions&,
+                                  runtime::Node::DecideCallback) {
+      SmrOptions tuned = config_.smr;
       if (config_.tune_replica) config_.tune_replica(ctx.id, tuned);
-      auto node = std::make_unique<SmrNode>(ctx, tuned, nullptr);
+      engine::EngineContext ectx{ctx.cfg, ctx.id, ctx.keys, ctx.leader_of,
+                                 /*group=*/0, /*verify_cache=*/nullptr};
+      auto node = std::make_unique<SmrNode>(*host_, std::move(ectx),
+                                            ctx.network->endpoint(ctx.id),
+                                            tuned, config_.num_sessions);
       nodes_[ctx.id] = node.get();
       return node;
     };
@@ -176,8 +173,10 @@ class SimService final : public Service {
  private:
   ServiceConfig config_;
   std::vector<SmrNode*> nodes_;
-  std::unique_ptr<runtime::Cluster> cluster_;
+  /// The one host every replica and session runs on (SimHost is stateless
+  /// over the cluster's scheduler); declared first so it outlives them.
   std::unique_ptr<engine::SimHost> host_;
+  std::unique_ptr<runtime::Cluster> cluster_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
   bool started_ = false;
 };
@@ -205,9 +204,10 @@ class LoopService final : public Service {
         keys_(std::make_shared<const crypto::KeyStore>(config_.key_seed,
                                                        config_.cluster.n)),
         leader_of_(consensus::round_robin_leader(config_.cluster.n)),
-        smr_(make_smr_options(config_)),
+        smr_(config_.smr),
         hosts_(net_->total_size()),
         nodes_(config_.cluster.n),
+        seen_applied_(config_.cluster.n, 0),
         live_(config_.cluster.n, nullptr),
         faulty_(config_.cluster.n, false) {
     const auto& cfg = config_.cluster;
@@ -229,8 +229,16 @@ class LoopService final : public Service {
       if (pid < cfg.n) {
         // The handler reads nodes_[pid] at delivery time, so restart()
         // can swap in a fresh node (on this same loop thread) without
-        // re-attaching.
+        // re-attaching. A delivery's applies run in the deferred work
+        // the backend runs after the handler, so each delivery wakes
+        // run_until if the replica applied commands since the previous
+        // one; the periodic recheck covers the last apply of a run.
         net_->attach(pid, [this, pid](ProcessId from, const Bytes& payload) {
+          const std::uint64_t applied = nodes_[pid]->applied_commands();
+          if (applied != seen_applied_[pid]) {
+            seen_applied_[pid] = applied;
+            wake();
+          }
           nodes_[pid]->on_message(from, payload);
         });
         hosts_[pid] = std::make_unique<engine::LoopHost>(net_->loop(pid));
@@ -398,11 +406,9 @@ class LoopService final : public Service {
   std::unique_ptr<SmrNode> make_node(ProcessId id) {
     engine::EngineContext ectx{config_.cluster, id, keys_, leader_of_,
                                /*group=*/0, /*verify_cache=*/nullptr};
-    return std::make_unique<SmrNode>(
-        *hosts_[id], std::move(ectx), net_->endpoint(id), smr_,
-        [this](ProcessId, GroupId, Slot, const std::vector<Command>&) {
-          wake();
-        });
+    return std::make_unique<SmrNode>(*hosts_[id], std::move(ectx),
+                                     net_->endpoint(id), smr_,
+                                     config_.num_sessions);
   }
 
   /// Wakes run_until. Taking wake_mutex_ orders this after a waiter's
@@ -423,6 +429,9 @@ class LoopService final : public Service {
   /// Indexed by replica id, null if not hosted. Touched only by replica
   /// id's loop thread mid-run (the restart swap).
   std::vector<std::unique_ptr<SmrNode>> nodes_;
+  /// Per replica, its applied-command count when a delivery last woke
+  /// run_until; touched only by that replica's loop thread.
+  std::vector<std::uint64_t> seen_applied_;
   std::vector<std::unique_ptr<ClientSession>> sessions_;
 
   mutable std::mutex mutex_;  // guards live_ and faulty_

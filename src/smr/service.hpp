@@ -24,7 +24,7 @@
 ///  * make_threaded_service — real OS threads and wall-clock time: one
 ///    net::ThreadedNetwork event loop per replica and per session, each
 ///    replica an SmrNode over an engine::LoopHost. Futures are blockable;
-///    run_until sleeps until a replica applies a slot.
+///    run_until sleeps until a replica has applied commands.
 ///  * make_socket_service — the same wall-clock wiring over TCP
 ///    (net::SocketNetwork), one OS process per deployment: each process
 ///    builds the service from the same ServiceConfig and runs only the
@@ -43,8 +43,7 @@ struct ServiceConfig {
   std::uint32_t num_sessions = 1;
 
   /// Replication tuning (batching, pipelining, snapshots, leader
-  /// rotation, per-slot consensus knobs). num_clients is managed by the
-  /// service itself.
+  /// rotation, per-slot consensus knobs).
   SmrOptions smr;
 
   /// Per-request completion timeout in host ticks (simulator ticks / µs
@@ -189,9 +188,9 @@ class Service {
   /// Drives the service until done() returns true or ~`budget` elapses;
   /// returns done()'s final verdict. On the simulator this steps the
   /// scheduler (1 ms of budget = 1000 simulated ticks); on the wall-clock
-  /// runtimes it re-checks done() whenever a hosted replica applies a slot
-  /// and at least every millisecond. done() must be safe to call from the
-  /// driving thread.
+  /// runtimes it re-checks done() when a hosted replica receives a
+  /// message after applying commands, and at least every millisecond.
+  /// done() must be safe to call from the driving thread.
   virtual bool run_until(std::function<bool()> done,
                          std::chrono::milliseconds budget) = 0;
 

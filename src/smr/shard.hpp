@@ -12,7 +12,7 @@
 /// locally from the command's key — the shard map is pure code, never
 /// negotiated or carried on the wire for requests. SMR_REQUEST / SMR_REPLY
 /// therefore keep their PR-5 format; only the group-scoped replication
-/// traffic (SMR_WRAPPED, SMR_DECIDED, SMR_SNAP_*) carries an explicit
+/// traffic (SMR_WRAPPED, SMR_DECIDED, SNAPSHOT_*) carries an explicit
 /// GroupId (see docs/SHARDING.md).
 
 namespace fastbft::smr {

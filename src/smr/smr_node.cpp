@@ -8,23 +8,12 @@
 
 namespace fastbft::smr {
 
-SmrNode::SmrNode(const runtime::ProcessContext& ctx, SmrOptions options,
-                 CommitCallback on_commit)
-    : ectx_{ctx.cfg, ctx.id, ctx.keys, ctx.leader_of, /*group=*/0,
-            /*verify_cache=*/nullptr},
-      options_(std::move(options)),
-      on_commit_(std::move(on_commit)),
-      owned_host_(std::make_unique<engine::SimHost>(*ctx.scheduler)),
-      endpoint_(ctx.network->endpoint(ctx.id)) {
-  init_groups(*owned_host_);
-}
-
 SmrNode::SmrNode(engine::Host& host, engine::EngineContext ectx,
                  std::unique_ptr<net::Transport> endpoint, SmrOptions options,
-                 CommitCallback on_commit)
+                 std::uint32_t num_sessions)
     : ectx_(std::move(ectx)),
       options_(std::move(options)),
-      on_commit_(std::move(on_commit)),
+      num_sessions_(num_sessions),
       endpoint_(std::move(endpoint)) {
   init_groups(host);
 }
@@ -69,11 +58,6 @@ void SmrNode::init_groups(engine::Host& host) {
     engine::EngineContext gctx = ectx_;
     gctx.group = g;
 
-    engine::SlotMuxOptions gopts = mux_options;
-    gopts.target_commands = g < options_.group_targets.size()
-                                ? options_.group_targets[g]
-                                : options_.target_commands;
-
     engine::SnapshotHooks hooks;
     hooks.state = [grp]() -> std::function<Bytes()> {
       return [image = grp->store.freeze()] { return image.serialize(); };
@@ -87,17 +71,14 @@ void SmrNode::init_groups(engine::Host& host) {
     };
 
     group->mux = std::make_unique<engine::SlotMux>(
-        host, std::move(gctx), *endpoint_, std::move(gopts),
-        [this, grp, g](Slot slot, std::vector<Command>& applied) {
+        host, std::move(gctx), *endpoint_, mux_options,
+        [this, grp](Slot slot, std::vector<Command>& applied) {
           for (auto& cmd : applied) {
-            // The store takes a put's value by move, unless the commit
-            // observer below still has to see it.
-            ExecResult result =
-                on_commit_ ? grp->store.apply(cmd)
-                           : grp->store.apply(cmd, std::move(cmd.value));
+            // The store takes a put's value by move: nothing reads the
+            // applied batch afterwards.
+            ExecResult result = grp->store.apply(cmd, std::move(cmd.value));
             send_reply(slot, cmd, std::move(result));
           }
-          if (on_commit_) on_commit_(ectx_.id, g, slot, applied);
         },
         std::move(hooks));
     groups_.push_back(std::move(group));
@@ -223,11 +204,10 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
 }
 
 void SmrNode::send_reply(Slot slot, const Command& cmd, ExecResult result) {
-  if (options_.num_clients == 0) return;
   if (cmd.client_id < ectx_.cfg.n ||
-      cmd.client_id >= static_cast<std::uint64_t>(ectx_.cfg.n) +
-                           options_.num_clients) {
-    return;  // not addressed from an attached client endpoint
+      cmd.client_id >=
+          static_cast<std::uint64_t>(ectx_.cfg.n) + num_sessions_) {
+    return;  // not addressed from a session endpoint
   }
   if (options_.byzantine.lie_in_replies) {
     // Lying replica: the command DID execute honestly (consensus is

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "engine/slot_mux.hpp"
-#include "runtime/cluster.hpp"
+#include "runtime/node.hpp"
 #include "smr/kvstore.hpp"
 #include "smr/shard.hpp"
 
@@ -16,8 +16,8 @@
 /// a deterministic KV store.
 ///
 /// SmrNode is deliberately thin: it owns the network endpoint, the
-/// per-group KV state machines and the client-facing API (submit/commit
-/// callback), and delegates everything slot-shaped — window management,
+/// per-group KV state machines and the client-facing API (submit, signed
+/// replies), and delegates everything slot-shaped — window management,
 /// dispatch, pending-queue/dedup policy, reorder buffering, SMR_DECIDED
 /// catch-up — to engine::SlotMux.
 ///
@@ -32,11 +32,10 @@
 /// engine), one endpoint, one delivery thread — so crypto and allocation
 /// costs amortize instead of multiplying by S (docs/SHARDING.md).
 ///
-/// The shell is host-agnostic like the engine underneath it: the
-/// ProcessContext constructor runs it on the deterministic simulator
-/// (owning a SimHost), while the Host constructor runs the identical code
-/// over any execution context — smr::Service's wall-clock backends
-/// (threaded and TCP) use it with a LoopHost per event-loop thread.
+/// The shell is host-agnostic like the engine underneath it: one
+/// constructor runs it over any Host + Transport pair. smr::Service builds
+/// every SmrNode — over the simulator's SimHost, or over a LoopHost per
+/// event-loop thread on the wall-clock backends (threaded and TCP).
 ///
 /// Wire protocol:
 ///  * Requests reach every replica as SMR_REQUEST, straight from their
@@ -46,10 +45,10 @@
 ///    that endpoint's id as its client_id. Commands are deduplicated by
 ///    (client_id, sequence) at apply time, which is what makes a
 ///    session's retry at-most-once.
-///  * With SmrOptions::num_clients set, every applied command addressed
-///    from a client endpoint is answered with SMR_REPLY{command id, slot,
-///    signed execution result}; f + 1 matching replies complete a request
-///    at the session (smr/reply.hpp, smr/session.hpp).
+///  * Every applied command addressed from a session endpoint is
+///    answered with SMR_REPLY{command id, slot, signed execution result};
+///    f + 1 matching replies complete a request at the session
+///    (smr/reply.hpp, smr/session.hpp).
 ///  * A slot's consensus traffic is wrapped in SMR_WRAPPED{group, slot,
 ///    applied watermark, snapshot floor, inner}; the watermark gossip lets
 ///    peers prune decided values everyone has applied, and the
@@ -71,22 +70,10 @@ struct SmrOptions {
   /// Maximum commands bundled into one slot proposal.
   std::uint32_t max_batch = 8;
 
-  /// Stop starting new slots once this many commands were applied
-  /// (0 = never stop; the driver bounds the run instead). With multiple
-  /// groups this is each group's individual target unless group_targets
-  /// overrides it.
-  std::uint64_t target_commands = 0;
-
   /// Consensus groups hosted by this node (hash-partitioned keyspace;
   /// see smr/shard.hpp). 1 = the unsharded single-log behaviour. Must be
   /// identical on every replica.
   std::uint32_t num_groups = 1;
-
-  /// Per-group target_commands override (index = GroupId). Needed by
-  /// bounded drivers: keys hash unevenly, so each group must stop at ITS
-  /// share of the workload, not at a uniform count. Empty = every group
-  /// uses target_commands.
-  std::vector<std::uint64_t> group_targets;
 
   /// Consensus slots run concurrently (1 = strictly sequential slots,
   /// the pre-engine behaviour). See engine::SlotMuxOptions.
@@ -127,15 +114,6 @@ struct SmrOptions {
   /// knob from the first scored window on.
   engine::AdaptiveOptions adaptive;
 
-  /// Client endpoints attached to the network beyond the n replicas
-  /// (ids n .. n + num_clients - 1; see net::SimNetwork /
-  /// net::ThreadedNetwork extra_endpoints). When nonzero, every applied
-  /// command whose client_id names a client endpoint is answered with a
-  /// signed SMR_REPLY carrying the execution result (smr/reply.hpp). 0
-  /// preserves the bare replication surface (drivers submit through
-  /// SmrNode::submit and read stores directly).
-  std::uint32_t num_clients = 0;
-
   /// TEST HOOKS — Byzantine behaviours for the chaos harness
   /// (src/chaos, docs/CHAOS.md). All off by default. They corrupt only
   /// the client-facing surface, never the consensus messages: the node
@@ -156,24 +134,14 @@ struct SmrOptions {
 
 class SmrNode final : public runtime::IProcess {
  public:
-  /// Called after each slot is applied on this replica. `group` is the
-  /// consensus group that applied it (0 in unsharded nodes); slots are
-  /// per-group sequences, so (group, slot) is the log position.
-  using CommitCallback =
-      std::function<void(ProcessId pid, GroupId group, Slot slot,
-                         const std::vector<Command>& commands)>;
-
-  /// Simulator shell: builds a SimHost over the cluster scheduler and a
-  /// SimNetwork endpoint from the process context.
-  SmrNode(const runtime::ProcessContext& ctx, SmrOptions options,
-          CommitCallback on_commit);
-
-  /// Host-agnostic shell: runs over any Host + Transport pair. `host` must
-  /// outlive the node; all callbacks (messages, timers) must run on the
-  /// host's single logical thread.
+  /// Runs over any Host + Transport pair. `host` must outlive the node;
+  /// all callbacks (messages, timers) must run on the host's single
+  /// logical thread. `num_sessions` session endpoints sit beyond the n
+  /// replicas (ids n .. n + num_sessions - 1); applied commands whose
+  /// client_id names one of them are answered.
   SmrNode(engine::Host& host, engine::EngineContext ectx,
           std::unique_ptr<net::Transport> endpoint, SmrOptions options,
-          CommitCallback on_commit);
+          std::uint32_t num_sessions);
   ~SmrNode() override;
 
   void start() override;
@@ -252,8 +220,7 @@ class SmrNode final : public runtime::IProcess {
 
   engine::EngineContext ectx_;
   SmrOptions options_;
-  CommitCallback on_commit_;
-  std::unique_ptr<engine::SimHost> owned_host_;  // sim shell only
+  std::uint32_t num_sessions_;
   std::unique_ptr<net::Transport> endpoint_;
   /// One engine + store per consensus group; stable addresses (the engine
   /// apply callbacks capture their group), hence unique_ptr elements.

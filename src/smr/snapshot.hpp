@@ -17,7 +17,7 @@
 ///    installer resumes applying at exactly this slot;
 ///  * the serialized KV state (KvStore::serialize());
 ///  * the applied command count (the engine's commands-applied meter, which
-///    target_commands and the cluster accounting consume);
+///    callers' await_applied barriers read);
 ///  * the at-most-once dedup set — the (client_id, sequence) ids applied
 ///    recently (within the engine's dedup horizon), each tagged with the
 ///    slot that applied it. Without it, an installing replica would

@@ -17,7 +17,7 @@
 #include "sim/scheduler.hpp"
 #include "smr/reply.hpp"
 #include "smr/shard.hpp"
-#include "smr/smr_node.hpp"
+#include "smr/service.hpp"
 
 /// Unit tests for the zero-copy hot path (PR 4): ByteView decoding,
 /// streaming hashing, the signature-verification cache and the
@@ -487,37 +487,32 @@ TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
   // buffers each, the ack tally's node and vector, the decision's deferral
   // and the view timer's entry) plus a small margin.
   constexpr double kBudget = 7.5;
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  runtime::ClusterOptions options;
-  options.cfg = cfg;
-  options.net.delta = 100;
-  options.net.min_delay = 100;
-  smr::SmrOptions smr_options;
-  smr_options.pipeline_depth = 8;
-  std::vector<smr::SmrNode*> nodes(cfg.n, nullptr);
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    auto node = std::make_unique<smr::SmrNode>(ctx, smr_options, nullptr);
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(cfg.n, Value::of_string("-")));
-  cluster.start();
+  smr::ServiceConfig config;
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = 100;
+  config.smr.pipeline_depth = 8;
+  auto service = smr::make_sim_service(config);
+  service->start();
   auto applied = [&] {
     std::uint64_t slots = 0;
-    for (auto* node : nodes) slots += node->engine().slots_applied();
+    for (ProcessId id = 0; id < config.cluster.n; ++id) {
+      slots += service->replica(id).engine().slots_applied();
+    }
     return slots;
   };
-  cluster.run_until(200'000);  // warm-up: pools, slabs and heaps grown
+  // Warm-up: pools, slabs and heaps grown. 8000 slots per replica is 2000
+  // Delta at depth 8; the measured stretch is as long.
+  service->run_until([&] { return applied() >= 32'000; },
+                     std::chrono::milliseconds(1000));
   std::uint64_t slots = applied();
   std::uint64_t news = heap_allocations();
-  cluster.run_until(400'000);
+  service->run_until([&] { return applied() >= slots + 32'000; },
+                     std::chrono::milliseconds(1000));
   std::uint64_t decided = applied() - slots;
   ASSERT_GT(decided, 1000u);
-  for (auto* node : nodes) {
-    EXPECT_EQ(node->noop_slots(), node->engine().slots_applied());
+  for (ProcessId id = 0; id < config.cluster.n; ++id) {
+    const smr::SmrNode& node = service->replica(id);
+    EXPECT_EQ(node.noop_slots(), node.engine().slots_applied());
   }
   double per_slot = static_cast<double>(heap_allocations() - news) /
                     static_cast<double>(decided);
@@ -536,11 +531,6 @@ TEST(PayloadStats, FourGroupNodeAllocatesOncePerBroadcastSharesOneCache) {
   constexpr std::uint64_t kPerGroup = 3;
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
 
-  runtime::ClusterOptions options;
-  options.cfg = cfg;
-  options.net.delta = 100;
-  options.net.min_delay = 100;
-
   // Keys chosen by their hash-assigned shard: kPerGroup commands land in
   // every group, so every group's engine broadcasts.
   std::vector<std::vector<std::string>> keys(kGroups);
@@ -555,44 +545,38 @@ TEST(PayloadStats, FourGroupNodeAllocatesOncePerBroadcastSharesOneCache) {
     }
   }
 
-  smr::SmrOptions smr_options;
-  smr_options.max_batch = 2;
-  smr_options.num_groups = kGroups;
-  smr_options.group_targets.assign(kGroups, kPerGroup);
-  std::vector<smr::SmrNode*> nodes(cfg.n, nullptr);
-  options.node_factory = [&](const runtime::ProcessContext& ctx,
-                             const runtime::NodeOptions&,
-                             runtime::Node::DecideCallback) {
-    auto node = std::make_unique<smr::SmrNode>(ctx, smr_options, nullptr);
-    nodes[ctx.id] = node.get();
-    return node;
-  };
-  runtime::Cluster cluster(options,
-                           std::vector<Value>(cfg.n, Value::of_string("-")));
+  smr::ServiceConfig config;
+  config.cluster = cfg;
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = 100;
+  config.smr.max_batch = 2;
+  config.smr.num_groups = kGroups;
+  auto service = smr::make_sim_service(config);
   net::PayloadStats::reset();
-  cluster.start();
-  cluster.scheduler().schedule_at(0, [&] {
+  service->start();
+  service->sim_network()->scheduler().schedule_at(0, [&] {
     std::uint64_t seq = 0;
     for (const auto& bucket : keys) {
       for (const auto& key : bucket) {
-        nodes[1]->submit(smr::Command::put(key, "v", 1, ++seq));
+        service->replica(1).submit(smr::Command::put(key, "v", 1, ++seq));
       }
     }
   });
-  cluster.run_until(5'000'000);
+  service->await_applied(kGroups * kPerGroup, std::chrono::milliseconds(5000));
 
   std::uint64_t submitted = kGroups * kPerGroup;
   for (ProcessId id = 0; id < cfg.n; ++id) {
-    ASSERT_NE(nodes[id], nullptr);
-    EXPECT_EQ(nodes[id]->applied_commands(), submitted) << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), submitted)
+        << "p" << id;
   }
 
   // One VerificationCache per node, shared by all of its group engines.
   for (ProcessId id = 0; id < cfg.n; ++id) {
-    const auto& cache = nodes[id]->engine(0).verify_cache();
+    const smr::SmrNode& node = service->replica(id);
+    const auto& cache = node.engine(0).verify_cache();
     ASSERT_NE(cache, nullptr);
     for (GroupId g = 1; g < kGroups; ++g) {
-      EXPECT_EQ(nodes[id]->engine(g).verify_cache().get(), cache.get())
+      EXPECT_EQ(node.engine(g).verify_cache().get(), cache.get())
           << "p" << id << " group " << g << " has a private cache";
     }
   }
@@ -611,7 +595,7 @@ TEST(PayloadStats, FourGroupNodeAllocatesOncePerBroadcastSharesOneCache) {
     group_bcasts += b;
   }
   std::uint64_t broadcasts = group_bcasts + submitted;  // + request bcasts
-  std::uint64_t messages = cluster.network().stats().total_messages();
+  std::uint64_t messages = service->sim_network()->stats().total_messages();
   std::uint64_t allocs = net::PayloadStats::allocs();
   ASSERT_GE(messages, allocs);
   EXPECT_GE(messages - allocs, broadcasts * (cfg.n - 2))

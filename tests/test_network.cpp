@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "adversary/recording_transport.hpp"
 #include "net/sim_network.hpp"
+#include "net/stats.hpp"
 #include "net/tags.hpp"
+#include "trace/trace.hpp"
 
 namespace fastbft::net {
 namespace {
@@ -154,7 +157,21 @@ TEST_F(SimNetworkTest, DeterministicAcrossRuns) {
 TEST(TagName, KnownAndUnknown) {
   EXPECT_EQ(tag_name(tags::kPropose), "PROPOSE");
   EXPECT_EQ(tag_name(tags::kWish), "WISH");
+  EXPECT_EQ(tag_name(tags::kSmrSnapRequest), "SNAPSHOT_REQUEST");
+  EXPECT_EQ(tag_name(tags::kPbftPrepare), "PBFT_PREPARE");
   EXPECT_EQ(tag_name(0xee), "TAG_0xee");
+
+  // Chaos reports (EnvelopeLog::dump) and sequence diagrams
+  // (trace::render_sequence) label a record from this one table.
+  adversary::EnvelopeLog log;
+  log.record(Envelope{0, 1, {tags::kSmrSnapRequest, 0, 0, 0, 0}}, 0, 100);
+  log.record(Envelope{1, 2, {tags::kPbftPrepare}}, 100, 200);
+  const std::string dump = log.dump();
+  const std::string diagram = trace::render_sequence(log, 4);
+  for (const char* name : {"SNAPSHOT_REQUEST", "PBFT_PREPARE"}) {
+    EXPECT_NE(dump.find(name), std::string::npos) << dump;
+    EXPECT_NE(diagram.find(name), std::string::npos) << diagram;
+  }
 }
 
 }  // namespace

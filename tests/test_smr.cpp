@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "net/tags.hpp"
-#include "smr/smr_node.hpp"
+#include "smr/service.hpp"
 
 /// SMR layer: command/batch codecs, the KV state machine, and full
 /// replicated-log executions (fault-free, with crashes, with laggard
@@ -179,67 +179,86 @@ TEST(SnapshotTest, RejectsMalformed) {
 
 // --- Replicated executions ----------------------------------------------------------
 
-/// Builds an SMR cluster without the faulty-marking problem: uses the
-/// node_factory hook (honest default path) instead of replace_process.
-struct SmrCluster {
-  SmrCluster(consensus::QuorumConfig cfg, SmrOptions smr_options,
-             std::uint64_t seed = 1,
-             SmrNode::CommitCallback on_commit = nullptr)
-      : nodes(cfg.n, nullptr), options(make_options(cfg, seed)) {
-    options.node_factory = [this, smr_options, on_commit](
-                               const runtime::ProcessContext& ctx,
-                               const runtime::NodeOptions&,
-                               runtime::Node::DecideCallback) {
-      auto node = std::make_unique<SmrNode>(ctx, smr_options, on_commit);
-      nodes[ctx.id] = node.get();
-      return node;
-    };
-    cluster = std::make_unique<runtime::Cluster>(
-        options, std::vector<Value>(cfg.n, Value::of_string("unused")));
-  }
+using namespace std::chrono_literals;
 
-  static runtime::ClusterOptions make_options(consensus::QuorumConfig cfg,
-                                              std::uint64_t seed) {
-    runtime::ClusterOptions o;
-    o.cfg = cfg;
-    o.net.delta = 100;
-    o.net.min_delay = 100;
-    o.net.seed = seed;
-    return o;
-  }
+/// A simulated cluster on lock-step Delta = 100 links; min_delay < 100
+/// adds delivery jitter.
+ServiceConfig sim_config(consensus::QuorumConfig cfg, SmrOptions smr_options,
+                         std::uint64_t seed = 1, Duration min_delay = 100) {
+  ServiceConfig config;
+  config.cluster = cfg;
+  config.smr = std::move(smr_options);
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = min_delay;
+  config.sim_net.seed = seed;
+  return config;
+}
 
-  std::vector<SmrNode*> nodes;
-  runtime::ClusterOptions options;
-  std::unique_ptr<runtime::Cluster> cluster;
-};
+/// Runs `fn` at simulated time `at`; scheduled after start(), a time-0
+/// event runs after the replicas' own start events.
+void at_time(Service& service, TimePoint at, std::function<void()> fn) {
+  service.sim_network()->scheduler().schedule_at(at, std::move(fn));
+}
+
+/// Drives an on-demand-window cluster until nothing is left to happen: no
+/// message in flight, no timer armed.
+bool run_until_quiet(Service& service, std::chrono::milliseconds budget) {
+  const sim::Scheduler& sched = service.sim_network()->scheduler();
+  return service.run_until([&sched] { return sched.pending_events() == 0; },
+                           budget);
+}
+
+/// `count` commands on one key, each valid only after its predecessor:
+/// command 1 puts "v1", command i is cas(key, "v{i-1}", "v{i}"). The key
+/// ends at "v{count}" only if a replica applied all of them in order.
+std::vector<Command> cas_chain(std::uint64_t count) {
+  std::vector<Command> chain{Command::put("chain", "v1", 1, 1)};
+  for (std::uint64_t i = 2; i <= count; ++i) {
+    chain.push_back(Command::cas("chain", "v" + std::to_string(i - 1),
+                                 "v" + std::to_string(i), 1, i));
+  }
+  return chain;
+}
+
+/// Injection into every replica's pending queue before the first event
+/// runs, so every leader proposes the commands in this order (an
+/// SMR_REQUEST broadcast minus the wire hop, whose jitter could reorder
+/// them).
+void inject(Service& service, const std::vector<Command>& commands) {
+  for (const Command& cmd : commands) {
+    Bytes payload = SmrNode::encode_request(cmd);
+    for (ProcessId id = 0; id < service.quorum().n; ++id) {
+      service.replica(id).on_message(0, payload);
+    }
+  }
+}
 
 TEST(Smr, ReplicatesCommandsAcrossAllNodes) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 4;
-  smr_options.target_commands = 10;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
+  auto service = make_sim_service(sim_config(cfg, smr_options));
+  service->start();
 
   // Submit 10 commands through node 0 (requests broadcast to everyone).
-  h.cluster->scheduler().schedule_at(0, [&] {
+  at_time(*service, 0, [&] {
     for (int i = 1; i <= 10; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1,
-                                      static_cast<std::uint64_t>(i)));
+      service->replica(0).submit(Command::put("key" + std::to_string(i),
+                                              "val" + std::to_string(i), 1,
+                                              static_cast<std::uint64_t>(i)));
     }
   });
-  h.cluster->run_until(200'000);
+  ASSERT_TRUE(service->await_applied(10, 200ms));
 
   for (ProcessId id = 0; id < 4; ++id) {
-    ASSERT_NE(h.nodes[id], nullptr);
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 10u) << "p" << id;
-    EXPECT_EQ(h.nodes[id]->store().get("key7"), "val7") << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), 10u) << "p" << id;
+    EXPECT_EQ(service->replica(id).store().get("key7"), "val7") << "p" << id;
   }
   // Replica state machines must be byte-identical.
-  auto digest0 = h.nodes[0]->store().state_digest();
+  auto digest0 = service->replica(0).store().state_digest();
   for (ProcessId id = 1; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->store().state_digest(), digest0) << "p" << id;
+    EXPECT_EQ(service->replica(id).store().state_digest(), digest0)
+        << "p" << id;
   }
 }
 
@@ -248,18 +267,17 @@ TEST(Smr, BatchingReducesSlotCount) {
     auto cfg = consensus::QuorumConfig::create(4, 1, 1);
     SmrOptions smr_options;
     smr_options.max_batch = batch;
-    smr_options.target_commands = 12;
-    SmrCluster h(cfg, smr_options);
-    h.cluster->start();
-    h.cluster->scheduler().schedule_at(0, [&] {
+    auto service = make_sim_service(sim_config(cfg, smr_options));
+    service->start();
+    at_time(*service, 0, [&] {
       for (int i = 1; i <= 12; ++i) {
-        h.nodes[1]->submit(Command::put("k" + std::to_string(i), "v", 2,
-                                        static_cast<std::uint64_t>(i)));
+        service->replica(1).submit(Command::put(
+            "k" + std::to_string(i), "v", 2, static_cast<std::uint64_t>(i)));
       }
     });
-    h.cluster->run_until(500'000);
-    EXPECT_EQ(h.nodes[0]->applied_commands(), 12u);
-    return h.nodes[0]->current_slot();
+    service->await_applied(12, 500ms);
+    EXPECT_EQ(service->replica(0).applied_commands(), 12u);
+    return service->replica(0).current_slot();
   };
   Slot slots_b1 = run_with_batch(1);
   Slot slots_b6 = run_with_batch(6);
@@ -268,161 +286,145 @@ TEST(Smr, BatchingReducesSlotCount) {
 
 TEST(Smr, DuplicateSubmissionsAppliedOnce) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.target_commands = 3;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  auto service = make_sim_service(sim_config(cfg, SmrOptions{}));
+  service->start();
+  at_time(*service, 0, [&] {
     for (int rep = 0; rep < 3; ++rep) {
       for (int i = 1; i <= 3; ++i) {
-        h.nodes[static_cast<ProcessId>(rep)]->submit(
-            Command::put("k" + std::to_string(i), "v", 9,
-                         static_cast<std::uint64_t>(i)));
+        service->replica(static_cast<ProcessId>(rep))
+            .submit(Command::put("k" + std::to_string(i), "v", 9,
+                                 static_cast<std::uint64_t>(i)));
       }
     }
   });
-  h.cluster->run_until(200'000);
+  service->await_applied(3, 200ms);
   for (ProcessId id = 0; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 3u) << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), 3u) << "p" << id;
   }
 }
 
 TEST(Smr, SurvivesNonLeaderCrash) {
   auto cfg = consensus::QuorumConfig::create(7, 2, 1);
-  SmrOptions smr_options;
-  smr_options.target_commands = 6;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->crash_at(5, 450);
-  h.cluster->crash_at(6, 450);
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  auto service = make_sim_service(sim_config(cfg, SmrOptions{}));
+  service->start();
+  at_time(*service, 450, [&] {
+    service->crash(5);
+    service->crash(6);
+  });
+  at_time(*service, 0, [&] {
     for (int i = 1; i <= 6; ++i) {
-      h.nodes[0]->submit(Command::put("k" + std::to_string(i),
-                                      "v" + std::to_string(i), 1,
-                                      static_cast<std::uint64_t>(i)));
+      service->replica(0).submit(Command::put("k" + std::to_string(i),
+                                              "v" + std::to_string(i), 1,
+                                              static_cast<std::uint64_t>(i)));
     }
   });
-  h.cluster->run_until(2'000'000);
+  service->await_applied(6, 2000ms);
   for (ProcessId id = 0; id < 5; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 6u) << "p" << id;
-    EXPECT_EQ(h.nodes[id]->store().get("k3"), "v3") << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), 6u) << "p" << id;
+    EXPECT_EQ(service->replica(id).store().get("k3"), "v3") << "p" << id;
   }
 }
 
 TEST(Smr, LeaderCrashMidStream) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
-  smr_options.target_commands = 5;
   // Pin the fixed-leader regime: this test's crash schedule assumes p0
   // leads view 1 of every slot (multi-group runs rotate by default).
   smr_options.rotate_leaders = false;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->crash_at(0, 350);  // p0 leads view 1 of every slot
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  auto service = make_sim_service(sim_config(cfg, smr_options));
+  service->start();
+  at_time(*service, 350, [&] { service->crash(0); });  // p0 leads view 1
+                                                       // of every slot
+  at_time(*service, 0, [&] {
     for (int i = 1; i <= 5; ++i) {
-      h.nodes[1]->submit(Command::put("k" + std::to_string(i), "v", 3,
-                                      static_cast<std::uint64_t>(i)));
+      service->replica(1).submit(Command::put(
+          "k" + std::to_string(i), "v", 3, static_cast<std::uint64_t>(i)));
     }
   });
-  h.cluster->run_until(5'000'000);
+  service->await_applied(5, 5000ms);
   for (ProcessId id = 1; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 5u) << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), 5u) << "p" << id;
   }
-  auto digest1 = h.nodes[1]->store().state_digest();
-  EXPECT_EQ(h.nodes[2]->store().state_digest(), digest1);
-  EXPECT_EQ(h.nodes[3]->store().state_digest(), digest1);
+  auto digest1 = service->replica(1).store().state_digest();
+  EXPECT_EQ(service->replica(2).store().state_digest(), digest1);
+  EXPECT_EQ(service->replica(3).store().state_digest(), digest1);
 }
 
 TEST(Smr, NoopSlotsWhenIdle) {
-  // Without a target, an idle cluster keeps replicating noop slots; state
-  // digests still match (liveness of the machinery itself).
+  // An idle cluster keeps replicating noop slots; state digests still
+  // match (liveness of the machinery itself).
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.target_commands = 0;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
-  h.cluster->run_until(5'000);
-  EXPECT_GT(h.nodes[0]->noop_slots(), 0u);
-  EXPECT_EQ(h.nodes[0]->applied_commands(), 0u);
-  EXPECT_EQ(h.nodes[0]->store().state_digest(),
-            h.nodes[3]->store().state_digest());
+  auto service = make_sim_service(sim_config(cfg, SmrOptions{}));
+  service->start();
+  service->run_until([&] { return service->replica(0).noop_slots() > 0; },
+                     5ms);
+  EXPECT_GT(service->replica(0).noop_slots(), 0u);
+  EXPECT_EQ(service->replica(0).applied_commands(), 0u);
+  EXPECT_EQ(service->replica(0).store().state_digest(),
+            service->replica(3).store().state_digest());
 }
 
 
 // --- Pipelined slot engine ----------------------------------------------------------
 
-/// Runs `commands` PUTs through a cluster with the given pipeline depth and
-/// returns the simulated completion time (all nodes applied everything).
-TimePoint run_pipelined(std::uint32_t depth, std::uint64_t commands,
-                        SmrNode::CommitCallback on_commit = nullptr,
-                        Duration min_delay = 100) {
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
+/// Depth-`depth` pipeline (batch 2) with delivery delays in
+/// [min_delay, 100].
+ServiceConfig pipelined_config(std::uint32_t depth, Duration min_delay = 100) {
   SmrOptions smr_options;
   smr_options.max_batch = 2;
-  smr_options.target_commands = commands;
   smr_options.pipeline_depth = depth;
-  SmrCluster h(cfg, smr_options, /*seed=*/7, std::move(on_commit));
-  h.options.net.min_delay = min_delay;  // < delta adds delivery jitter
-  h.cluster = std::make_unique<runtime::Cluster>(
-      h.options, std::vector<Value>(4, Value::of_string("unused")));
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  return sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options,
+                    /*seed=*/7, min_delay);
+}
+
+/// Runs `commands` PUTs through a cluster built from `config` and returns
+/// the simulated completion time (all nodes applied everything).
+TimePoint run_pipelined(const ServiceConfig& config, std::uint64_t commands) {
+  auto service = make_sim_service(config);
+  service->start();
+  at_time(*service, 0, [&] {
     for (std::uint64_t i = 1; i <= commands; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
+      service->replica(0).submit(Command::put("key" + std::to_string(i),
+                                              "val" + std::to_string(i), 1,
+                                              i));
     }
   });
-
-  while (h.cluster->scheduler().now() < 10'000'000) {
-    bool done = true;
-    for (auto* node : h.nodes) {
-      if (node->applied_commands() < commands) done = false;
-    }
-    if (done) break;
-    if (!h.cluster->scheduler().step()) break;
-  }
+  service->await_applied(commands, 10'000ms);
   for (ProcessId id = 0; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), commands) << "p" << id;
-    EXPECT_EQ(h.nodes[id]->store().state_digest(),
-              h.nodes[0]->store().state_digest())
+    EXPECT_EQ(service->replica(id).applied_commands(), commands)
+        << "p" << id;
+    EXPECT_EQ(service->replica(id).store().state_digest(),
+              service->replica(0).store().state_digest())
         << "p" << id;
   }
-  return h.cluster->scheduler().now();
+  return service->sim_network()->scheduler().now();
 }
 
 TEST(SmrPipelined, InOrderApplyUnderJitter) {
   // Depth 4 with jittery delivery: decisions can land out of slot order,
-  // but every replica must apply slots 1, 2, 3, ... consecutively.
-  std::map<ProcessId, std::vector<Slot>> applied_slots;
-  std::uint64_t observed = 0;
-  run_pipelined(/*depth=*/4, /*commands=*/20,
-                [&](ProcessId pid, GroupId, Slot slot,
-                    const std::vector<Command>& commands) {
-                  applied_slots[pid].push_back(slot);
-                  // The observer sees every command whole, although the
-                  // store takes a put's value by move when none watches.
-                  for (const auto& cmd : commands) {
-                    EXPECT_EQ(cmd.value, "val" + std::to_string(cmd.sequence));
-                    ++observed;
-                  }
-                },
-                /*min_delay=*/30);
-  EXPECT_EQ(observed, 4u * 20u);
-  ASSERT_EQ(applied_slots.size(), 4u);
-  for (const auto& [pid, slots] : applied_slots) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      ASSERT_EQ(slots[i], static_cast<Slot>(i + 1))
-          << "p" << pid << " applied slots out of order";
-    }
+  // but every replica must apply slots 1, 2, 3, ... consecutively — else
+  // some link of the CAS chain would find its predecessor missing.
+  constexpr std::uint64_t kCommands = 20;
+  auto service = make_sim_service(pipelined_config(4, /*min_delay=*/30));
+  service->start();
+  inject(*service, cas_chain(kCommands));
+  ASSERT_TRUE(service->await_applied(kCommands, 10'000ms));
+
+  for (ProcessId id = 0; id < 4; ++id) {
+    const SmrNode& node = service->replica(id);
+    EXPECT_EQ(node.applied_commands(), kCommands) << "p" << id;
+    EXPECT_EQ(node.store().get("chain"), "v" + std::to_string(kCommands))
+        << "p" << id << " applied slots out of order";
+    EXPECT_GE(node.engine().reorder_high_water(), 1u)
+        << "p" << id << ": no decision ever landed out of order";
   }
 }
 
 TEST(SmrPipelined, DepthFourBeatsSequential) {
   // The KV-store audit inside run_pipelined doubles as the correctness
   // check; the point here is the wall-clock (simulated) win.
-  TimePoint sequential = run_pipelined(1, 24);
-  TimePoint pipelined = run_pipelined(4, 24);
+  TimePoint sequential = run_pipelined(pipelined_config(1), 24);
+  TimePoint pipelined = run_pipelined(pipelined_config(4), 24);
   EXPECT_LT(pipelined, sequential)
       << "depth 4 must finish the same workload in less simulated time";
 }
@@ -437,55 +439,19 @@ TEST(SmrPipelined, DivergentWindowsJoinPeerSlots) {
   // recovery. With the join, the cluster must run at the WIDE replicas'
   // pace: strictly faster than an all-depth-1 cluster on the same
   // workload.
-  TimePoint sequential = run_pipelined(1, 24);
+  TimePoint sequential = run_pipelined(pipelined_config(1), 24);
 
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions wide;
-  wide.max_batch = 2;
-  wide.target_commands = 24;
-  wide.pipeline_depth = 8;
-  SmrOptions narrow = wide;
-  narrow.pipeline_depth = 1;
-  narrow.adaptive.enabled = true;
-  narrow.adaptive.latency_target = 1;  // unattainable: depth stays at min
-  narrow.adaptive.min_depth = 1;
-  narrow.adaptive.max_depth = 8;
-  narrow.adaptive.min_batch = 2;  // isolate the depth divergence
-
-  SmrCluster h(cfg, wide, /*seed=*/7);
-  h.options.node_factory = [&h, narrow, wide](
-                               const runtime::ProcessContext& ctx,
-                               const runtime::NodeOptions&,
-                               runtime::Node::DecideCallback) {
-    auto node = std::make_unique<SmrNode>(ctx, ctx.id < 2 ? wide : narrow,
-                                          nullptr);
-    h.nodes[ctx.id] = node.get();
-    return node;
+  ServiceConfig config = pipelined_config(8);
+  config.tune_replica = [](ProcessId id, SmrOptions& narrow) {
+    if (id < 2) return;
+    narrow.pipeline_depth = 1;
+    narrow.adaptive.enabled = true;
+    narrow.adaptive.latency_target = 1;  // unattainable: depth stays at min
+    narrow.adaptive.min_depth = 1;
+    narrow.adaptive.max_depth = 8;
+    narrow.adaptive.min_batch = 2;  // isolate the depth divergence
   };
-  h.cluster = std::make_unique<runtime::Cluster>(
-      h.options, std::vector<Value>(4, Value::of_string("unused")));
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (std::uint64_t i = 1; i <= 24; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
-    }
-  });
-  while (h.cluster->scheduler().now() < 10'000'000) {
-    bool done = true;
-    for (auto* node : h.nodes) {
-      if (node->applied_commands() < 24) done = false;
-    }
-    if (done) break;
-    if (!h.cluster->scheduler().step()) break;
-  }
-  for (ProcessId id = 0; id < 4; ++id) {
-    ASSERT_EQ(h.nodes[id]->applied_commands(), 24u) << "p" << id;
-    EXPECT_EQ(h.nodes[id]->store().state_digest(),
-              h.nodes[0]->store().state_digest())
-        << "p" << id;
-  }
-  EXPECT_LT(h.cluster->scheduler().now(), sequential)
+  EXPECT_LT(run_pipelined(config, 24), sequential)
       << "divergent windows must pipeline at the wide replicas' pace, "
          "not stall behind the narrow ones";
 }
@@ -494,23 +460,26 @@ TEST(SmrPipelined, NodesExposeEngineWindow) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.pipeline_depth = 4;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
-  h.cluster->run_until(0);  // run the start events only
-  EXPECT_EQ(h.nodes[0]->current_slot(), 4u) << "window opens depth slots";
-  EXPECT_EQ(h.nodes[0]->engine().inflight_slots(), 4u);
-  EXPECT_EQ(h.nodes[0]->engine().next_to_apply(), 1u);
-  EXPECT_EQ(h.nodes[0]->engine().inflight_high_water(), 4u)
+  auto service = make_sim_service(sim_config(cfg, smr_options));
+  service->start();
+  const SmrNode& node0 = service->replica(0);
+  // Run p0's start event only.
+  service->run_until([&] { return node0.current_slot() > 0; }, 1ms);
+  EXPECT_EQ(node0.current_slot(), 4u) << "window opens depth slots";
+  EXPECT_EQ(node0.engine().inflight_slots(), 4u);
+  EXPECT_EQ(node0.engine().next_to_apply(), 1u);
+  EXPECT_EQ(node0.engine().inflight_high_water(), 4u)
       << "the engine's gauge tracks this node's window";
-  h.cluster->run_until(50'000);
-  EXPECT_GT(h.nodes[0]->noop_slots(), 0u);
+  // Two windows' worth of noop slots.
+  service->run_until([&] { return node0.noop_slots() >= 8; }, 50ms);
+  EXPECT_GT(node0.noop_slots(), 0u);
   // The high-water saw the full window too.
-  EXPECT_GE(h.nodes[0]->engine().inflight_high_water(), 4u);
+  EXPECT_GE(node0.engine().inflight_high_water(), 4u);
   // Every applied slot was proposed: each proposal broadcast counts as
   // n wrapped PROPOSE messages.
-  EXPECT_GE(h.cluster->network().stats().wrapped_messages_of(
+  EXPECT_GE(service->sim_network()->stats().wrapped_messages_of(
                 net::tags::kPropose),
-            cfg.n * h.nodes[0]->noop_slots());
+            cfg.n * node0.noop_slots());
 }
 
 TEST(SmrPipelined, FaultyLeaderDoesNotStallLaterSlots) {
@@ -518,40 +487,34 @@ TEST(SmrPipelined, FaultyLeaderDoesNotStallLaterSlots) {
   // slot s-1's; crashing p0 therefore stalls the slots p0 leads (1, 5, ...)
   // until their view change, while slots led by p1..p3 keep deciding. The
   // reorder high-water mark proves decisions landed out of order and were
-  // held for in-order apply.
+  // held; the CAS chain proves they were applied in slot order anyway.
+  constexpr std::uint64_t kCommands = 8;
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 1;
-  smr_options.target_commands = 8;
   smr_options.pipeline_depth = 4;
   smr_options.rotate_leaders = true;
-  std::map<ProcessId, std::vector<Slot>> applied_slots;
-  SmrCluster h(cfg, smr_options, /*seed=*/3,
-               [&applied_slots](ProcessId pid, GroupId, Slot slot,
-                                const std::vector<Command>&) {
-                 applied_slots[pid].push_back(slot);
-               });
-  h.cluster->crash_at(0, 10);  // before any slot can decide
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (int i = 1; i <= 8; ++i) {
-      h.nodes[1]->submit(Command::put("k" + std::to_string(i), "v", 4,
-                                      static_cast<std::uint64_t>(i)));
+  auto service = make_sim_service(sim_config(cfg, smr_options, /*seed=*/3));
+  service->start();
+  at_time(*service, 10, [&] { service->crash(0); });  // before any slot
+                                                      // can decide
+  at_time(*service, 0, [&] {
+    for (const Command& cmd : cas_chain(kCommands)) {
+      service->replica(1).submit(cmd);
     }
   });
-  h.cluster->run_until(5'000'000);
+  service->await_applied(kCommands, 5000ms);
 
   for (ProcessId id = 1; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 8u) << "p" << id;
-    EXPECT_EQ(h.nodes[id]->store().state_digest(),
-              h.nodes[1]->store().state_digest())
+    const SmrNode& node = service->replica(id);
+    EXPECT_EQ(node.applied_commands(), kCommands) << "p" << id;
+    EXPECT_EQ(node.store().state_digest(),
+              service->replica(1).store().state_digest())
         << "p" << id;
-    EXPECT_GE(h.nodes[id]->engine().reorder_high_water(), 1u)
+    EXPECT_GE(node.engine().reorder_high_water(), 1u)
         << "slots after the stalled one should have decided first";
-    const auto& slots = applied_slots[id];
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      ASSERT_EQ(slots[i], static_cast<Slot>(i + 1)) << "p" << id;
-    }
+    EXPECT_EQ(node.store().get("chain"), "v" + std::to_string(kCommands))
+        << "p" << id << " applied slots out of order";
   }
 }
 
@@ -560,24 +523,26 @@ TEST(SmrPipelined, RetiredSlotStateIsFreed) {
   // must be empty — no live instances, no parked decisions, no claimed
   // commands, no timers — and the catch-up policy must have pruned
   // decided values below the gossiped watermark floor instead of
-  // retaining all of them.
+  // retaining all of them. On-demand windows let the cluster go quiet
+  // once the workload is applied.
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 2;
-  smr_options.target_commands = 40;
   smr_options.pipeline_depth = 4;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  smr_options.eager_windows = false;
+  auto service = make_sim_service(sim_config(cfg, smr_options));
+  service->start();
+  at_time(*service, 0, [&] {
     for (std::uint64_t i = 1; i <= 40; ++i) {
-      h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 1, i));
+      service->replica(0).submit(
+          Command::put("k" + std::to_string(i), "v", 1, i));
     }
   });
-  h.cluster->run_until(2'000'000);
+  run_until_quiet(*service, 2000ms);
 
   for (ProcessId id = 0; id < 4; ++id) {
-    const auto& engine = h.nodes[id]->engine();
-    ASSERT_EQ(h.nodes[id]->applied_commands(), 40u) << "p" << id;
+    const auto& engine = service->replica(id).engine();
+    ASSERT_EQ(service->replica(id).applied_commands(), 40u) << "p" << id;
     EXPECT_EQ(engine.inflight_slots(), 0u) << "p" << id;
     EXPECT_EQ(engine.reorder_pending(), 0u) << "p" << id;
     EXPECT_EQ(engine.pending().claimed_count(), 0u) << "p" << id;
@@ -599,10 +564,9 @@ TEST(SmrPipelined, ReorderBacklogClampStopsOpeningSlots) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 1;
-  smr_options.target_commands = 20;
   smr_options.pipeline_depth = 8;
   smr_options.max_reorder_backlog = 1;
-  SmrCluster h(cfg, smr_options, /*seed=*/2);
+  auto service = make_sim_service(sim_config(cfg, smr_options, /*seed=*/2));
 
   auto wrapped_slot = [](const net::Envelope& env) -> std::optional<Slot> {
     if (env.payload.empty() || env.payload[0] != net::tags::kSmrWrapped) {
@@ -615,29 +579,31 @@ TEST(SmrPipelined, ReorderBacklogClampStopsOpeningSlots) {
     if (!dec.ok()) return std::nullopt;
     return slot;
   };
-  h.cluster->set_network_script(
+  service->sim_network()->set_script(
       [wrapped_slot](const net::Envelope& env,
-                      TimePoint now) -> std::optional<TimePoint> {
+                     TimePoint now) -> std::optional<TimePoint> {
         auto slot = wrapped_slot(env);
         if (slot == 1) return std::max<TimePoint>(now + 100, 20'000);
         if (slot == 6) return std::max<TimePoint>(now + 100, 60'000);
         return std::nullopt;
       });
 
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  service->start();
+  at_time(*service, 0, [&] {
     for (std::uint64_t i = 1; i <= 20; ++i) {
-      h.nodes[1]->submit(Command::put("k" + std::to_string(i), "v", 6, i));
+      service->replica(1).submit(
+          Command::put("k" + std::to_string(i), "v", 6, i));
     }
   });
-  h.cluster->run_until(2'000'000);
+  service->await_applied(20, 2000ms);
 
   for (ProcessId id = 0; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 20u) << "p" << id;
-    EXPECT_GT(h.nodes[id]->engine().clamp_stalls(), 0u)
+    const SmrNode& node = service->replica(id);
+    EXPECT_EQ(node.applied_commands(), 20u) << "p" << id;
+    EXPECT_GT(node.engine().clamp_stalls(), 0u)
         << "p" << id << ": the backlog clamp never engaged";
-    EXPECT_EQ(h.nodes[id]->store().state_digest(),
-              h.nodes[0]->store().state_digest())
+    EXPECT_EQ(node.store().state_digest(),
+              service->replica(0).store().state_digest())
         << "p" << id;
   }
 }
@@ -648,12 +614,12 @@ TEST(SmrCatchUp, LaggardAdoptsDecidedSlots) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 2;
-  smr_options.target_commands = 4;
-  SmrCluster h(cfg, smr_options);
+  smr_options.eager_windows = false;
+  auto service = make_sim_service(sim_config(cfg, smr_options));
 
   // Everything to or from p3 is held back until t = 10000: p3 misses the
   // live consensus entirely and must catch up through decided claims.
-  h.cluster->set_network_script(
+  service->sim_network()->set_script(
       [](const net::Envelope& env, TimePoint now) -> std::optional<TimePoint> {
         if ((env.to == 3 || env.from == 3) && env.from != env.to) {
           return std::max<TimePoint>(now + 100, 10'000);
@@ -661,31 +627,33 @@ TEST(SmrCatchUp, LaggardAdoptsDecidedSlots) {
         return std::nullopt;
       });
 
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  service->start();
+  at_time(*service, 0, [&] {
     for (int i = 1; i <= 4; ++i) {
-      h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 5,
-                                      static_cast<std::uint64_t>(i)));
+      service->replica(0).submit(Command::put(
+          "k" + std::to_string(i), "v", 5, static_cast<std::uint64_t>(i)));
     }
   });
-  h.cluster->run_until(300'000);
+  run_until_quiet(*service, 300ms);
 
   for (ProcessId id = 0; id < 4; ++id) {
-    EXPECT_EQ(h.nodes[id]->applied_commands(), 4u) << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), 4u) << "p" << id;
   }
-  EXPECT_EQ(h.nodes[3]->store().state_digest(),
-            h.nodes[0]->store().state_digest())
+  EXPECT_EQ(service->replica(3).store().state_digest(),
+            service->replica(0).store().state_digest())
       << "the laggard must converge to the same state";
 }
 
 TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
+  // Eager windows: the claims target slot 1, which p3 opens at start
+  // without a command to propose.
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.target_commands = 2;  // keep advancing after the adopted slot
-  SmrCluster h(cfg, smr_options);
-  h.cluster->start();
-  h.cluster->run_until(0);  // run the start events only
-  ASSERT_EQ(h.nodes[3]->current_slot(), 1u);
+  auto service = make_sim_service(sim_config(cfg, SmrOptions{}));
+  service->start();
+  SmrNode& p3 = service->replica(3);
+  // Run the start events only (p3's is the last).
+  service->run_until([&] { return p3.current_slot() > 0; }, 1ms);
+  ASSERT_EQ(p3.current_slot(), 1u);
 
   Value claimed = encode_batch({Command::put("evil", "1", 66, 1)});
   Encoder enc;
@@ -696,55 +664,53 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
   Bytes claim = std::move(enc).take();
 
   // One claim (fewer than f + 1 = 2): nothing may be adopted.
-  h.nodes[3]->on_message(1, claim);
-  EXPECT_EQ(h.nodes[3]->applied_commands(), 0u);
-  EXPECT_EQ(h.nodes[3]->current_slot(), 1u);
+  p3.on_message(1, claim);
+  EXPECT_EQ(p3.applied_commands(), 0u);
+  EXPECT_EQ(p3.current_slot(), 1u);
 
   // A second claim from a different process crosses f + 1: adopted.
-  h.nodes[3]->on_message(2, claim);
-  EXPECT_EQ(h.nodes[3]->applied_commands(), 1u);
-  EXPECT_EQ(h.nodes[3]->store().get("evil"), "1");
-  EXPECT_EQ(h.nodes[3]->current_slot(), 2u);
+  p3.on_message(2, claim);
+  EXPECT_EQ(p3.applied_commands(), 1u);
+  EXPECT_EQ(p3.store().get("evil"), "1");
+  EXPECT_EQ(p3.current_slot(), 2u);
 
   // Duplicate senders never count twice (checked by construction above:
   // the same sender repeated would not have crossed the threshold).
-  h.nodes[3]->on_message(2, claim);
-  EXPECT_EQ(h.nodes[3]->applied_commands(), 1u);
+  p3.on_message(2, claim);
+  EXPECT_EQ(p3.applied_commands(), 1u);
 }
 
 // --- Slow path only at t < f; decided-value pull ------------------------------
 
 /// Runs `commands` PUTs (batch 2, depth 4) through a fault-free cluster
-/// until every replica applied them; the cluster is returned for its
+/// until every replica applied them; the service is returned for its
 /// traffic counters.
-std::unique_ptr<SmrCluster> run_fault_free(consensus::QuorumConfig cfg,
-                                           std::uint64_t commands,
-                                           Duration min_delay = 100) {
+std::unique_ptr<Service> run_fault_free(consensus::QuorumConfig cfg,
+                                        std::uint64_t commands,
+                                        Duration min_delay = 100) {
   SmrOptions smr_options;
   smr_options.max_batch = 2;
   smr_options.pipeline_depth = 4;
-  smr_options.target_commands = commands;
-  auto h = std::make_unique<SmrCluster>(cfg, smr_options, /*seed=*/3);
-  h->options.net.min_delay = min_delay;  // < delta adds delivery jitter
-  h->cluster = std::make_unique<runtime::Cluster>(
-      h->options, std::vector<Value>(cfg.n, Value::of_string("unused")));
-  h->cluster->start();
-  h->cluster->scheduler().schedule_at(0, [&h, commands] {
+  auto service =
+      make_sim_service(sim_config(cfg, smr_options, /*seed=*/3, min_delay));
+  service->start();
+  at_time(*service, 0, [&service, commands] {
     for (std::uint64_t i = 1; i <= commands; ++i) {
-      h->nodes[0]->submit(Command::put("key" + std::to_string(i), "v", 1, i));
+      service->replica(0).submit(
+          Command::put("key" + std::to_string(i), "v", 1, i));
     }
   });
-  h->cluster->run_until(2'000'000);
+  service->await_applied(commands, 2000ms);
   for (ProcessId id = 0; id < cfg.n; ++id) {
-    EXPECT_EQ(h->nodes[id]->applied_commands(), commands) << "p" << id;
+    EXPECT_EQ(service->replica(id).applied_commands(), commands) << "p" << id;
   }
-  return h;
+  return service;
 }
 
 TEST(SmrSlowPath, OffAtTEqualsF) {
   // t = f: the vanilla protocol, propose + n^2 unsigned acks per slot.
-  auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
-  const auto& stats = h->cluster->network().stats();
+  auto service = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
+  const auto& stats = service->sim_network()->stats();
   EXPECT_GT(stats.wrapped_messages_of(net::tags::kAck), 0u);
   EXPECT_EQ(stats.wrapped_messages_of(net::tags::kAckSig), 0u);
   EXPECT_EQ(stats.wrapped_messages_of(net::tags::kCommit), 0u);
@@ -752,8 +718,8 @@ TEST(SmrSlowPath, OffAtTEqualsF) {
 
 TEST(SmrSlowPath, OnWhenTBelowF) {
   // t < f: the Appendix-A slow path stays on by default.
-  auto h = run_fault_free(consensus::QuorumConfig::create(7, 2, 1), 12);
-  const auto& stats = h->cluster->network().stats();
+  auto service = run_fault_free(consensus::QuorumConfig::create(7, 2, 1), 12);
+  const auto& stats = service->sim_network()->stats();
   EXPECT_GT(stats.wrapped_messages_of(net::tags::kAckSig), 0u);
   EXPECT_GT(stats.wrapped_messages_of(net::tags::kCommit), 0u);
 }
@@ -766,20 +732,20 @@ TEST(SmrPull, HealthySkewRarelyPulls) {
   // replicas); with [30, 100] or lock-step links, none.
   for (Duration min_delay : {Duration{100}, Duration{30}, Duration{10}}) {
     SCOPED_TRACE("min_delay=" + std::to_string(min_delay));
-    auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 200,
-                            min_delay);
+    auto service = run_fault_free(consensus::QuorumConfig::create(4, 1, 1),
+                                  200, min_delay);
     std::uint64_t pulls = 0;
     std::uint64_t slots = 0;
-    for (auto* node : h->nodes) {
-      pulls += node->engine_stats().decided_pulls;
-      slots += node->engine_stats().slots_applied;
+    for (ProcessId id = 0; id < 4; ++id) {
+      pulls += service->engine_stats(id).decided_pulls;
+      slots += service->engine_stats(id).slots_applied;
     }
     std::string suffix = "_min_delay_" + std::to_string(min_delay);
     ::testing::Test::RecordProperty("pulls" + suffix,
                                     static_cast<int>(pulls));
     ::testing::Test::RecordProperty("slots_applied" + suffix,
                                     static_cast<int>(slots));
-    EXPECT_EQ(h->cluster->network().stats().messages_of(
+    EXPECT_EQ(service->sim_network()->stats().messages_of(
                   net::tags::kSmrDecidedPull),
               pulls);
     EXPECT_LE(pulls * 10, slots) << "more than one pull per 10 slots";
@@ -792,30 +758,31 @@ TEST(SmrPull, AnsweredOncePerSlotAndPeer) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 1;
-  smr_options.target_commands = 3;
-  SmrCluster h(cfg, smr_options);
-  h.cluster->crash_at(2, 0);
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
+  auto service = make_sim_service(sim_config(cfg, smr_options));
+  service->crash(2);
+  service->start();
+  at_time(*service, 0, [&] {
     for (std::uint64_t i = 1; i <= 3; ++i) {
-      h.nodes[0]->submit(Command::put("k" + std::to_string(i), "v", 1, i));
+      service->replica(0).submit(
+          Command::put("k" + std::to_string(i), "v", 1, i));
     }
   });
-  h.cluster->run_until(100'000);
-  ASSERT_EQ(h.nodes[0]->applied_commands(), 3u);
-  ASSERT_NE(h.nodes[0]->engine().catchup().decided(1), nullptr);
+  service->await_applied(3, 100ms);
+  SmrNode& p0 = service->replica(0);
+  ASSERT_EQ(p0.applied_commands(), 3u);
+  ASSERT_NE(p0.engine().catchup().decided(1), nullptr);
 
-  const auto& stats = h.cluster->network().stats();
+  const auto& stats = service->sim_network()->stats();
   auto replies_after = [&](Bytes request, int times) {
     std::uint64_t before = stats.messages_of(net::tags::kSmrDecided);
-    for (int i = 0; i < times; ++i) h.nodes[0]->on_message(3, request);
+    for (int i = 0; i < times; ++i) p0.on_message(3, request);
     return stats.messages_of(net::tags::kSmrDecided) - before;
   };
   EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 1), 3), 1u)
       << "one reply per (slot, peer)";
   EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 1), 1), 0u);
   // Undecided: a slot p0 never opened.
-  Slot beyond = h.nodes[0]->current_slot() + 5;
+  Slot beyond = p0.current_slot() + 5;
   EXPECT_EQ(replies_after(engine::encode_decided_pull(0, beyond), 1), 0u);
   // Another retained slot is served on its own.
   EXPECT_EQ(replies_after(engine::encode_decided_pull(0, 2), 1), 1u);
@@ -823,17 +790,36 @@ TEST(SmrPull, AnsweredOncePerSlotAndPeer) {
 
 TEST(SmrPull, PrunedSlotGetsNoReply) {
   // Fault-free: every watermark passes slot 1, so p0 prunes it.
-  auto h = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
-  const auto& catchup = h->nodes[0]->engine().catchup();
+  auto service = run_fault_free(consensus::QuorumConfig::create(4, 1, 1), 12);
+  SmrNode& p0 = service->replica(0);
+  const auto& catchup = p0.engine().catchup();
   ASSERT_GT(catchup.prune_floor(), 1u);
   ASSERT_EQ(catchup.decided(1), nullptr);
-  const auto& stats = h->cluster->network().stats();
+  const auto& stats = service->sim_network()->stats();
   std::uint64_t before = stats.messages_of(net::tags::kSmrDecided);
-  h->nodes[0]->on_message(3, engine::encode_decided_pull(0, 1));
+  p0.on_message(3, engine::encode_decided_pull(0, 1));
   EXPECT_EQ(stats.messages_of(net::tags::kSmrDecided), before);
 }
 
 // --- Snapshot state transfer: crash -> watermark pin -> rejoin -------------------
+
+/// 30 PUTs through p0 at time 0, p3 crashed at t = 20000; returns p3's
+/// apply cursor at the crash, written when the crash event runs.
+std::shared_ptr<Slot> crash_p3_under_load(Service& service) {
+  at_time(service, 0, [&service] {
+    for (std::uint64_t i = 1; i <= 30; ++i) {
+      service.replica(0).submit(Command::put("key" + std::to_string(i),
+                                             "val" + std::to_string(i), 1,
+                                             i));
+    }
+  });
+  auto crash_cursor = std::make_shared<Slot>(0);
+  at_time(service, 20'000, [&service, crash_cursor] {
+    service.crash(3);
+    *crash_cursor = service.replica(3).engine().next_to_apply();
+  });
+  return crash_cursor;
+}
 
 TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
   // The acceptance scenario for the snapshot subsystem, deterministic on
@@ -846,68 +832,88 @@ TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.max_batch = 1;          // one slot per command: many slots
-  smr_options.pipeline_depth = 2;
-  smr_options.target_commands = 0;    // keep replicating (noop slots keep
-                                      // gossip alive for the rejoiner)
+  smr_options.pipeline_depth = 2;     // eager windows keep noop slots (and
+                                      // gossip) flowing for the rejoiner
   smr_options.snapshot_interval = 8;
   smr_options.snapshot_chunk_bytes = 64;  // force multi-chunk transfers
-  std::map<ProcessId, std::vector<Slot>> applied_after_restart;
-  bool restarted = false;
-  SmrCluster h(cfg, smr_options, /*seed=*/5,
-               [&](ProcessId pid, GroupId, Slot slot,
-                   const std::vector<Command>&) {
-                 if (restarted) applied_after_restart[pid].push_back(slot);
-               });
-  h.cluster->crash_at(3, 20'000);
-  h.cluster->restart_at(3, 120'000);
-  h.cluster->start();
-
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (std::uint64_t i = 1; i <= 30; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
-    }
-  });
-
+  auto service = make_sim_service(sim_config(cfg, smr_options, /*seed=*/5));
+  service->start();
   // Probe p3's apply cursor the moment it crashes: retention must later
   // shrink BELOW this pin, which pure watermark gossip could never do.
-  Slot crash_cursor = 0;
-  h.cluster->scheduler().schedule_at(20'000, [&] {
-    crash_cursor = h.nodes[3]->engine().next_to_apply();
+  std::shared_ptr<Slot> crash_cursor = crash_p3_under_load(*service);
+  bool restarted = false;
+  at_time(*service, 120'000, [&] {
+    service->restart(3);
+    restarted = true;
   });
-  h.cluster->scheduler().schedule_at(120'000, [&] { restarted = true; });
 
-  h.cluster->run_until(400'000);
+  // Every scheduler step the rejoined p3 applies slots in, as the last
+  // slot it applied; installs move its cursor without applying. From its
+  // first apply on, each survivor's largest retention is kept too.
+  std::vector<Slot> applied_after_restart;
+  Slot first_applied = 0;
+  std::uint64_t slots_seen = 0;
+  std::vector<std::size_t> max_retained(3, 0);
+  auto rejoined_and_ran_on = [&] {
+    if (!restarted) return false;
+    const engine::SlotMux& p3 = service->replica(3).engine();
+    if (p3.slots_applied() > slots_seen) {
+      if (applied_after_restart.empty()) {
+        first_applied = p3.next_to_apply() - (p3.slots_applied() - slots_seen);
+      }
+      applied_after_restart.push_back(p3.next_to_apply() - 1);
+      slots_seen = p3.slots_applied();
+    }
+    if (applied_after_restart.empty()) return false;
+    for (ProcessId id = 0; id < 3; ++id) {
+      max_retained[id] =
+          std::max(max_retained[id],
+                   service->replica(id).engine().catchup().decided_count());
+    }
+    // The snapshot alone can bring all 30 commands; wait for live slots,
+    // then for 2800 slots past the rejoin (about as many as the survivors
+    // decide by t = 400000), so retention that regrew by one entry per
+    // slot would overrun its bound.
+    return service->replica(3).applied_commands() >= 30 &&
+           p3.slots_applied() >= smr_options.snapshot_interval &&
+           service->replica(0).engine().next_to_apply() >=
+               first_applied + 2800;
+  };
+  ASSERT_TRUE(service->run_until(rejoined_and_ran_on, 1000ms));
 
-  ASSERT_GT(crash_cursor, 1u) << "p3 must have applied something pre-crash";
+  ASSERT_GT(*crash_cursor, 1u) << "p3 must have applied something pre-crash";
 
   // The rejoined replica recovered through a snapshot, not replay.
-  EXPECT_GE(h.nodes[3]->engine().snapshots_installed(), 1u);
-  EXPECT_EQ(h.nodes[3]->applied_commands(), 30u);
-  EXPECT_EQ(h.nodes[3]->store().state_digest(),
-            h.nodes[0]->store().state_digest())
+  const SmrNode& p3 = service->replica(3);
+  EXPECT_GE(p3.engine().snapshots_installed(), 1u);
+  EXPECT_EQ(p3.applied_commands(), 30u);
+  EXPECT_EQ(p3.store().state_digest(),
+            service->replica(0).store().state_digest())
       << "the rejoined replica must converge to the survivors' state";
-  EXPECT_EQ(h.nodes[3]->store().get("key30"), "val30");
+  EXPECT_EQ(p3.store().get("key30"), "val30");
 
   // Post-restart applies happened strictly in slot order, starting past
   // the installed snapshot boundary (never from slot 1 again).
-  const auto& slots = applied_after_restart[3];
-  ASSERT_FALSE(slots.empty());
-  EXPECT_GT(slots.front(), crash_cursor);
-  for (std::size_t i = 1; i < slots.size(); ++i) {
-    ASSERT_GT(slots[i], slots[i - 1]) << "p3 applied out of order";
+  ASSERT_FALSE(applied_after_restart.empty());
+  EXPECT_GT(first_applied, *crash_cursor);
+  for (std::size_t i = 1; i < applied_after_restart.size(); ++i) {
+    ASSERT_GT(applied_after_restart[i], applied_after_restart[i - 1])
+        << "p3 applied out of order";
   }
 
   // Retention unpinned: every survivor pruned decided values past p3's
   // frozen watermark while it was down, and keeps retention bounded.
   for (ProcessId id = 0; id < 3; ++id) {
-    const auto& catchup = h.nodes[id]->engine().catchup();
-    EXPECT_GT(catchup.prune_floor(), crash_cursor)
+    const auto& catchup = service->replica(id).engine().catchup();
+    EXPECT_GT(catchup.prune_floor(), *crash_cursor)
         << "p" << id << " stayed pinned at the crash point";
     EXPECT_GT(catchup.snapshot_floor(), 1u) << "p" << id;
     EXPECT_LT(catchup.decided_count(),
               static_cast<std::size_t>(smr_options.snapshot_interval) + 8)
         << "p" << id << " retention must stay within one interval + window";
+    EXPECT_LT(max_retained[id],
+              static_cast<std::size_t>(smr_options.snapshot_interval) + 8)
+        << "p" << id << " retention outgrew its bound after the rejoin";
   }
 }
 
@@ -920,26 +926,22 @@ TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
   SmrOptions smr_options;
   smr_options.max_batch = 1;
   smr_options.pipeline_depth = 2;
-  smr_options.target_commands = 0;
-  SmrCluster h(cfg, smr_options, /*seed=*/5);
-  h.cluster->crash_at(3, 20'000);
-  h.cluster->start();
-  h.cluster->scheduler().schedule_at(0, [&] {
-    for (std::uint64_t i = 1; i <= 30; ++i) {
-      h.nodes[0]->submit(Command::put("key" + std::to_string(i),
-                                      "val" + std::to_string(i), 1, i));
-    }
-  });
-  Slot crash_cursor = 0;
-  h.cluster->scheduler().schedule_at(20'000, [&] {
-    crash_cursor = h.nodes[3]->engine().next_to_apply();
-  });
-  h.cluster->run_until(200'000);
+  auto service = make_sim_service(sim_config(cfg, smr_options, /*seed=*/5));
+  service->start();
+  std::shared_ptr<Slot> crash_cursor = crash_p3_under_load(*service);
+  // The survivors apply the workload and decide 64 slots past the pin.
+  service->run_until(
+      [&] {
+        return service->is_faulty(3) &&
+               service->replica(0).engine().next_to_apply() >
+                   *crash_cursor + 64;
+      },
+      200ms);
 
-  ASSERT_GT(crash_cursor, 1u);
+  ASSERT_GT(*crash_cursor, 1u);
   for (ProcessId id = 0; id < 3; ++id) {
-    const auto& catchup = h.nodes[id]->engine().catchup();
-    EXPECT_LE(catchup.prune_floor(), crash_cursor) << "p" << id;
+    const auto& catchup = service->replica(id).engine().catchup();
+    EXPECT_LE(catchup.prune_floor(), *crash_cursor) << "p" << id;
     // Retention grows with every slot decided past the pin.
     EXPECT_GT(catchup.decided_count(), 50u)
         << "p" << id << ": expected pinned retention to keep growing";

@@ -25,13 +25,11 @@ Command cmd(std::uint64_t i) {
 }
 
 ServiceConfig threaded_config(std::uint32_t n, std::uint32_t max_batch,
-                              std::uint32_t depth, std::uint64_t target) {
-  auto config = ServiceConfig{}
-                    .with_cluster(n, 1, 1)
-                    .with_batch(max_batch)
-                    .with_pipeline_depth(depth);
-  config.smr.target_commands = target;
-  return config;
+                              std::uint32_t depth) {
+  return ServiceConfig{}
+      .with_cluster(n, 1, 1)
+      .with_batch(max_batch)
+      .with_pipeline_depth(depth);
 }
 
 /// Pre-start injection of commands 1..count into every replica's pending
@@ -46,7 +44,7 @@ void inject(Service& service, std::uint64_t count) {
 }
 
 TEST(ThreadedSmr, HealthyPipelinedRunAppliesInOrder) {
-  auto service = make_threaded_service(threaded_config(4, 4, 4, 60));
+  auto service = make_threaded_service(threaded_config(4, 4, 4));
   inject(*service, 60);
   service->start();
   ASSERT_TRUE(service->await_applied(60, 20s));
@@ -67,7 +65,7 @@ TEST(ThreadedSmr, LeaderCrashMidRunSurvivedByWallClockViewChange) {
   // the reorder buffer must hold decisions and every correct replica must
   // still apply all 240 commands.
   auto service = make_threaded_service(
-      threaded_config(6, 8, 8, 240).with_rotating_leaders());
+      threaded_config(6, 8, 8).with_rotating_leaders());
   inject(*service, 240);
   service->start();
 
@@ -92,7 +90,11 @@ TEST(ThreadedSmr, WatermarkGossipBoundsCatchUpRetention) {
   // batch 1 makes many slots; the applied watermark gossiped in wrapped
   // traffic must let every replica prune decided values that the whole
   // cluster already applied, instead of retaining all of them forever.
-  auto service = make_threaded_service(threaded_config(4, 1, 4, 120));
+  // On-demand windows: no noop slot opens once the workload is applied,
+  // so no later traffic re-gossips a straggler's final watermark.
+  auto config = threaded_config(4, 1, 4);
+  config.smr.eager_windows = false;
+  auto service = make_threaded_service(config);
   inject(*service, 120);
   service->start();
   ASSERT_TRUE(service->await_applied(120, 60s));
@@ -115,9 +117,9 @@ TEST(ThreadedSmr, CrashedReplicaRejoinsViaSnapshotStateTransfer) {
   // factory-fresh p3 rejoins mid-run. It can only recover through
   // SNAPSHOT_REQUEST/RESPONSE state transfer, after which it applies
   // live and converges to the same store digest as everyone else.
-  // One slot per command makes many slots; no target keeps slots (and
+  // One slot per command makes many slots; eager windows keep slots (and
   // gossip) flowing for the rejoiner.
-  auto config = threaded_config(4, 1, 4, 0).with_snapshots(8);
+  auto config = threaded_config(4, 1, 4).with_snapshots(8);
   config.smr.snapshot_chunk_bytes = 128;  // force multi-chunk transfers
   auto service = make_threaded_service(config);
   inject(*service, 60);
@@ -180,7 +182,7 @@ TEST(ThreadedSmr, PreStartCrashIsToleratedFromSlotOne) {
   // Crash-before-start: the faulty process never sends a byte; every slot
   // it would have led view-changes on the wall clock from the beginning.
   auto service = make_threaded_service(
-      threaded_config(6, 4, 2, 20).with_rotating_leaders());
+      threaded_config(6, 4, 2).with_rotating_leaders());
   service->crash(0);  // initial leader of slot 1
   inject(*service, 20);
   service->start();
