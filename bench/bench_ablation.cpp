@@ -105,7 +105,8 @@ void a3_timeout_tradeoff() {
 }  // namespace fastbft::bench
 
 int main() {
-  std::printf("bench_ablation: design-choice ablations (DESIGN.md)\n");
+  std::printf(
+      "bench_ablation: design-choice ablations (README.md, Experiments)\n");
   fastbft::bench::a1_cert_req_fanout();
   fastbft::bench::a2_slow_path_cost();
   fastbft::bench::a3_timeout_tradeoff();

@@ -66,7 +66,7 @@ void BM_EncodeBatch(benchmark::State& state) {
                                       static_cast<std::uint64_t>(i)));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(smr::encode_batch(batch));
+    benchmark::DoNotOptimize(smr::encode_batch(batch, /*author=*/0));
   }
 }
 BENCHMARK(BM_EncodeBatch);
@@ -79,7 +79,7 @@ void BM_DecodeBatch(benchmark::State& state) {
                                       "value" + std::to_string(i), 1,
                                       static_cast<std::uint64_t>(i)));
   }
-  Value wire = smr::encode_batch(batch);
+  Value wire = smr::encode_batch(batch, /*author=*/0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(smr::decode_batch(wire));
   }

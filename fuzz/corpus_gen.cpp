@@ -58,7 +58,8 @@ consensus::ProgressCert sample_cert() {
 Value sample_batch() {
   return smr::encode_batch({smr::Command::put("key", "value", 7, 1),
                             smr::Command::cas("key", "value", "next", 7, 2),
-                            smr::Command::get("key", 8, 1)});
+                            smr::Command::get("key", 8, 1)},
+                           /*author=*/2);
 }
 
 void gen_message(const fs::path& root) {
@@ -187,6 +188,7 @@ void gen_snapshot(const fs::path& root) {
   snap.kv_state = str_bytes("serialized-kv-state-bytes");
   snap.applied_ids.push_back({{7, 1}, 3});
   snap.applied_ids.push_back({{7, 2}, 4});
+  snap.recent_authors = {0, 1, 1, 3};  // slots 1-4
   Bytes body = snap.encode();
   write_seed(dir, "snapshot_encoded", body);
 

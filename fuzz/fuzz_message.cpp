@@ -21,8 +21,10 @@
 ///      snapshot floor, length-prefixed inner) with the inner payload
 ///      parsed as a consensus message THROUGH THE VIEW — no copy — which
 ///      is the aliasing pattern SlotMux::on_wrapped relies on.
-///   3. smr::decode_batch over any Value a ProposeMsg/AckMsg carried,
-///      the batch layer a decided value flows into.
+///   3. smr::decode_batch and smr::batch_author over any Value a
+///      ProposeMsg/AckMsg carried, the batch layer a decided value flows
+///      into (the engine derives later slots' leaders from the author
+///      header).
 ///   4. The SMR_PULL decode (engine::decode_decided_pull), for the group
 ///      the payload names and for group 0 — the node routes by the peeked
 ///      group, and the engine must still reject a foreign one.
@@ -46,12 +48,20 @@ using fastbft::ByteView;
 using fastbft::Decoder;
 
 void exercise_batch(const fastbft::Value& value) {
+  auto author = fastbft::smr::batch_author(value);
+  // The header is the first four bytes, whatever follows.
+  if (author.has_value() != (value.size() >= 4)) __builtin_trap();
   auto batch = fastbft::smr::decode_batch(value);
   if (!batch) return;
+  if (!author) __builtin_trap();  // a decodable batch has a header
   // Re-encoding a decoded batch must succeed (encode asserts nothing
-  // about command contents) unless it was empty.
+  // about command contents) unless it was empty, and keep its author
+  // and commands.
   if (!batch->empty()) {
-    (void)fastbft::smr::encode_batch(*batch);
+    fastbft::Value again = fastbft::smr::encode_batch(*batch, *author);
+    if (fastbft::smr::batch_author(again) != author) __builtin_trap();
+    auto commands = fastbft::smr::decode_batch(again);
+    if (!commands || *commands != *batch) __builtin_trap();
   }
 }
 

@@ -18,7 +18,8 @@
 /// Contract under test: reassembly never crashes, never trusts a body
 /// whose hash mismatches the vouched digest, and anything
 /// Snapshot::decode accepts re-encodes byte-identically (canonical
-/// encoding round-trip).
+/// encoding round-trip) with no more dedup entries or leader-schedule
+/// authors than the input has bytes for.
 
 namespace {
 
@@ -29,6 +30,10 @@ using fastbft::Decoder;
 void exercise_decode(ByteView payload) {
   auto snap = fastbft::smr::Snapshot::decode(payload.to_bytes());
   if (!snap) return;
+  if (snap->applied_ids.size() * 24 + snap->recent_authors.size() * 4 >
+      payload.size()) {
+    __builtin_trap();
+  }
   Bytes wire = snap->encode();
   auto again = fastbft::smr::Snapshot::decode(wire);
   if (!again || !(*again == *snap)) __builtin_trap();

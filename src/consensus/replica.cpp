@@ -58,7 +58,8 @@ void Replica::start() {
 }
 
 const Value* Replica::known_value() const {
-  return vote_ ? &vote_->x : &input_;
+  if (vote_) return &vote_->x;
+  return expected_.empty() ? &input_ : &expected_;
 }
 
 void Replica::on_message(ProcessId from, ByteView payload) {

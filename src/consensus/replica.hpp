@@ -69,8 +69,16 @@ class Replica {
   /// The payload is only viewed; it is copied iff it must be buffered for
   /// a future view (the cold path).
   /// Values are decoded against the one this replica holds (its vote,
-  /// else its input), so messages repeating it allocate no value buffer.
+  /// else its expected value, else its input), so messages repeating it
+  /// allocate no value buffer.
   void on_message(ProcessId from, ByteView payload);
+
+  /// A value the view-1 proposal is likely to carry when another replica
+  /// leads (the SMR engine passes the leader's idle batch): until this
+  /// replica votes, messages repeating it decode against it instead of
+  /// against the input. Only a decode hint; it never changes what is
+  /// accepted.
+  void expect_value(Value hint) { expected_ = std::move(hint); }
 
   /// View-synchronizer notification. Views are monotone; stale calls are
   /// ignored.
@@ -153,6 +161,7 @@ class Replica {
   QuorumConfig cfg_;
   ProcessId id_;
   Value input_;
+  Value expected_;  ///< decode hint (expect_value); empty if unset
   net::Transport& transport_;
   crypto::Signer signer_;
   crypto::Verifier verifier_;

@@ -59,6 +59,7 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
       catchup_(ctx_.cfg.f + 1, ctx_.cfg.n, options_.snapshot_chunk_bytes,
                ctx_.group) {
   FASTBFT_ASSERT(options_.pipeline_depth >= 1, "pipeline depth must be >= 1");
+  noop_batches_.resize(ctx_.cfg.n);
   if (!ctx_.verify_cache) {
     ctx_.verify_cache = std::make_shared<crypto::VerificationCache>();
   }
@@ -66,6 +67,7 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
     adaptive_ = std::make_unique<AdaptiveController>(
         options_.adaptive, options_.max_batch, options_.max_reorder_backlog);
   }
+  authors_.resize(max_window_depth());
 }
 
 SlotMux::~SlotMux() { *alive_ = false; }
@@ -179,17 +181,39 @@ void SlotMux::replay_parked() {
   replaying_parked_ = false;
 }
 
+const Value& SlotMux::noop_batch(ProcessId author) {
+  Value& batch = noop_batches_[author];
+  if (batch.empty()) batch = smr::encode_batch({smr::Command::noop()}, author);
+  return batch;
+}
+
 Value SlotMux::make_input(Slot slot) {
   std::vector<const smr::Command*> batch =
       pending_.claim(slot, effective_batch());
-  if (batch.empty()) return noop_input_;
-  return smr::encode_batch(batch);
+  if (batch.empty()) return noop_batch(ctx_.id);
+  return smr::encode_batch(batch, ctx_.id);
 }
 
-consensus::LeaderFn SlotMux::leader_for(Slot slot) const {
-  if (!options_.rotate_leaders || slot == 1) return ctx_.leader_of;
-  return [base = ctx_.leader_of, shift = slot - 1](View v) {
-    return base(v + shift);
+ProcessId SlotMux::view1_leader(Slot slot) const {
+  // Every correct replica opens slot s only after applying slot s - D
+  // (fill_window and the on_wrapped join stop below next_apply_ + D), and
+  // a snapshot install carries the last D authors, so all of them read
+  // the same decided author here.
+  const Slot depth = authors_.size();
+  const std::uint32_t n = ctx_.cfg.n;
+  if (slot <= depth) {
+    return options_.rotate_leaders ? static_cast<ProcessId>((slot - 1) % n)
+                                   : 0;
+  }
+  const ProcessId author = authors_[slot % depth];
+  return static_cast<ProcessId>(
+      (options_.rotate_leaders ? author + depth : author) % n);
+}
+
+consensus::LeaderFn SlotMux::leader_for(ProcessId first) const {
+  // The round-robin leader shifted to start at `first`.
+  return [n = ctx_.cfg.n, first](View v) {
+    return static_cast<ProcessId>((first + (v - 1) % n) % n);
   };
 }
 
@@ -206,6 +230,7 @@ void SlotMux::start_slot(Slot slot) {
   Instance& inst = *node;
   inst.channel.set_slot(slot);
   inst.started_at = host_.now();
+  const ProcessId leader = view1_leader(slot);
 
   viewsync::SynchronizerConfig sync_cfg = options_.sync;
   sync_cfg.f = ctx_.cfg.f;
@@ -222,8 +247,13 @@ void SlotMux::start_slot(Slot slot) {
   consensus::Replica& replica = inst.replica.emplace(
       ctx_.cfg, ctx_.id, make_input(slot), inst.channel,
       crypto::Signer(ctx_.keys, ctx_.id),
-      crypto::Verifier(ctx_.keys, ctx_.verify_cache), leader_for(slot),
+      crypto::Verifier(ctx_.keys, ctx_.verify_cache), leader_for(leader),
       on_decide, options_.replica);
+  // An idle replica expects an idle leader: its noop proposal then decodes
+  // without allocating.
+  if (leader != ctx_.id && replica.input() == noop_batches_[ctx_.id]) {
+    replica.expect_value(noop_batch(leader));
+  }
   viewsync::Synchronizer& sync = inst.sync.emplace(
       sync_cfg, ctx_.id, inst.channel, timers_,
       [&replica](View v) { replica.enter_view(v); });
@@ -272,6 +302,10 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
     return;  // decision already processed
   }
   TimePoint started_at = it->second->started_at;
+  if (it->second->replica->view() > 1) {
+    view_changed_slots_.store(view_changed_slots() + 1,
+                              std::memory_order_relaxed);
+  }
   retire(it);
 
   catchup_.record_decided(slot, value);
@@ -334,6 +368,10 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   snap.applied_below = boundary;
   snap.applied_commands = applied_commands();
   snap.applied_ids = pending_.applied_ids();
+  const Slot depth = authors_.size();
+  for (Slot k = boundary > depth ? boundary - depth : 1; k < boundary; ++k) {
+    snap.recent_authors.push_back(authors_[k % depth]);
+  }
   catchup_.defer_snapshot(
       boundary, [snap = std::move(snap), image = hooks_.state()]() mutable {
         snap.kv_state = image();
@@ -344,9 +382,14 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
 
 void SlotMux::apply_value(Slot slot, const Value& value) {
   std::vector<smr::Command> applied;
-  // The engine's own noop batch (usually the very buffer: values decode
-  // against the replica's input) applies nothing; skip its decode.
-  auto batch = value == noop_input_ ? std::nullopt : smr::decode_batch(value);
+  auto author = smr::batch_author(value);
+  if (!author || *author >= ctx_.cfg.n) author = view1_leader(slot);
+  authors_[slot % authors_.size()] = *author;
+  // A noop batch (usually the very buffer: proposals decode against the
+  // leader's) applies nothing; skip its decode. An author's batch not
+  // built here is empty and matches nothing.
+  auto batch = value == noop_batches_[*author] ? std::nullopt
+                                               : smr::decode_batch(value);
   if (batch) {
     for (auto& cmd : *batch) {
       if (cmd.kind == smr::OpKind::Noop) continue;
@@ -596,6 +639,10 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // replacement, so ids the snapshotters already horizon-pruned are
   // forgotten here too (see PendingQueue::restore_applied).
   pending_.restore_applied(snap.applied_ids);
+  Slot slot = snap.applied_below - snap.recent_authors.size();
+  for (ProcessId author : snap.recent_authors) {
+    authors_[slot++ % authors_.size()] = author;
+  }
   applied_commands_.store(std::max(applied_commands(), snap.applied_commands),
                           std::memory_order_relaxed);
   next_apply_ = snap.applied_below;

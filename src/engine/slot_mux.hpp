@@ -36,6 +36,11 @@
 ///  * dispatch — all SMR_WRAPPED{slot, watermark, inner} traffic is routed
 ///    through a single slot -> instance table (no per-slot transport shims
 ///    on the receive path);
+///  * leader schedule — slot s's view-1 leader is derived from the
+///    decided log, from the author of slot s - max_window_depth()'s batch
+///    (view1_leader), so once a view change replaces a crashed leader the
+///    slots after it start with the replacement instead of each waiting
+///    out its own view-change timeout;
 ///  * in-order apply — decisions may land out of slot order (a faulty
 ///    leader stalls slot k while k+1 decides); a reorder buffer holds them
 ///    until every predecessor applied, so the state machine sees the log
@@ -69,12 +74,12 @@
 namespace fastbft::engine {
 
 /// Cluster identity and key material the engine needs; host-independent.
-/// (smr::Service builds one per replica, on every runtime.)
+/// (smr::Service builds one per replica, on every runtime.) The engine
+/// derives each slot's leader function itself (SlotMux::view1_leader).
 struct EngineContext {
   consensus::QuorumConfig cfg;
   ProcessId id = kNoProcess;
   std::shared_ptr<const crypto::KeyStore> keys;
-  consensus::LeaderFn leader_of;
 
   /// Consensus group this engine instance runs (sharded SMR: a node hosts
   /// one SlotMux per group). Stamped into every group-scoped wire message
@@ -99,11 +104,19 @@ struct SlotMuxOptions {
   /// Maximum commands claimed into one slot proposal.
   std::uint32_t max_batch = 8;
 
-  /// Rotate the view-1 leader by slot index (slot s view v is led by the
-  /// base round-robin leader of view v + s - 1). Spreads proposal load
-  /// across the cluster and keeps a single faulty process from being the
-  /// initial leader of every in-flight slot. Off by default: the paper's
-  /// single-shot experiments assume the slot-independent leader function.
+  /// Rotate the view-1 leader by slot index. Every slot's views run
+  /// round-robin from its view-1 leader l(s) (view v is led by
+  /// l(s) + v - 1 mod n). With D = max_window_depth(), slots s <= D start
+  /// at p0 when pinned and at (s - 1) mod n when rotating; a later slot
+  /// starts at the author of slot s - D's decided batch when pinned, and
+  /// D past it when rotating. A fault-free run therefore keeps p0 (pinned)
+  /// or (s - 1) mod n (rotating), and once a view change replaces a
+  /// crashed leader, the slots D apart start with its replacement. With
+  /// rotation, each chain of slots D apart then reaches a crashed replica
+  /// at most once when gcd(D, n) > 1; when D and n are coprime it comes
+  /// back to it within every n steps. Rotation spreads proposal load
+  /// across the cluster. Off by default: the paper's single-shot
+  /// experiments assume the slot-independent leader function.
   bool rotate_leaders = false;
 
   /// Open slots eagerly to the full window even with nothing to propose
@@ -202,6 +215,11 @@ class SlotMux {
 
   // --- Introspection (shell, tests, benchmarks) -----------------------------
 
+  /// View-1 leader of `slot` (SlotMuxOptions::rotate_leaders); defined
+  /// for next_to_apply() <= slot < next_to_apply() + max_window_depth(),
+  /// where every slot opens and applies.
+  ProcessId view1_leader(Slot slot) const;
+
   /// Highest slot ever opened (0 before start()).
   Slot highest_started() const { return next_start_ - 1; }
 
@@ -279,6 +297,12 @@ class SlotMux {
     return applied_commands_.load(std::memory_order_relaxed);
   }
   std::uint64_t noop_slots() const { return noop_slots_; }
+
+  /// Slots this engine decided after its instance for them had left view
+  /// 1 (each paid a view-change timeout). Thread-safe.
+  std::uint64_t view_changed_slots() const {
+    return view_changed_slots_.load(std::memory_order_relaxed);
+  }
 
   /// SMR_PULL messages sent (see pull_decided). Thread-safe.
   std::uint64_t decided_pulls() const {
@@ -364,8 +388,11 @@ class SlotMux {
   /// Stops and removes the instance at `it`, keeping it for reuse.
   std::vector<ActiveSlot>::iterator retire(
       std::vector<ActiveSlot>::iterator it);
+  /// `author`'s one-noop batch, encoded on first use.
+  const Value& noop_batch(ProcessId author);
   Value make_input(Slot slot);
-  consensus::LeaderFn leader_for(Slot slot) const;
+  /// Slot leader function whose view 1 is led by `first` (view1_leader).
+  consensus::LeaderFn leader_for(ProcessId first) const;
   void on_slot_decided(Slot slot, const Value& value);
   void drain_apply();
   void apply_value(Slot slot, const Value& value);
@@ -396,9 +423,17 @@ class SlotMux {
   PendingQueue pending_;
   CatchUpPolicy catchup_;
 
-  /// The one-noop batch every idle slot proposes, encoded once per engine
-  /// (not process-wide: engines on different threads share no buffers).
-  const Value noop_input_ = smr::encode_batch({smr::Command::noop()});
+  /// Each replica's one-noop batch, indexed by author, encoded once per
+  /// engine on first use (not process-wide: engines on different threads
+  /// share no buffers). An idle slot proposes ours; a slot another
+  /// replica leads decodes its proposal against the leader's.
+  std::vector<Value> noop_batches_;
+
+  /// Authors of the last D = max_window_depth() applied slots, slot k in
+  /// cell k % D: the input of view1_leader. An author header naming no
+  /// replica (a malformed decided value) counts as the slot's own view-1
+  /// leader, so the schedule stays a function of the decided log.
+  std::vector<ProcessId> authors_;
 
   /// AIMD depth/batch sizing; null unless options_.adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
@@ -432,6 +467,7 @@ class SlotMux {
   std::atomic<Slot> apply_watermark_{1};
   std::atomic<std::uint64_t> slots_applied_{0};
   std::atomic<std::uint64_t> decided_pulls_{0};
+  std::atomic<std::uint64_t> view_changed_slots_{0};
 
   Slot next_start_ = 1;
   Slot next_apply_ = 1;

@@ -11,11 +11,12 @@ const Command& deref(const Command* cmd) { return *cmd; }
 
 /// Encodes every command straight into one buffer sized up front.
 template <typename Commands>
-Value encode_commands(const Commands& commands) {
+Value encode_commands(const Commands& commands, ProcessId author) {
   FASTBFT_ASSERT(!commands.empty(), "batches must be non-empty");
-  std::size_t size = 4;
+  std::size_t size = 8;
   for (const auto& cmd : commands) size += 4 + deref(cmd).encoded_size();
   Encoder enc(size);
+  enc.u32(author);
   enc.u32(static_cast<std::uint32_t>(commands.size()));
   for (const auto& cmd : commands) {
     std::size_t start = enc.begin_field();
@@ -27,16 +28,25 @@ Value encode_commands(const Commands& commands) {
 
 }  // namespace
 
-Value encode_batch(const std::vector<Command>& commands) {
-  return encode_commands(commands);
+Value encode_batch(const std::vector<Command>& commands, ProcessId author) {
+  return encode_commands(commands, author);
 }
 
-Value encode_batch(const std::vector<const Command*>& commands) {
-  return encode_commands(commands);
+Value encode_batch(const std::vector<const Command*>& commands,
+                   ProcessId author) {
+  return encode_commands(commands, author);
+}
+
+std::optional<ProcessId> batch_author(const Value& value) {
+  Decoder dec(value.bytes());
+  ProcessId author = dec.u32();
+  if (!dec.ok()) return std::nullopt;
+  return author;
 }
 
 std::optional<std::vector<Command>> decode_batch(const Value& value) {
   Decoder dec(value.bytes());
+  dec.u32();  // author
   std::uint32_t count = dec.u32();
   if (!dec.ok() || count == 0 || count > 65536) return std::nullopt;
   std::vector<Command> commands;

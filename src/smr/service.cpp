@@ -73,8 +73,8 @@ class SimService final : public Service {
                                   runtime::Node::DecideCallback) {
       SmrOptions tuned = config_.smr;
       if (config_.tune_replica) config_.tune_replica(ctx.id, tuned);
-      engine::EngineContext ectx{ctx.cfg, ctx.id, ctx.keys, ctx.leader_of,
-                                 /*group=*/0, /*verify_cache=*/nullptr};
+      engine::EngineContext ectx{ctx.cfg, ctx.id, ctx.keys, /*group=*/0,
+                                 /*verify_cache=*/nullptr};
       auto node = std::make_unique<SmrNode>(*host_, std::move(ectx),
                                             ctx.network->endpoint(ctx.id),
                                             tuned, config_.num_sessions);
@@ -203,7 +203,6 @@ class LoopService final : public Service {
         net_(std::move(net)),
         keys_(std::make_shared<const crypto::KeyStore>(config_.key_seed,
                                                        config_.cluster.n)),
-        leader_of_(consensus::round_robin_leader(config_.cluster.n)),
         smr_(config_.smr),
         hosts_(net_->total_size()),
         nodes_(config_.cluster.n),
@@ -404,8 +403,8 @@ class LoopService final : public Service {
   /// Constructor only (no timers armed), so it is safe on the setup
   /// thread and on the replica's loop thread alike.
   std::unique_ptr<SmrNode> make_node(ProcessId id) {
-    engine::EngineContext ectx{config_.cluster, id, keys_, leader_of_,
-                               /*group=*/0, /*verify_cache=*/nullptr};
+    engine::EngineContext ectx{config_.cluster, id, keys_, /*group=*/0,
+                               /*verify_cache=*/nullptr};
     return std::make_unique<SmrNode>(*hosts_[id], std::move(ectx),
                                      net_->endpoint(id), smr_,
                                      config_.num_sessions);
@@ -421,7 +420,6 @@ class LoopService final : public Service {
   ServiceConfig config_;
   std::unique_ptr<Net> net_;
   std::shared_ptr<const crypto::KeyStore> keys_;
-  consensus::LeaderFn leader_of_;
   SmrOptions smr_;
   /// One per hosted endpoint (replicas, then sessions), indexed by
   /// ProcessId; null for endpoints other processes host.

@@ -199,6 +199,7 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
                                      mux.apply_watermark());
     stats.slots_applied += mux.slots_applied();
     stats.decided_pulls += mux.decided_pulls();
+    stats.view_changed_slots += mux.view_changed_slots();
   }
   return stats;
 }

@@ -205,6 +205,9 @@ class SmrNode final : public runtime::IProcess {
     Slot apply_watermark = 0;            ///< max over groups
     std::uint64_t slots_applied = 0;     ///< summed (installs excluded)
     std::uint64_t decided_pulls = 0;     ///< SMR_PULLs sent, summed
+    /// Slots decided after leaving view 1 (SlotMux::view_changed_slots),
+    /// summed.
+    std::uint64_t view_changed_slots = 0;
   };
   EngineStats engine_stats() const;
 

@@ -3,7 +3,8 @@
 namespace fastbft::smr {
 
 Bytes Snapshot::encode() const {
-  Encoder enc(8 + 8 + 4 + kv_state.size() + 4 + applied_ids.size() * 24);
+  Encoder enc(8 + 8 + 4 + kv_state.size() + 4 + applied_ids.size() * 24 +
+              4 + recent_authors.size() * 4);
   enc.u64(applied_below);
   enc.u64(applied_commands);
   enc.bytes(kv_state);
@@ -13,6 +14,8 @@ Bytes Snapshot::encode() const {
     enc.u64(id.second);
     enc.u64(slot);
   }
+  enc.u32(static_cast<std::uint32_t>(recent_authors.size()));
+  for (ProcessId author : recent_authors) enc.u32(author);
   return std::move(enc).take();
 }
 
@@ -23,7 +26,9 @@ std::optional<Snapshot> Snapshot::decode(const Bytes& data) {
   snap.applied_commands = dec.u64();
   snap.kv_state = dec.bytes();
   std::uint32_t count = dec.u32();
-  if (!dec.ok() || snap.applied_below == 0) return std::nullopt;
+  if (!dec.ok() || snap.applied_below == 0 || count > dec.remaining() / 24) {
+    return std::nullopt;
+  }
   snap.applied_ids.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint64_t client = dec.u64();
@@ -31,6 +36,12 @@ std::optional<Snapshot> Snapshot::decode(const Bytes& data) {
     Slot slot = dec.u64();
     if (!dec.ok()) return std::nullopt;
     snap.applied_ids.emplace_back(CommandId{client, sequence}, slot);
+  }
+  std::uint32_t authors = dec.u32();
+  if (!dec.ok() || authors > dec.remaining() / 4) return std::nullopt;
+  snap.recent_authors.reserve(authors);
+  for (std::uint32_t i = 0; i < authors; ++i) {
+    snap.recent_authors.push_back(dec.u32());
   }
   if (!dec.ok() || !dec.at_end()) return std::nullopt;
   return snap;

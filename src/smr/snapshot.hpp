@@ -25,9 +25,12 @@
 ///    skips it, and the state digests would diverge. The set is bounded:
 ///    the engine prunes ids applied more than a horizon of slots before
 ///    the snapshot boundary (deterministically, so every replica's set is
-///    identical) — see engine::SlotMux::maybe_take_snapshot.
+///    identical) — see engine::SlotMux::maybe_take_snapshot;
+///  * the leader schedule — the authors of the last max_window_depth()
+///    slots below the boundary, from which the engine derives the view-1
+///    leaders of the next window of slots (engine::SlotMux::view1_leader).
 ///
-/// All four fields are a deterministic function of the decided log prefix,
+/// All five fields are a deterministic function of the decided log prefix,
 /// so every correct replica snapshotting at the same boundary produces
 /// byte-identical encodings — which is what makes the digest comparable
 /// across replicas: a joining replica installs a body only when f + 1
@@ -56,6 +59,10 @@ struct Snapshot {
   /// Sorted ids of the commands applied within the dedup horizon below
   /// applied_below, tagged with their applying slot.
   std::vector<AppliedEntry> applied_ids;
+
+  /// Authors of the slots just below applied_below, oldest first: entry i
+  /// belongs to slot applied_below - recent_authors.size() + i.
+  std::vector<ProcessId> recent_authors;
 
   /// Canonical encoding; equal snapshots encode byte-identically.
   Bytes encode() const;

@@ -35,10 +35,12 @@ struct Model {
   Value y = Value::of_string("Y");
 
   /// `slot` selects the pipelined consensus instance being modeled: the
-  /// engine runs slot s under the shifted leader base(v + s - 1)
-  /// (SlotMux::leader_for with rotate_leaders on), so each slot starts from
-  /// a different equivocator and a different wrap-around order. slot = 1 is
-  /// the unshifted single-slot protocol.
+  /// engine runs every slot under a shifted leader base(v + k)
+  /// (SlotMux::leader_for: k = s - 1 for a rotating slot s <= D, and the
+  /// view-1 leader taken from the decided log after that), so each slot
+  /// may start from a different equivocator and a different wrap-around
+  /// order. The model's shift is slot - 1; slot = 1 is the unshifted
+  /// single-slot protocol.
   explicit Model(std::uint32_t f, std::uint32_t t, std::uint64_t slot = 1)
       : cfg(QuorumConfig::create(QuorumConfig::min_processes(f, t), f, t)) {
     LeaderFn base = round_robin_leader(cfg.n);
@@ -215,12 +217,13 @@ TEST(SelectionModelCheck, GeneralizedF3T2Slow) {
 
 // --- Pipelined engine path ---------------------------------------------------
 //
-// The same adversary schedules, run against the slot-shifted leader function
-// the pipelined engine uses (SlotMux::leader_for with rotate_leaders on):
-// slot s maps view v to base(v + s - 1), so the equivocator is the slot's
-// actual initial leader (s - 1) mod n rather than process 0, and the
-// round-robin order wraps differently. Safety must be invariant under the
-// shift — these would have caught a selection that hard-coded leader(1) = 0.
+// The same adversary schedules, run against the shifted leader functions the
+// pipelined engine uses (SlotMux::leader_for): a slot maps view v to
+// base(v + k) for a shift k it takes from the slot number or the decided
+// log, so the equivocator is the slot's actual initial leader k mod n rather
+// than process 0, and the round-robin order wraps differently. Safety must
+// be invariant under the shift — these would have caught a selection that
+// hard-coded leader(1) = 0.
 
 TEST(SelectionModelCheck, PipelinedSlot2F1) {
   run_model(1, 1, /*slow_path=*/false, /*slot=*/2);

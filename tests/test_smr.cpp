@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "net/tags.hpp"
 #include "smr/service.hpp"
 
@@ -36,17 +38,23 @@ TEST(Command, ToStringReadable) {
 TEST(Batch, Roundtrip) {
   std::vector<Command> batch = {Command::put("a", "1", 1, 1),
                                 Command::del("b", 1, 2), Command::noop()};
-  auto decoded = decode_batch(encode_batch(batch));
+  Value value = encode_batch(batch, /*author=*/3);
+  auto decoded = decode_batch(value);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, batch);
+  EXPECT_EQ(batch_author(value), 3u);
 }
 
 TEST(Batch, RejectsMalformed) {
   EXPECT_FALSE(decode_batch(Value()).has_value());
   EXPECT_FALSE(decode_batch(Value::of_string("xx")).has_value());
+  EXPECT_FALSE(batch_author(Value::of_string("xx")).has_value());
   Encoder enc;
+  enc.u32(1);  // author
   enc.u32(0);  // empty batch claim
-  EXPECT_FALSE(decode_batch(Value(std::move(enc).take())).has_value());
+  Value empty(std::move(enc).take());
+  EXPECT_FALSE(decode_batch(empty).has_value());
+  EXPECT_EQ(batch_author(empty), 1u) << "the header alone is readable";
 }
 
 // --- KvStore ----------------------------------------------------------------------
@@ -655,7 +663,7 @@ TEST(SmrCatchUp, SubQuorumClaimsAreIgnored) {
   service->run_until([&] { return p3.current_slot() > 0; }, 1ms);
   ASSERT_EQ(p3.current_slot(), 1u);
 
-  Value claimed = encode_batch({Command::put("evil", "1", 66, 1)});
+  Value claimed = encode_batch({Command::put("evil", "1", 66, 1)}, 0);
   Encoder enc;
   enc.u8(net::tags::kSmrDecided);
   enc.u32(0);  // group
@@ -948,6 +956,250 @@ TEST(SmrSnapshot, WithoutSnapshotsCrashPinsRetention) {
   }
 }
 
+// --- Leader schedule --------------------------------------------------------------
+//
+// Slot s > D (D = max_window_depth()) takes its view-1 leader from the
+// author of slot s - D's decided batch (SlotMux::view1_leader), so after a
+// crash one view change per chain of slots D apart moves the chain to the
+// replacement leader instead of every later slot timing out on the dead
+// one.
+
+/// Each replica's view-1 leader of every slot of one group, sampled in its
+/// live window after every scheduler step; the first sample of a slot
+/// stays. A crashed replica's frozen window adds nothing new.
+class LeaderLog {
+ public:
+  LeaderLog(std::uint32_t n, GroupId group) : group_(group), seen_(n) {}
+
+  void sample(Service& service) {
+    for (ProcessId id = 0; id < seen_.size(); ++id) {
+      const engine::SlotMux& mux = service.replica(id).engine(group_);
+      const Slot from = mux.next_to_apply();
+      for (Slot s = from; s < from + mux.max_window_depth(); ++s) {
+        seen_[id].emplace(s, mux.view1_leader(s));
+      }
+    }
+  }
+
+  const std::map<Slot, ProcessId>& of(ProcessId id) const {
+    return seen_[id];
+  }
+
+ private:
+  GroupId group_;
+  std::vector<std::map<Slot, ProcessId>> seen_;
+};
+
+/// Session 0 puts one key every `gap` ticks over [0, until).
+void put_load(Service& service, TimePoint until, Duration gap) {
+  for (TimePoint t = 0; t < until; t += gap) {
+    at_time(service, t, [&service, t, gap] {
+      (void)service.session(0).put("load" + std::to_string(t / gap % 64),
+                                   std::to_string(t));
+    });
+  }
+}
+
+/// Crashes `victim` under load. In each group, the slots up to C + D (C
+/// the highest slot any replica had opened at the crash) may still start
+/// at the victim; past them, each of the D chains may pay at most one
+/// more view change, so a survivor decides at most D more slots above
+/// view 1 over the next `kRun` slots. A leader function fixed per slot
+/// number pays one for every slot the victim leads.
+void expect_one_view_change_per_chain(const ServiceConfig& config,
+                                      ProcessId victim) {
+  constexpr Slot kRun = 200;
+  constexpr TimePoint kCrashAt = 20'000;
+  auto service = make_sim_service(config);
+  service->start();
+  const std::uint32_t n = config.cluster.n;
+  const GroupId groups = service->replica(0).num_groups();
+  const Slot depth = service->replica(0).engine().max_window_depth();
+  put_load(*service, 400'000, 200);
+
+  std::vector<Slot> bound(groups, 0);  // C + D per group
+  at_time(*service, kCrashAt, [&] {
+    for (GroupId g = 0; g < groups; ++g) {
+      for (ProcessId id = 0; id < n; ++id) {
+        bound[g] = std::max(bound[g], service->replica(id).current_slot(g));
+      }
+      bound[g] += depth;
+    }
+    service->crash(victim);
+  });
+  auto survivors_applied = [&](Slot past_bound) {
+    if (!service->is_faulty(victim)) return false;
+    for (ProcessId id = 0; id < n; ++id) {
+      if (id == victim) continue;
+      for (GroupId g = 0; g < groups; ++g) {
+        if (service->replica(id).engine(g).next_to_apply() <=
+            bound[g] + past_bound) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  auto view_changed = [&](ProcessId id, GroupId g) {
+    return service->replica(id).engine(g).view_changed_slots();
+  };
+
+  ASSERT_TRUE(service->run_until([&] { return survivors_applied(0); },
+                                 2000ms));
+  std::vector<std::vector<std::uint64_t>> before(
+      n, std::vector<std::uint64_t>(groups, 0));
+  for (ProcessId id = 0; id < n; ++id) {
+    if (id == victim) continue;
+    for (GroupId g = 0; g < groups; ++g) before[id][g] = view_changed(id, g);
+    EXPECT_GT(service->engine_stats(id).view_changed_slots, 0u)
+        << "p" << id << ": the crash should have cost a view change";
+  }
+  ASSERT_TRUE(service->run_until([&] { return survivors_applied(kRun); },
+                                 2000ms))
+      << "survivors should decide " << kRun << " slots past C + D";
+  for (ProcessId id = 0; id < n; ++id) {
+    if (id == victim) continue;
+    for (GroupId g = 0; g < groups; ++g) {
+      EXPECT_LE(view_changed(id, g) - before[id][g], depth)
+          << "p" << id << " group " << g << ": slots past C + D = "
+          << bound[g] << " kept timing out on the crashed p" << victim;
+    }
+  }
+}
+
+TEST(SmrLeaderSchedule, CrashedPinnedLeaderCostsOneViewChangePerChain) {
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), SmrOptions{});
+  config.with_pipeline_depth(8).with_batch(8).with_shards(1);
+  config.smr.rotate_leaders = false;
+  expect_one_view_change_per_chain(config, /*victim=*/0);
+}
+
+TEST(SmrLeaderSchedule, CrashWithRotatingLeadersCostsOneViewChangePerChain) {
+  // The smr_server shape: two groups, which rotate leaders by default.
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), SmrOptions{});
+  config.with_pipeline_depth(4).with_batch(8).with_shards(2);
+  expect_one_view_change_per_chain(config, /*victim=*/3);
+}
+
+TEST(SmrLeaderSchedule, SnapshotCarriesTheScheduleToARejoiner) {
+  // p0, the pinned view-1 leader, crashes under load; one view change per
+  // chain moves every later slot to p1. A factory-fresh p0 restarts after
+  // the survivors pruned below a snapshot, installs it at boundary B, and
+  // must start slots B .. B + D - 1 at the leaders its peers used — which
+  // a replica knowing only slot numbers would take to be p0 itself.
+  SmrOptions smr_options;
+  smr_options.max_batch = 1;
+  smr_options.pipeline_depth = 4;
+  smr_options.snapshot_interval = 8;
+  auto service = make_sim_service(sim_config(
+      consensus::QuorumConfig::create(4, 1, 1), smr_options, /*seed=*/5));
+  service->start();
+  put_load(*service, 200'000, 500);
+  at_time(*service, 10'000, [&] { service->crash(0); });
+  bool restarted = false;
+  at_time(*service, 80'000, [&] {
+    service->restart(0);
+    restarted = true;
+  });
+
+  LeaderLog log(4, 0);
+  Slot boundary = 0;
+  const Slot depth = service->replica(1).engine().max_window_depth();
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        log.sample(*service);
+        if (!restarted) return false;
+        const engine::SlotMux& p0 = service->replica(0).engine();
+        if (boundary == 0 && p0.snapshots_installed() > 0) {
+          boundary = p0.next_to_apply();
+        }
+        return boundary != 0 && p0.next_to_apply() >= boundary + depth;
+      },
+      2000ms))
+      << "the restarted p0 should install a snapshot and apply past it";
+
+  ASSERT_GT(boundary, 1u);
+  for (Slot s = boundary; s < boundary + depth; ++s) {
+    ASSERT_EQ(log.of(0).count(s), 1u) << "slot " << s;
+    ASSERT_EQ(log.of(1).count(s), 1u) << "slot " << s;
+    EXPECT_EQ(log.of(0).at(s), log.of(1).at(s)) << "slot " << s;
+    EXPECT_EQ(log.of(2).at(s), log.of(1).at(s)) << "slot " << s;
+    EXPECT_NE(log.of(1).at(s), 0u)
+        << "slot " << s << ": the schedule should have left the crashed p0";
+  }
+}
+
+TEST(SmrLeaderSchedule, DecidedAuthorLeadsTheSlotDLater) {
+  // p3 adopts slot 1 and then slot 2 from f + 1 matching claims; each
+  // applied batch's author header picks the view-1 leader D slots later.
+  // A header naming no replica counts as the slot's own view-1 leader.
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 4;
+  auto service = make_sim_service(
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options));
+  service->start();
+  SmrNode& p3 = service->replica(3);
+  service->run_until([&] { return p3.current_slot() > 0; }, 1ms);
+  const engine::SlotMux& mux = p3.engine();
+  const Slot depth = mux.max_window_depth();
+  auto adopt = [&](Slot slot, ProcessId author, std::uint64_t seq) {
+    Encoder enc;
+    enc.u8(net::tags::kSmrDecided);
+    enc.u32(0);  // group
+    enc.u64(slot);
+    encode_batch({Command::put("k", "v", 66, seq)}, author).encode(enc);
+    Bytes claim = std::move(enc).take();
+    p3.on_message(1, claim);
+    p3.on_message(2, claim);
+  };
+
+  adopt(1, /*author=*/2, 1);
+  ASSERT_EQ(mux.next_to_apply(), 2u);
+  EXPECT_EQ(mux.view1_leader(1 + depth), 2u);
+  adopt(2, /*author=*/99, 2);
+  ASSERT_EQ(mux.next_to_apply(), 3u);
+  EXPECT_EQ(mux.view1_leader(2 + depth), 0u) << "slot 2's own view-1 leader";
+  EXPECT_EQ(mux.view1_leader(depth), 0u) << "slots <= D start at p0";
+}
+
+TEST(SmrLeaderSchedule, FaultFreeRunsKeepTheFixedLeaders) {
+  // Without a view change every decided batch is its view-1 leader's, so
+  // the derived schedule is the fixed one: p0 pinned, (s - 1) mod n
+  // rotating.
+  for (bool rotate : {false, true}) {
+    SmrOptions smr_options;
+    smr_options.pipeline_depth = 4;
+    smr_options.max_batch = 2;
+    smr_options.rotate_leaders = rotate;
+    auto service = make_sim_service(
+        sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options));
+    service->start();
+    put_load(*service, 100'000, 300);
+    LeaderLog log(4, 0);
+    ASSERT_TRUE(service->run_until(
+        [&] {
+          log.sample(*service);
+          for (ProcessId id = 0; id < 4; ++id) {
+            if (service->replica(id).engine().next_to_apply() <= 300) {
+              return false;
+            }
+          }
+          return true;
+        },
+        2000ms));
+    for (ProcessId id = 0; id < 4; ++id) {
+      EXPECT_GE(log.of(id).size(), 300u);
+      for (const auto& [slot, leader] : log.of(id)) {
+        EXPECT_EQ(leader, rotate ? (slot - 1) % 4 : 0u)
+            << "p" << id << " slot " << slot << (rotate ? " rotating" : "");
+      }
+      EXPECT_EQ(service->engine_stats(id).view_changed_slots, 0u)
+          << "p" << id;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fastbft::smr
