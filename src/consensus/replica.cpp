@@ -158,6 +158,18 @@ void Replica::enter_view(View v) {
   replay_buffered();
 }
 
+bool Replica::valid_value(const Value& x, ProcessId proposer) const {
+  return !options_.valid_value || options_.valid_value(x, proposer);
+}
+
+bool Replica::valid_record(const VoteRecord& record, View v) const {
+  if (!validate_vote_record(verifier_, cfg_, leader_of_, record, v)) {
+    return false;
+  }
+  const Vote& vote = record.vote;
+  return vote.is_nil || vote.u > 1 || valid_value(vote.x, leader_of_(1));
+}
+
 void Replica::send_vote_to(ProcessId leader, View v) {
   VoteMsg msg;
   msg.v = v;
@@ -195,6 +207,8 @@ void Replica::handle_propose(ProcessId from, const ProposeMsg& msg) {
   if (from != leader_of_(msg.v)) return;
   if (accepted_view_ == msg.v) return;
   if (msg.x.empty()) return;
+  // A later view's proposal is vouched for by its progress certificate.
+  if (msg.v == 1 && !valid_value(msg.x, from)) return;
   // Our own broadcast looping back needs no re-verification — but only if
   // it is bit-identical to what we actually sent (a memcmp, not an HMAC);
   // anything else on the self channel takes the full verification path.
@@ -323,7 +337,7 @@ void Replica::handle_vote(ProcessId from, const VoteMsg& msg) {
   if (leader_state_->proposed || leader_state_->cert_requested) return;
   if (msg.record.voter != from) return;
   if (!slow_path_ && msg.record.cc) return;
-  if (!validate_vote_record(verifier_, cfg_, leader_of_, msg.record, msg.v)) {
+  if (!valid_record(msg.record, msg.v)) {
     log_debug(who(id_), [from] {
       return "rejecting invalid vote from " + std::to_string(from);
     });
@@ -389,11 +403,10 @@ void Replica::handle_cert_req(ProcessId from, const CertReqMsg& msg) {
   std::set<ProcessId> voters;
   for (const auto& record : msg.votes) {
     if (!voters.insert(record.voter).second) return;  // duplicate voter
-    if (!validate_vote_record(verifier_, cfg_, leader_of_, record, msg.v)) {
-      return;
-    }
+    if (!valid_record(record, msg.v)) return;
   }
-  if (!selection_admits(cfg_, msg.votes, leader_of_, msg.x)) {
+  if (!selection_admits(cfg_, msg.votes, leader_of_, msg.x,
+                        valid_value(msg.x, from))) {
     log_debug(who(id_), [&] {
       return "CertReq from " + std::to_string(from) + " does not justify " +
              msg.x.to_string();

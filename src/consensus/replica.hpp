@@ -42,6 +42,17 @@ struct ReplicaOptions {
   /// evicted in favour of nearer ones (which the synchronizer will reach
   /// first), and messages farther than everything buffered are dropped.
   std::size_t max_future_buffered = 4096;
+
+  /// External validity of a value the leader of view v proposes on its
+  /// own, in view 1 or in a later view whose selection left the choice
+  /// free. A correct replica acks a view-1 proposal, certifies a free
+  /// CertReq, and counts a vote for a view-1 proposal only if
+  /// `valid_value(x, leader(v))` holds. A value the selection rule forces is exempt: it was checked
+  /// in the view that first proposed it, so every value that can decide
+  /// passed the check for some leader of its instance. Null accepts every
+  /// value (the paper's protocol). The SMR engine passes
+  /// smr::authored_by: a batch's author header must name its proposer.
+  ValueCheck valid_value = nullptr;
 };
 
 /// Everything a replica observed about one decision; surfaced to the
@@ -142,6 +153,12 @@ class Replica {
   void send_proposal(const Value& x, ProgressCert sigma);
 
   void send_vote_to(ProcessId leader, View v);
+  /// options_.valid_value, accepting everything when unset.
+  bool valid_value(const Value& x, ProcessId proposer) const;
+  /// validate_vote_record, and a vote for a view-1 proposal must carry a
+  /// valid value (a later view's proposal carries a progress certificate,
+  /// which a correct replica signed only for a forced or valid value).
+  bool valid_record(const VoteRecord& record, View v) const;
   void decide(const Value& x, View v, bool slow);
   void maybe_assemble_commit_cert(const ValueKey& key, Tally& tally);
   void adopt_cc(const CommitCert& cc);

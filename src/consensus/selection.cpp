@@ -94,13 +94,14 @@ SelectionResult run_selection(const QuorumConfig& cfg,
 
 bool selection_admits(const QuorumConfig& cfg,
                       const std::vector<VoteRecord>& votes,
-                      const LeaderFn& leader_of, const Value& x) {
+                      const LeaderFn& leader_of, const Value& x,
+                      bool fresh_ok) {
   SelectionResult result = run_selection(cfg, votes, leader_of);
   switch (result.kind) {
     case SelectionResult::Kind::Forced:
       return result.value == x;
     case SelectionResult::Kind::Free:
-      return !x.empty();
+      return fresh_ok && !x.empty();
     case SelectionResult::Kind::NeedMoreVotes:
       return false;
   }

@@ -81,9 +81,12 @@ SelectionResult run_selection(const QuorumConfig& cfg,
 
 /// Verifier side of CertReq: does the leader-supplied vote set justify
 /// proposing `x`? True iff selection yields Forced(x), or Free (any value
-/// is safe, including the leader's own input).
+/// is safe, including the leader's own input) and `fresh_ok`, the
+/// application's verdict on `x` as the leader's own proposal
+/// (ReplicaOptions::valid_value).
 bool selection_admits(const QuorumConfig& cfg,
                       const std::vector<VoteRecord>& votes,
-                      const LeaderFn& leader_of, const Value& x);
+                      const LeaderFn& leader_of, const Value& x,
+                      bool fresh_ok = true);
 
 }  // namespace fastbft::consensus

@@ -25,6 +25,11 @@ using LeaderFn = std::function<ProcessId(View)>;
 /// p_((v mod n)+1).
 LeaderFn round_robin_leader(std::uint32_t n);
 
+/// Application validity of a value `proposer` puts forward on its own (see
+/// ReplicaOptions::valid_value). A plain function: every slot of the SMR
+/// engine copies it, and a pointer copies without allocating.
+using ValueCheck = bool (*)(const Value& x, ProcessId proposer);
+
 /// Signature of one process over some protocol statement.
 struct SignatureEntry {
   ProcessId signer = kNoProcess;

@@ -57,6 +57,8 @@ struct AdaptiveOptions {
 
   /// Effective pipeline depth bounds. The engine never runs outside
   /// [min_depth, max_depth], no matter what the observations say.
+  /// max_depth sets SlotMux::max_window_depth(), which every replica of a
+  /// group must share (SlotMuxOptions::rotate_leaders).
   std::uint32_t min_depth = 1;
   std::uint32_t max_depth = 8;
 

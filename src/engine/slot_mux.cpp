@@ -60,6 +60,10 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
                ctx_.group) {
   FASTBFT_ASSERT(options_.pipeline_depth >= 1, "pipeline depth must be >= 1");
   noop_batches_.resize(ctx_.cfg.n);
+  // The leader schedule trusts decided authors (view1_leader), so a
+  // replica acks or certifies a leader's own batch only if it names that
+  // leader.
+  options_.replica.valid_value = smr::authored_by;
   if (!ctx_.verify_cache) {
     ctx_.verify_cache = std::make_shared<crypto::VerificationCache>();
   }
@@ -623,6 +627,12 @@ void SlotMux::on_snapshot_response(ProcessId from, ByteView payload) {
 void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
                                const crypto::Digest& digest) {
   if (snap.applied_below <= next_apply_) return;  // raced past it already
+  // f + 1 vouchers make at least one snapshotter correct, so a list of
+  // another length means replicas run different max_window_depth()s and
+  // would derive different leaders: a deployment error, not a fault.
+  FASTBFT_ASSERT(snap.recent_authors.size() ==
+                     std::min<Slot>(authors_.size(), snap.applied_below - 1),
+                 "max_window_depth differs between replicas");
 
   // Every slot below the snapshot boundary is superseded wholesale: tear
   // down its live consensus instance, parked decision and claimed

@@ -98,7 +98,9 @@ struct EngineContext {
 
 struct SlotMuxOptions {
   /// Consensus slots allowed in flight concurrently. 1 reproduces the
-  /// strictly sequential pre-engine behaviour.
+  /// strictly sequential pre-engine behaviour. With adaptive.max_depth it
+  /// sets max_window_depth(), the D of the leader schedule, which must be
+  /// the same on every replica of a group (see rotate_leaders).
   std::uint32_t pipeline_depth = 1;
 
   /// Maximum commands claimed into one slot proposal.
@@ -115,8 +117,11 @@ struct SlotMuxOptions {
   /// rotation, each chain of slots D apart then reaches a crashed replica
   /// at most once when gcd(D, n) > 1; when D and n are coprime it comes
   /// back to it within every n steps. Rotation spreads proposal load
-  /// across the cluster. Off by default: the paper's single-shot
-  /// experiments assume the slot-independent leader function.
+  /// across the cluster. The engine sets replica.valid_value to
+  /// smr::authored_by, so a decided batch always names a replica that
+  /// led its slot, and D must be the same on every replica. Off by
+  /// default: the paper's single-shot experiments assume the
+  /// slot-independent leader function.
   bool rotate_leaders = false;
 
   /// Open slots eagerly to the full window even with nothing to propose

@@ -44,6 +44,10 @@ std::optional<ProcessId> batch_author(const Value& value) {
   return author;
 }
 
+bool authored_by(const Value& value, ProcessId proposer) {
+  return batch_author(value) == proposer;
+}
+
 std::optional<std::vector<Command>> decode_batch(const Value& value) {
   Decoder dec(value.bytes());
   dec.u32();  // author

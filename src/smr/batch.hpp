@@ -24,6 +24,11 @@ Value encode_batch(const std::vector<const Command*>& commands,
 /// hold one. The commands after it are not checked.
 std::optional<ProcessId> batch_author(const Value& value);
 
+/// True iff `value`'s author header names `proposer`: the value check a
+/// replica applies to a leader's own proposal
+/// (consensus::ReplicaOptions::valid_value).
+bool authored_by(const Value& value, ProcessId proposer);
+
 /// Decodes a batch's commands (the author header is skipped); nullopt on
 /// malformed input.
 std::optional<std::vector<Command>> decode_batch(const Value& value);

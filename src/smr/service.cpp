@@ -73,6 +73,10 @@ class SimService final : public Service {
                                   runtime::Node::DecideCallback) {
       SmrOptions tuned = config_.smr;
       if (config_.tune_replica) config_.tune_replica(ctx.id, tuned);
+      FASTBFT_ASSERT(
+          tuned.max_window_depth() == config_.smr.max_window_depth(),
+          "tune_replica must keep max_window_depth: every replica derives "
+          "the leader schedule from it");
       engine::EngineContext ectx{ctx.cfg, ctx.id, ctx.keys, /*group=*/0,
                                  /*verify_cache=*/nullptr};
       auto node = std::make_unique<SmrNode>(*host_, std::move(ectx),

@@ -67,7 +67,9 @@ struct ServiceConfig {
 
   /// Simulator runtime only: per-replica SmrOptions override, called once
   /// per replica at construction. The chaos harness uses this to flip
-  /// SmrOptions::byzantine hooks on selected replicas.
+  /// SmrOptions::byzantine hooks on selected replicas. It must leave
+  /// SmrOptions::max_window_depth() unchanged (asserted): every replica
+  /// derives the leader schedule from it.
   std::function<void(ProcessId, SmrOptions&)> tune_replica;
 
   std::uint64_t key_seed = 42;

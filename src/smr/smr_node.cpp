@@ -81,6 +81,9 @@ void SmrNode::init_groups(engine::Host& host) {
           }
         },
         std::move(hooks));
+    FASTBFT_ASSERT(
+        group->mux->max_window_depth() == options_.max_window_depth(),
+        "SmrOptions::max_window_depth must match the engine's");
     groups_.push_back(std::move(group));
   }
 }

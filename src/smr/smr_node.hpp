@@ -79,6 +79,14 @@ struct SmrOptions {
   /// the pre-engine behaviour). See engine::SlotMuxOptions.
   std::uint32_t pipeline_depth = 1;
 
+  /// Every group's SlotMux::max_window_depth(): the D of the leader
+  /// schedule (engine::SlotMuxOptions::rotate_leaders). It must be the
+  /// same on every replica; replicas that differ derive different leaders
+  /// once a view change moved the schedule, and their slots stall.
+  std::uint32_t max_window_depth() const {
+    return adaptive.enabled ? adaptive.max_depth : pipeline_depth;
+  }
+
   /// Rotate the view-1 leader by slot index (see engine::SlotMuxOptions).
   /// Unset = automatic: rotation is ON for multi-group runs (S groups x
   /// depth slots all led by the same process would concentrate proposal

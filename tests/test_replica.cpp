@@ -420,6 +420,111 @@ TEST_F(ReplicaTest, CertReqVerifierRejectsUnjustifiedValue) {
   EXPECT_EQ(sent_of(net::tags::kCertAck).size(), 1u);
 }
 
+// --- Application value check (ReplicaOptions::valid_value) -----------------
+
+/// Values whose first byte is the digit of the process that may propose
+/// them on its own: "0a" is p0's, "1a" is p1's.
+bool names_proposer(const Value& x, ProcessId proposer) {
+  return !x.empty() && x.bytes()[0] == '0' + proposer;
+}
+
+class CheckedReplicaTest : public ReplicaTest {
+ protected:
+  Value p0_value_ = Value::of_string("0a");
+  Value p1_value_ = Value::of_string("1a");
+  Value p3_value_ = Value::of_string("3a");
+
+  std::unique_ptr<Replica> make_checked(ProcessId id, Value input) {
+    return std::make_unique<Replica>(
+        cfg_, id, std::move(input), transport_, crypto::Signer(keys_, id),
+        verifier_, leader_, [this](const DecisionRecord& r) { decided_ = r; },
+        ReplicaOptions{.slow_path = false, .valid_value = names_proposer});
+  }
+
+  VoteRecord record(ProcessId voter, Vote vote, View v) {
+    VoteRecord rec;
+    rec.voter = voter;
+    rec.vote = std::move(vote);
+    rec.phi = sign(voter, kDomVote, vote_preimage(rec.vote, rec.cc, v));
+    return rec;
+  }
+
+  /// p0's signed view-1 proposal of `x`, as a vote.
+  Vote view1_vote(const Value& x) {
+    return Vote::of(x, 1, ProgressCert{},
+                    sign(0, kDomPropose, propose_preimage(x, 1)));
+  }
+
+  /// A view-2 CertReq from its leader p1 to the verifier `r`.
+  void cert_req(Replica& r, const Value& x, std::vector<VoteRecord> votes) {
+    CertReqMsg req;
+    req.v = 2;
+    req.x = x;
+    req.votes = std::move(votes);
+    r.on_message(1, req.serialize());
+  }
+};
+
+TEST_F(CheckedReplicaTest, ViewOneProposalMustPassTheCheck) {
+  auto r = make_checked(1, p1_value_);
+  r->on_message(0, propose_wire(0, p1_value_, 1));
+  EXPECT_TRUE(sent_of(net::tags::kAck).empty())
+      << "p0 proposed a value only p1 may propose";
+  r->on_message(0, propose_wire(0, p0_value_, 1));
+  EXPECT_EQ(sent_of(net::tags::kAck).size(), kN);
+}
+
+TEST_F(CheckedReplicaTest, FreeCertReqMustPassTheCheck) {
+  // All-nil votes leave view 2's leader p1 free to propose its own value.
+  auto r = make_checked(2, p1_value_);
+  r->enter_view(2);
+  transport_.take_outbox();
+  std::vector<VoteRecord> nil;
+  for (ProcessId p : {0u, 2u, 3u}) nil.push_back(record(p, Vote::nil(), 2));
+  cert_req(*r, p0_value_, nil);
+  EXPECT_TRUE(sent_of(net::tags::kCertAck).empty());
+  cert_req(*r, p1_value_, nil);
+  EXPECT_EQ(sent_of(net::tags::kCertAck).size(), 1u);
+}
+
+TEST_F(CheckedReplicaTest, ForcedValueKeepsItsFirstProposer) {
+  // p0's value, possibly decided in view 1, is forced on view 2's p1.
+  auto r = make_checked(2, p1_value_);
+  r->enter_view(2);
+  transport_.take_outbox();
+  cert_req(*r, p0_value_,
+           {record(0, view1_vote(p0_value_), 2), record(2, Vote::nil(), 2),
+            record(3, Vote::nil(), 2)});
+  EXPECT_EQ(sent_of(net::tags::kCertAck).size(), 1u);
+}
+
+TEST_F(CheckedReplicaTest, VoteForAnUncheckedViewOneValueIsInvalid) {
+  // No correct replica acks p0's proposal of p3's value, so a vote for it
+  // can only come from a faulty one; counted, it would force that value.
+  auto r = make_checked(2, p1_value_);
+  r->enter_view(2);
+  transport_.take_outbox();
+  std::vector<VoteRecord> votes{record(0, view1_vote(p3_value_), 2),
+                                record(2, Vote::nil(), 2),
+                                record(3, Vote::nil(), 2)};
+  cert_req(*r, p3_value_, votes);
+  cert_req(*r, p1_value_, votes);
+  EXPECT_TRUE(sent_of(net::tags::kCertAck).empty());
+
+  // The view-2 leader does not count it either.
+  auto leader = make_checked(1, p1_value_);
+  leader->enter_view(2);
+  leader->on_message(1, sent_of(net::tags::kVote).back().payload);
+  leader->on_message(0, vote_wire(0, 2, view1_vote(p3_value_)));
+  leader->on_message(2, vote_wire(2, 2));
+  EXPECT_TRUE(sent_of(net::tags::kCertReq).empty()) << "two valid votes";
+  leader->on_message(3, vote_wire(3, 2));
+  auto reqs = sent_of(net::tags::kCertReq);
+  ASSERT_FALSE(reqs.empty());
+  auto parsed = parse_message(reqs[0].payload);
+  EXPECT_EQ(std::get<CertReqMsg>(*parsed).x, p1_value_);
+}
+
 TEST_F(ReplicaTest, CertReqWithDuplicateVotersRejected) {
   auto r = make_replica(2, y_);
   r->enter_view(2);

@@ -1164,6 +1164,124 @@ TEST(SmrLeaderSchedule, DecidedAuthorLeadsTheSlotDLater) {
   EXPECT_EQ(mux.view1_leader(depth), 0u) << "slots <= D start at p0";
 }
 
+TEST(SmrLeaderSchedule, MisnamedAuthorCannotCaptureAChain) {
+  // Rotating leaders with D = 1: slot s + 1 starts at author(s) + 1. A
+  // Byzantine p1 re-signs every view-1 proposal it makes with a header
+  // naming p0 = p1 - D; were headers trusted, p1 would then lead every
+  // later slot. A correct replica acks a leader's own batch only if it
+  // names that leader, so each forgery costs one view change, p2's batch
+  // decides instead, and the next slot starts at p3.
+  constexpr ProcessId kByz = 1;
+  constexpr std::uint32_t kN = 4;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 1;
+  smr_options.max_batch = 2;
+  smr_options.rotate_leaders = true;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(kN, 1, 1), smr_options);
+  auto service = make_sim_service(config);
+  net::SimNetwork& net = *service->sim_network();
+  const crypto::Signer signer(
+      std::make_shared<const crypto::KeyStore>(config.key_seed, kN), kByz);
+
+  // p1's view-1 proposal with the author header rewritten and re-signed;
+  // nullopt for every other message.
+  auto forge = [&](ByteView payload) -> std::optional<Bytes> {
+    Decoder dec(payload);
+    if (dec.u8() != net::tags::kSmrWrapped) return std::nullopt;
+    const GroupId group = dec.u32();
+    const Slot slot = dec.u64();
+    const Slot watermark = dec.u64();
+    const Slot floor = dec.u64();
+    auto inner = consensus::parse_message(dec.bytes_view());
+    if (!dec.ok() || !inner) return std::nullopt;
+    auto* propose = std::get_if<consensus::ProposeMsg>(&*inner);
+    if (propose == nullptr || propose->v != 1) return std::nullopt;
+    auto commands = decode_batch(propose->x);
+    if (!commands) return std::nullopt;
+    propose->x = encode_batch(*commands, (kByz + kN - 1) % kN);
+    propose->tau = signer.sign_digest(
+        consensus::kDomPropose, consensus::xv_preimage_digest(propose->x, 1));
+    Encoder enc;
+    enc.u8(net::tags::kSmrWrapped);
+    enc.u32(group);
+    enc.u64(slot);
+    enc.u64(watermark);
+    enc.u64(floor);
+    std::size_t start = enc.begin_field();
+    propose->encode(enc);
+    enc.end_field(start);
+    return std::move(enc).take();
+  };
+  bool sending_forgery = false;
+  std::uint64_t forgeries = 0;
+  net.set_script([&](const net::Envelope& env,
+                     TimePoint now) -> std::optional<TimePoint> {
+    if (env.from != kByz || sending_forgery) return std::nullopt;
+    auto forged = forge(env.payload);
+    if (!forged) return std::nullopt;
+    ++forgeries;
+    net.scheduler().schedule_at(
+        now + 50, [&net, &sending_forgery, from = env.from, to = env.to,
+                   forged = std::move(*forged)] {
+          sending_forgery = true;
+          // Materialized here, not inside p1's broadcast loop, which
+          // asserts that it shares one buffer.
+          net.send(from, to, SharedBytes(forged));
+          sending_forgery = false;
+        });
+    return kTimeInfinity;  // the genuine proposal never arrives
+  });
+
+  service->start();
+  put_load(*service, 400'000, 500);
+  constexpr Slot kSlots = 60;
+  LeaderLog log(kN, 0);
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        log.sample(*service);
+        for (ProcessId id = 0; id < kN; ++id) {
+          if (service->replica(id).engine().next_to_apply() <= kSlots) {
+            return false;
+          }
+        }
+        return true;
+      },
+      2000ms));
+
+  EXPECT_GT(forgeries, 0u);
+  for (ProcessId id = 0; id < kN; ++id) {
+    std::uint64_t led = 0;
+    for (Slot s = 1; s <= kSlots; ++s) {
+      ASSERT_EQ(log.of(id).count(s), 1u) << "p" << id << " slot " << s;
+      if (log.of(id).at(s) != kByz) continue;
+      ++led;
+      if (s > 1) {
+        EXPECT_NE(log.of(id).at(s - 1), kByz)
+            << "p" << id << ": p1 kept the chain into slot " << s;
+      }
+    }
+    // 0, 1, (view change to p2), 3, 0, 1, ...: one slot in three at most.
+    EXPECT_LE(led, kSlots / 3 + 1) << "p" << id;
+    EXPECT_GE(service->engine_stats(id).view_changed_slots + 1, led)
+        << "p" << id << ": each slot p1 led should have changed view";
+  }
+}
+
+TEST(SmrLeaderScheduleDeathTest, ReplicasMustShareTheWindowDepth) {
+  // D is part of every replica's leader schedule: a replica with another
+  // depth would start slots at other leaders once a view change moved
+  // the schedule.
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 4;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  config.tune_replica = [](ProcessId id, SmrOptions& tuned) {
+    if (id == 3) tuned.pipeline_depth = 2;
+  };
+  EXPECT_DEATH(make_sim_service(config)->start(), "max_window_depth");
+}
+
 TEST(SmrLeaderSchedule, FaultFreeRunsKeepTheFixedLeaders) {
   // Without a view change every decided batch is its view-1 leader's, so
   // the derived schedule is the fixed one: p0 pinned, (s - 1) mod n

@@ -40,7 +40,8 @@ void on_signal(int) { g_stop = 1; }
       "  --f F              Byzantine faults tolerated (default 1)\n"
       "  --t T              fast-path threshold (default = f)\n"
       "  --shards S         consensus groups (default 1)\n"
-      "  --depth D          pipeline depth (default 4)\n"
+      "  --depth D          pipeline depth (default 4; must match on every\n"
+      "                     process: it sets the leader schedule)\n"
       "  --batch B          max commands per slot (default 8)\n"
       "  --clients C        client endpoint count (default 4)\n"
       "  --seed S           key-derivation seed (default 42)\n"
@@ -49,6 +50,7 @@ void on_signal(int) { g_stop = 1; }
       "  --link-delay US    emulated one-way link latency, µs (default 0;\n"
       "                     must match on every process)\n"
       "  --adaptive         enable the adaptive depth/batch controller\n"
+      "                     (on every process or none, like --depth)\n"
       "  --verbose          protocol debug logging to stderr\n",
       argv0);
   std::exit(2);
