@@ -277,8 +277,18 @@ RunResult Harness::run(const Schedule& schedule) const {
       static_cast<std::uint64_t>(schedule.sessions) * schedule.ops_per_session;
   std::chrono::milliseconds workload_budget(
       (total_ops * (kRequestDeadline + 2'000)) / 1'000 + 200);
+  // The heal below must come after the whole fault timeline: a fault
+  // that fired after it would never be healed, and a partition left in
+  // place fails convergence whatever the replicas do.
+  TimePoint last_fault = 0;
+  for (const FaultEvent& ev : schedule.faults) {
+    last_fault = std::max(last_fault, ev.at);
+  }
   bool workload_done = service->run_until(
-      [&work, &schedule] { return work->lanes_done == schedule.sessions; },
+      [&work, &schedule, &sched, last_fault] {
+        return work->lanes_done == schedule.sessions &&
+               sched.now() >= last_fault;
+      },
       workload_budget);
 
   // Phase 2: heal everything and drive the correct replicas to

@@ -86,8 +86,9 @@ struct Schedule {
   /// SessionConfig) — the deliberately injected bug the checker catches.
   bool unsafe_first_reply_quorum = false;
 
-  /// Workload/fault window in simulated ticks; the harness heals all
-  /// faults after the window and drives the cluster to convergence.
+  /// Workload/fault window in simulated ticks. The harness heals all
+  /// faults once the workload finished and the last fault fired, then
+  /// drives the cluster to convergence.
   TimePoint horizon = 60'000;
 
   /// Fault timeline, sorted by `at`.

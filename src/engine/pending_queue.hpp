@@ -76,8 +76,8 @@ class PendingQueue {
   std::size_t claimed_count() const { return claimed_; }
 
   /// True when claim() would return at least one command — the signal
-  /// on-demand windows (SlotMuxOptions::eager_windows = false) open
-  /// slots by. O(1).
+  /// the engine opens a slot for in either window mode (SlotMux::
+  /// fill_window). O(1).
   bool has_unclaimed() const { return unclaimed_ > 0; }
 
  private:

@@ -16,6 +16,11 @@ struct EncodedInner {
   void encode(Encoder& enc) const { enc.raw(bytes); }
 };
 
+/// Leader of view `v` in the round-robin order that starts at `first`.
+ProcessId shifted_leader(ProcessId first, View v, std::uint32_t n) {
+  return static_cast<ProcessId>((first + (v - 1) % n) % n);
+}
+
 }  // namespace
 
 void SlotMux::SlotChannel::send(ProcessId to, SharedBytes payload) {
@@ -72,6 +77,7 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
         options_.adaptive, options_.max_batch, options_.max_reorder_backlog);
   }
   authors_.resize(max_window_depth());
+  suspected_.resize(ctx_.cfg.n);
 }
 
 SlotMux::~SlotMux() { *alive_ = false; }
@@ -86,12 +92,8 @@ void SlotMux::start() { fill_window(); }
 
 bool SlotMux::submit(smr::Command cmd) {
   if (!pending_.admit(std::move(cmd))) return false;
-  if (!options_.eager_windows) {
-    // On-demand windows: arrival is what opens the slot (eager mode's
-    // noop churn does this implicitly by keeping the window full).
-    fill_window();
-    note_inflight();
-  }
+  fill_window();
+  note_inflight();
   return true;
 }
 
@@ -134,8 +136,16 @@ void SlotMux::fill_window() {
   // The window honours the *effective* depth — the controller's when
   // adaptive control is on. A backoff does not cancel already-open slots;
   // the window shrinks as they decide and refills at the smaller depth.
+  // Within it, the next slot opens for a command waiting unclaimed; in
+  // eager mode, as the one keep-alive slot while none is open; and when
+  // its view-1 leader is suspected, so a dead leader's chain changes view
+  // in one round instead of one slot per request.
   while (next_start_ < next_apply_ + effective_depth()) {
-    if (!options_.eager_windows && !pending_.has_unclaimed()) break;
+    if (!pending_.has_unclaimed() &&
+        !(options_.eager_windows && active_.empty()) &&
+        !suspected_[view1_leader(next_start_)]) {
+      break;
+    }
     if (options_.max_reorder_backlog > 0 &&
         reorder_.size() > options_.max_reorder_backlog) {
       // Congestion clamp: decisions are piling up behind a stalled slot;
@@ -217,8 +227,44 @@ ProcessId SlotMux::view1_leader(Slot slot) const {
 consensus::LeaderFn SlotMux::leader_for(ProcessId first) const {
   // The round-robin leader shifted to start at `first`.
   return [n = ctx_.cfg.n, first](View v) {
-    return static_cast<ProcessId>((first + (v - 1) % n) % n);
+    return shifted_leader(first, v, n);
   };
+}
+
+void SlotMux::enter_view(Instance& inst, View v) {
+  const ProcessId replaced =
+      shifted_leader(inst.leader, inst.replica->view(), ctx_.cfg.n);
+  inst.replica->enter_view(v);
+  // A replaced leader that has sent nothing since is probably down (a
+  // live one is heard again within a link delay, see on_wrapped). Slots
+  // it leads wish now rather than each waiting out its own timer, and
+  // the window opens the ones it would lead next (fill_window) once this
+  // handler returns: a nested view entry may be iterating active_.
+  if (replaced != ctx_.id && !suspected_[replaced]) {
+    suspected_[replaced] = true;
+    defer_guarded([this] {
+      fill_window();
+      note_inflight();
+    });
+  }
+  for (auto& entry : active_) suspect_leader(*entry.second);
+}
+
+void SlotMux::suspect_leader(Instance& inst) {
+  const consensus::Replica& replica = *inst.replica;
+  if (!suspected_[shifted_leader(inst.leader, replica.view(), ctx_.cfg.n)]) {
+    return;
+  }
+  // A slot that acked its leader's proposal may decide from the acks;
+  // wishing would only push it into another view.
+  const auto& vote = replica.current_vote();
+  if (vote && vote->u == replica.view()) return;
+  if (inst.sync->suspect()) {
+    FASTBFT_DASSERT(host_.affinity_ok(),
+                    "engine stats are single-writer (host thread)");
+    suspected_wishes_.store(suspected_wishes() + 1,
+                            std::memory_order_relaxed);
+  }
 }
 
 void SlotMux::start_slot(Slot slot) {
@@ -234,7 +280,7 @@ void SlotMux::start_slot(Slot slot) {
   Instance& inst = *node;
   inst.channel.set_slot(slot);
   inst.started_at = host_.now();
-  const ProcessId leader = view1_leader(slot);
+  const ProcessId leader = inst.leader = view1_leader(slot);
 
   viewsync::SynchronizerConfig sync_cfg = options_.sync;
   sync_cfg.f = ctx_.cfg.f;
@@ -260,11 +306,12 @@ void SlotMux::start_slot(Slot slot) {
   }
   viewsync::Synchronizer& sync = inst.sync.emplace(
       sync_cfg, ctx_.id, inst.channel, timers_,
-      [&replica](View v) { replica.enter_view(v); });
+      [this, &inst](View v) { enter_view(inst, v); });
 
   active_.emplace_back(slot, std::move(node));
   sync.start();
   replica.start();
+  suspect_leader(inst);
   note_inflight();
   pull_decided();
 
@@ -420,6 +467,7 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
   Slot snap_floor = dec.u64();
   ByteView inner = dec.bytes_view();  // aliases payload; no copy
   if (!dec.ok() || !dec.at_end() || slot == 0 || group != ctx_.group) return;
+  if (from < suspected_.size()) suspected_[from] = false;
 
   if (catchup_.note_watermark(from, watermark)) pull_decided();
 

@@ -28,11 +28,13 @@
 /// wall-clock time (LoopHost, as smr::Service's threaded backend runs it).
 ///
 /// Responsibilities:
-///  * window management — slot s starts as soon as s < next_apply +
-///    pipeline_depth, so up to `depth` slots run their 2-step fast paths
-///    concurrently instead of strictly one after another; a congestion
-///    clamp (`max_reorder_backlog`) additionally stops opening slots while
-///    too many decisions sit blocked behind a stalled predecessor;
+///  * window management — up to `pipeline_depth` slots run their 2-step
+///    fast paths concurrently instead of strictly one after another. The
+///    next slot opens while it lies in the window and a command waits
+///    unclaimed, or (eager_windows) no slot is open, or its view-1 leader
+///    is suspected (fill_window); a congestion clamp
+///    (`max_reorder_backlog`) additionally stops opening slots while too
+///    many decisions sit blocked behind a stalled predecessor;
 ///  * dispatch — all SMR_WRAPPED{slot, watermark, inner} traffic is routed
 ///    through a single slot -> instance table (no per-slot transport shims
 ///    on the receive path);
@@ -41,6 +43,11 @@
 ///    (view1_leader), so once a view change replaces a crashed leader the
 ///    slots after it start with the replacement instead of each waiting
 ///    out its own view-change timeout;
+///  * leader suspicion — a leader replaced in a view change is suspected
+///    until its next SMR_WRAPPED arrives; every open slot it still leads
+///    wishes for the next view at once (Synchronizer::suspect) instead of
+///    when its timer expires, so one crash costs one view-change timeout,
+///    not one per slot in flight;
 ///  * in-order apply — decisions may land out of slot order (a faulty
 ///    leader stalls slot k while k+1 decides); a reorder buffer holds them
 ///    until every predecessor applied, so the state machine sees the log
@@ -124,14 +131,13 @@ struct SlotMuxOptions {
   /// slot-independent leader function.
   bool rotate_leaders = false;
 
-  /// Open slots eagerly to the full window even with nothing to propose
-  /// (idle slots decide noop batches, keeping the log live — the
-  /// machinery's own liveness check and the behaviour every simulator
-  /// experiment assumes). Off: a slot opens only when the pending queue
-  /// holds a claimable command (or a peer's traffic joins it), so an
-  /// idle replica is quiescent instead of spinning noop slots — on a
-  /// wall-clock transport the spin competes with real work for the CPU
-  /// and can more than halve useful slot capacity.
+  /// Keep one slot open while idle. A slot opens for a claimable command
+  /// (or when a peer's traffic joins it) or for a suspected view-1 leader
+  /// either way; with this set, the next slot also opens whenever none is
+  /// open, so an idle cluster decides one noop slot at a time. That
+  /// keep-alive is the engine's crash probe for a leader with no traffic,
+  /// and its traffic carries the watermarks that catch-up reads. Off, an
+  /// idle replica is quiescent.
   bool eager_windows = true;
 
   /// Congestion-style depth clamp: while more than this many decisions are
@@ -190,10 +196,11 @@ class SlotMux {
   SlotMux(const SlotMux&) = delete;
   SlotMux& operator=(const SlotMux&) = delete;
 
-  /// Opens the initial window of slots.
+  /// Opens the first slot (eager_windows) or none.
   void start();
 
-  /// Admits a client command into the pending queue (dedup inside).
+  /// Admits a client command into the pending queue (dedup inside) and
+  /// opens a slot for it if the window has room.
   bool submit(smr::Command cmd);
 
   /// Full SMR_WRAPPED payload: routed by slot through the dispatch table.
@@ -309,6 +316,17 @@ class SlotMux {
     return view_changed_slots_.load(std::memory_order_relaxed);
   }
 
+  /// Wishes sent before the view timer expired because the slot's leader
+  /// was suspected (Synchronizer::suspect). Thread-safe.
+  std::uint64_t suspected_wishes() const {
+    return suspected_wishes_.load(std::memory_order_relaxed);
+  }
+
+  /// Whether this engine suspects `replica` of having crashed: a view
+  /// change replaced it as some slot's leader, and no SMR_WRAPPED from it
+  /// arrived since. Never true of this replica itself. Host thread only.
+  bool suspects(ProcessId replica) const { return suspected_[replica]; }
+
   /// SMR_PULL messages sent (see pull_decided). Thread-safe.
   std::uint64_t decided_pulls() const {
     return decided_pulls_.load(std::memory_order_relaxed);
@@ -380,6 +398,8 @@ class SlotMux {
     /// Host clock at start_slot; decided - started is the decision
     /// latency the adaptive controller steers by.
     TimePoint started_at = 0;
+    /// The slot's view-1 leader; view v is led by leader + v - 1 mod n.
+    ProcessId leader = 0;
   };
   using ActiveSlot = std::pair<Slot, std::unique_ptr<Instance>>;
 
@@ -398,6 +418,12 @@ class SlotMux {
   Value make_input(Slot slot);
   /// Slot leader function whose view 1 is led by `first` (view1_leader).
   consensus::LeaderFn leader_for(ProcessId first) const;
+  /// The synchronizer moved `inst` to view `v`: its old leader becomes
+  /// suspected, and every open slot led by a suspect wishes early.
+  void enter_view(Instance& inst, View v);
+  /// Wishes for `inst`'s next view now if its current leader is suspected
+  /// and it accepted no proposal in its current view.
+  void suspect_leader(Instance& inst);
   void on_slot_decided(Slot slot, const Value& value);
   void drain_apply();
   void apply_value(Slot slot, const Value& value);
@@ -473,6 +499,10 @@ class SlotMux {
   std::atomic<std::uint64_t> slots_applied_{0};
   std::atomic<std::uint64_t> decided_pulls_{0};
   std::atomic<std::uint64_t> view_changed_slots_{0};
+  std::atomic<std::uint64_t> suspected_wishes_{0};
+
+  /// Suspected replicas, indexed by id (suspects).
+  std::vector<bool> suspected_;
 
   Slot next_start_ = 1;
   Slot next_apply_ = 1;

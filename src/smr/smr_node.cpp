@@ -203,6 +203,7 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
     stats.slots_applied += mux.slots_applied();
     stats.decided_pulls += mux.decided_pulls();
     stats.view_changed_slots += mux.view_changed_slots();
+    stats.suspected_wishes += mux.suspected_wishes();
   }
   return stats;
 }

@@ -95,10 +95,9 @@ struct SmrOptions {
   /// leader function). Tests that pin a fixed leader set this explicitly.
   std::optional<bool> rotate_leaders;
 
-  /// Open slots eagerly to the full window even when idle (see
-  /// engine::SlotMuxOptions). The simulator default; the socket runtime
-  /// turns it off so idle replicas do not spin noop slots against real
-  /// CPUs.
+  /// Keep one noop slot open while idle (see engine::SlotMuxOptions).
+  /// The simulator and threaded default; the socket runtime turns it off
+  /// so idle replicas stay quiescent.
   bool eager_windows = true;
 
   /// Reorder-backlog congestion clamp (see engine::SlotMuxOptions;
@@ -216,6 +215,9 @@ class SmrNode final : public runtime::IProcess {
     /// Slots decided after leaving view 1 (SlotMux::view_changed_slots),
     /// summed.
     std::uint64_t view_changed_slots = 0;
+    /// Slots that wished early because their leader was suspected
+    /// (SlotMux::suspected_wishes), summed.
+    std::uint64_t suspected_wishes = 0;
   };
   EngineStats engine_stats() const;
 

@@ -67,6 +67,13 @@ void Synchronizer::on_timeout() {
   arm_timer();  // keep escalating if still stuck
 }
 
+bool Synchronizer::suspect() {
+  if (stopped_ || my_wish_ > view_) return false;
+  send_wish(view_ + 1);
+  arm_timer();
+  return true;
+}
+
 void Synchronizer::send_wish(View w) {
   if (w <= my_wish_) return;
   my_wish_ = w;

@@ -63,6 +63,17 @@ class Synchronizer {
   /// Feeds a WISH payload (the node dispatches by tag; viewed, not copied).
   void on_message(ProcessId from, ByteView payload);
 
+  /// The current leader is suspected (the SMR engine saw it replaced in
+  /// another instance and heard nothing from it since): wishes for the
+  /// next view now instead of when the timer expires, and restarts the
+  /// view timer so it does not escalate past that view while the wish
+  /// gathers its quorum. A wish still needs 2f + 1 wishers to change the
+  /// view. Returns false, doing nothing, once stopped or if this process
+  /// already wished past the current view. This bends property 3 for a
+  /// leader that is suspected yet correct (docs/ARCHITECTURE.md, "Leader
+  /// suspicion").
+  bool suspect();
+
   /// Stops advancing views (called once the replica decided; for
   /// single-shot consensus there is nothing left to synchronize).
   void stop();

@@ -480,12 +480,12 @@ TEST(HotPath, ReplyCodecKeepsTheScratchPool) {
 }
 
 TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
-  // Steady state of an idle 4-replica cluster with eager windows: every
-  // slot decides a noop over the two-step fast path (one proposal
-  // broadcast, n^2 acks). Heap allocations per replica per decided slot
-  // stay within the measured 6.6 (a quarter of the five broadcasts' two
-  // buffers each, the ack tally's node and vector, the decision's deferral
-  // and the view timer's entry) plus a small margin.
+  // Steady state of an idle 4-replica cluster with eager windows: one
+  // keep-alive slot at a time decides a noop over the two-step fast path
+  // (one proposal broadcast, n^2 acks). Heap allocations per replica per
+  // decided slot stay within the measured 7.0 (a quarter of the five
+  // broadcasts' two buffers each, the ack tally's node and vector, the
+  // decision's deferral and the view timer's entry) plus a small margin.
   constexpr double kBudget = 7.5;
   smr::ServiceConfig config;
   config.sim_net.delta = 100;
@@ -500,8 +500,9 @@ TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
     }
     return slots;
   };
-  // Warm-up: pools, slabs and heaps grown. 8000 slots per replica is 2000
-  // Delta at depth 8; the measured stretch is as long.
+  // Warm-up: pools, slabs and heaps grown. One slot takes 2 Delta, so
+  // the 1000 ms budget ends the warm-up at 5000 slots per replica; the
+  // measured stretch is as long.
   service->run_until([&] { return applied() >= 32'000; },
                      std::chrono::milliseconds(1000));
   std::uint64_t slots = applied();

@@ -465,29 +465,36 @@ TEST(SmrPipelined, DivergentWindowsJoinPeerSlots) {
 }
 
 TEST(SmrPipelined, NodesExposeEngineWindow) {
+  // Eight one-command slots' worth of work opens the whole window at
+  // once; the engine's gauges track it.
   auto cfg = consensus::QuorumConfig::create(4, 1, 1);
   SmrOptions smr_options;
   smr_options.pipeline_depth = 4;
+  smr_options.max_batch = 1;
   auto service = make_sim_service(sim_config(cfg, smr_options));
   service->start();
+  std::vector<Command> commands;
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    commands.push_back(Command::put("k" + std::to_string(i), "v", 1, i));
+  }
+  inject(*service, commands);
   const SmrNode& node0 = service->replica(0);
-  // Run p0's start event only.
-  service->run_until([&] { return node0.current_slot() > 0; }, 1ms);
   EXPECT_EQ(node0.current_slot(), 4u) << "window opens depth slots";
   EXPECT_EQ(node0.engine().inflight_slots(), 4u);
   EXPECT_EQ(node0.engine().next_to_apply(), 1u);
   EXPECT_EQ(node0.engine().inflight_high_water(), 4u)
       << "the engine's gauge tracks this node's window";
-  // Two windows' worth of noop slots.
+  ASSERT_TRUE(service->await_applied(commands.size(), 50ms));
+  // Then eager windows keep one noop slot open at a time.
   service->run_until([&] { return node0.noop_slots() >= 8; }, 50ms);
-  EXPECT_GT(node0.noop_slots(), 0u);
-  // The high-water saw the full window too.
-  EXPECT_GE(node0.engine().inflight_high_water(), 4u);
+  EXPECT_GE(node0.noop_slots(), 8u);
+  EXPECT_EQ(node0.engine().inflight_high_water(), 4u)
+      << "never wider than the window";
   // Every applied slot was proposed: each proposal broadcast counts as
   // n wrapped PROPOSE messages.
   EXPECT_GE(service->sim_network()->stats().wrapped_messages_of(
                 net::tags::kPropose),
-            cfg.n * node0.noop_slots());
+            cfg.n * node0.engine().slots_applied());
 }
 
 TEST(SmrPipelined, FaultyLeaderDoesNotStallLaterSlots) {
@@ -1316,6 +1323,280 @@ TEST(SmrLeaderSchedule, FaultFreeRunsKeepTheFixedLeaders) {
       EXPECT_EQ(service->engine_stats(id).view_changed_slots, 0u)
           << "p" << id;
     }
+  }
+}
+
+// --- Keep-alive windows and leader suspicion -----------------------------------
+//
+// An idle eager cluster keeps one noop slot open, which is also its probe
+// for a crashed leader. A leader replaced in a view change is suspected
+// until it is heard from again: every open slot it leads wishes for the
+// next view at once, and the slots of its chain open together
+// (SlotMux::fill_window), so a crash costs one view-change timeout.
+
+/// Slot and inner tag of an SMR_WRAPPED payload; nullopt for anything else.
+std::optional<std::pair<Slot, std::uint8_t>> wrapped_slot_tag(
+    ByteView payload) {
+  Decoder dec(payload);
+  if (dec.u8() != net::tags::kSmrWrapped) return std::nullopt;
+  dec.u32();  // group
+  const Slot slot = dec.u64();
+  dec.u64();  // watermark
+  dec.u64();  // snapshot floor
+  ByteView inner = dec.bytes_view();
+  if (!dec.ok() || inner.empty()) return std::nullopt;
+  return std::make_pair(slot, inner[0]);
+}
+
+TEST(SmrKeepAlive, IdleEagerClusterKeepsOneSlotOpen) {
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  auto service = make_sim_service(
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options));
+  service->start();
+  std::uint32_t widest = 0;
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        bool done = true;
+        for (ProcessId id = 0; id < 4; ++id) {
+          const SmrNode& node = service->replica(id);
+          widest = std::max(widest, node.engine().inflight_slots());
+          done = done && node.noop_slots() >= 50;
+        }
+        return done;
+      },
+      100ms))
+      << "noop slots should keep deciding";
+  EXPECT_EQ(widest, 1u);
+  for (ProcessId id = 0; id < 4; ++id) {
+    EXPECT_EQ(service->replica(id).engine().inflight_high_water(), 1u)
+        << "p" << id;
+  }
+}
+
+TEST(SmrKeepAlive, IdleLeaderCrashStillChangesView) {
+  // The keep-alive slot open at the crash times out, and its view change
+  // moves p0's chain to p1: the survivors keep deciding noop slots.
+  constexpr TimePoint kCrashAt = 5'000;
+  constexpr Duration kDelta = 100;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  const Duration base = config.smr.node.sync.base_timeout;
+  auto service = make_sim_service(config);
+  service->start();
+  at_time(*service, kCrashAt, [&] { service->crash(0); });
+  auto view_changed = [&] {
+    for (ProcessId id = 1; id < 4; ++id) {
+      if (service->engine_stats(id).view_changed_slots == 0) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(service->run_until(view_changed, 100ms));
+  EXPECT_LE(service->sim_network()->scheduler().now(),
+            kCrashAt + base + 8 * kDelta)
+      << "the keep-alive slot should change view within one timeout";
+  std::vector<std::uint64_t> noops(4);
+  for (ProcessId id = 1; id < 4; ++id) {
+    noops[id] = service->replica(id).noop_slots();
+  }
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        for (ProcessId id = 1; id < 4; ++id) {
+          if (service->replica(id).noop_slots() < noops[id] + 20) {
+            return false;
+          }
+        }
+        return true;
+      },
+      100ms))
+      << "survivors should keep deciding after the view change";
+  for (ProcessId id = 1; id < 4; ++id) {
+    EXPECT_TRUE(service->replica(id).engine().suspects(0)) << "p" << id;
+  }
+}
+
+TEST(SmrSuspicion, CrashedLeaderSlotsDecideWithinOneTimeoutOfTheFirstViewChange) {
+  // On-demand windows and a pinned p0: every request opens a slot, and
+  // the slots up to C + D after the crash start at p0. Without suspicion
+  // each of them waits out its own timer from whenever a request opened
+  // it, so the last one decides D requests later.
+  constexpr ProcessId kVictim = 0;
+  constexpr TimePoint kCrashAt = 20'000;
+  constexpr Duration kDelta = 100;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  smr_options.rotate_leaders = false;
+  smr_options.eager_windows = false;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  const Duration base = config.smr.node.sync.base_timeout;
+  auto service = make_sim_service(config);
+  service->start();
+  put_load(*service, 60'000, 500);
+  at_time(*service, kCrashAt, [&] { service->crash(kVictim); });
+
+  // Per survivor: every slot it opened with the victim as view-1 leader,
+  // and the time it applied it.
+  std::vector<std::map<Slot, TimePoint>> victim_slots(4);
+  TimePoint first_view_change = kTimeInfinity;
+  const sim::Scheduler& sched = service->sim_network()->scheduler();
+  auto sample = [&] {
+    for (ProcessId id = 1; id < 4; ++id) {
+      const engine::SlotMux& mux = service->replica(id).engine();
+      if (first_view_change == kTimeInfinity &&
+          mux.view_changed_slots() > 0) {
+        first_view_change = sched.now();
+      }
+      for (auto& [slot, applied_at] : victim_slots[id]) {
+        if (applied_at == kTimeInfinity && slot < mux.next_to_apply()) {
+          applied_at = sched.now();
+        }
+      }
+      for (Slot s = mux.next_to_apply(); s <= mux.highest_started(); ++s) {
+        if (mux.view1_leader(s) == kVictim) {
+          victim_slots[id].emplace(s, kTimeInfinity);
+        }
+      }
+    }
+  };
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        sample();
+        return sched.now() > 60'000;
+      },
+      100ms));
+  ASSERT_NE(first_view_change, kTimeInfinity);
+  for (ProcessId id = 1; id < 4; ++id) {
+    Slot after_crash = 0;
+    for (const auto& [slot, applied_at] : victim_slots[id]) {
+      EXPECT_LE(applied_at, first_view_change + base + 4 * kDelta)
+          << "p" << id << " slot " << slot;
+      after_crash += applied_at > kCrashAt;
+    }
+    EXPECT_GE(after_crash, 2u) << "p" << id;
+    EXPECT_GT(service->engine_stats(id).suspected_wishes, 0u) << "p" << id;
+  }
+}
+
+TEST(SmrSuspicion, AckedSlotIsNotPushedIntoViewTwo) {
+  // Pinned p0 leads slots 1 and 2. Its proposal for slot 1 is lost, so
+  // slot 1 changes view when its timer expires and every survivor then
+  // suspects p0. Slot 2 opened later; all three survivors acked its
+  // proposal, but p0's and p3's acks for it are lost, so it cannot
+  // decide in view 1 either. A slot that acked must wait for its own timer: its
+  // acks may still make it decide, and a wish would only push it on.
+  constexpr TimePoint kSecondAt = 600;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  smr_options.max_batch = 1;
+  smr_options.eager_windows = false;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  const Duration base = config.smr.node.sync.base_timeout;
+  auto service = make_sim_service(config);
+  net::SimNetwork& net = *service->sim_network();
+  TimePoint slot2_first_wish = kTimeInfinity;
+  net.set_script([&](const net::Envelope& env,
+                     TimePoint now) -> std::optional<TimePoint> {
+    auto st = wrapped_slot_tag(env.payload);
+    if (!st) return std::nullopt;
+    const auto [slot, tag] = *st;
+    if (slot == 1 && tag == net::tags::kPropose && env.from == 0) {
+      return kTimeInfinity;
+    }
+    if (slot == 2 && tag == net::tags::kAck && now < kSecondAt + base &&
+        (env.from == 0 || env.from == 3)) {
+      return kTimeInfinity;  // view 1's acks; view 2's go through
+    }
+    if (slot == 2 && tag == net::tags::kWish && env.from != 0) {
+      slot2_first_wish = std::min(slot2_first_wish, now);
+    }
+    return std::nullopt;
+  });
+  service->start();
+  at_time(*service, 0, [&] {
+    service->replica(1).submit(Command::put("a", "1", 1, 1));
+  });
+  at_time(*service, kSecondAt, [&] {
+    service->replica(1).submit(Command::put("b", "2", 1, 2));
+  });
+  at_time(*service, kSecondAt + 300, [&] { service->crash(0); });
+
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        for (ProcessId id = 1; id < 4; ++id) {
+          if (!service->replica(id).engine().suspects(0)) return false;
+        }
+        return true;
+      },
+      10ms))
+      << "slot 1's view change should make the survivors suspect p0";
+  ASSERT_TRUE(service->await_applied(2, 100ms));
+  EXPECT_GE(slot2_first_wish, kSecondAt + base)
+      << "slot 2 wished before its own timer expired";
+}
+
+TEST(SmrSuspicion, RestartedLeaderIsTrustedAgain) {
+  // Rotating leaders with D = 3 and n = 4: every chain comes back to p3
+  // every four steps. While p3 is down its slots wish at once; once the
+  // restarted p3 sends traffic the suspicion clears, and the slots it
+  // leads decide in view 1 again.
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 3;
+  smr_options.max_batch = 1;
+  smr_options.rotate_leaders = true;
+  smr_options.snapshot_interval = 8;
+  auto service = make_sim_service(sim_config(
+      consensus::QuorumConfig::create(4, 1, 1), smr_options, /*seed=*/5));
+  service->start();
+  put_load(*service, 200'000, 500);
+  at_time(*service, 10'000, [&] { service->crash(3); });
+  bool suspected = false;
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        suspected = suspected || (service->replica(0).engine().suspects(3) &&
+                                  service->replica(1).engine().suspects(3));
+        return service->sim_network()->scheduler().now() >= 40'000;
+      },
+      100ms));
+  EXPECT_TRUE(suspected) << "the survivors should have suspected p3";
+  EXPECT_GT(service->engine_stats(0).suspected_wishes, 0u);
+
+  service->restart(3);
+  const engine::SlotMux& p0 = service->replica(0).engine();
+  auto caught_up = [&] {
+    const engine::SlotMux& p3 = service->replica(3).engine();
+    return p3.next_to_apply() + 3 >= p0.next_to_apply();
+  };
+  ASSERT_TRUE(service->run_until(caught_up, 100ms))
+      << "the restarted p3 should catch up";
+  // Settle one window, then count: no slot p3 leads changes view.
+  const Slot settle = p0.next_to_apply() + 8;
+  ASSERT_TRUE(service->run_until(
+      [&] { return p0.next_to_apply() > settle; }, 100ms));
+  std::vector<std::uint64_t> before(4);
+  for (ProcessId id = 0; id < 4; ++id) {
+    before[id] = service->engine_stats(id).view_changed_slots;
+  }
+  LeaderLog log(4, 0);
+  constexpr Slot kRun = 40;
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        log.sample(*service);
+        return p0.next_to_apply() > settle + kRun;
+      },
+      100ms));
+  std::uint64_t led_by_p3 = 0;
+  for (const auto& [slot, leader] : log.of(0)) {
+    led_by_p3 += slot > settle && slot <= settle + kRun && leader == 3;
+  }
+  EXPECT_GE(led_by_p3, kRun / 8) << "p3 should lead slots again";
+  for (ProcessId id = 0; id < 4; ++id) {
+    EXPECT_EQ(service->engine_stats(id).view_changed_slots, before[id])
+        << "p" << id;
+    EXPECT_FALSE(service->replica(id).engine().suspects(3)) << "p" << id;
   }
 }
 

@@ -172,10 +172,11 @@ int main(int argc, char** argv) {
               static_cast<ull>(server->replica(self).noop_slots()),
               static_cast<ull>(engine.snapshots_installed));
   std::printf("engine: depth %u, batch %u, parked high-water %zu, "
-              "view-changed slots %llu\n",
+              "view-changed slots %llu, suspected wishes %llu\n",
               engine.effective_depth, engine.effective_batch,
               engine.parked_high_water,
-              static_cast<ull>(engine.view_changed_slots));
+              static_cast<ull>(engine.view_changed_slots),
+              static_cast<ull>(engine.suspected_wishes));
   std::printf("%s", server->socket_network()->stats_summary().c_str());
   std::fflush(stdout);
   return 0;
