@@ -77,7 +77,8 @@ class PendingQueue {
 
   /// True when claim() would return at least one command — the signal
   /// the engine opens a slot for in either window mode (SlotMux::
-  /// fill_window). O(1).
+  /// fill_window; a follower waits while an open slot still waits for
+  /// the same leader's proposal, which the command may ride). O(1).
   bool has_unclaimed() const { return unclaimed_ > 0; }
 
  private:

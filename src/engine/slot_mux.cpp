@@ -136,16 +136,35 @@ void SlotMux::fill_window() {
   // The window honours the *effective* depth — the controller's when
   // adaptive control is on. A backoff does not cancel already-open slots;
   // the window shrinks as they decide and refills at the smaller depth.
-  // Within it, the next slot opens for a command waiting unclaimed; in
-  // eager mode, as the one keep-alive slot while none is open; and when
-  // its view-1 leader is suspected, so a dead leader's chain changes view
-  // in one round instead of one slot per request.
+  // Within it, the next slot opens
+  //  (a) for a command waiting unclaimed, if this replica leads the slot
+  //      or no open slot still waits for its leader's proposal: the
+  //      leader proposes in slot order, so that slot already probes it,
+  //      and the command may ride it;
+  //  (b) in eager mode, as the one keep-alive slot while none is open; its
+  //      leader holds it for half a view timeout, so a command arriving
+  //      meanwhile rides it instead of a noop, and followers open it at
+  //      once, so their view timer still probes the leader;
+  //  (c) when its view-1 leader is suspected, so a dead leader's chain
+  //      changes view in one round instead of one slot per request.
   while (next_start_ < next_apply_ + effective_depth()) {
-    if (!pending_.has_unclaimed() &&
-        !(options_.eager_windows && active_.empty()) &&
-        !suspected_[view1_leader(next_start_)]) {
-      break;
+    const ProcessId leader = view1_leader(next_start_);
+    bool open = suspected_[leader] ||
+                (pending_.has_unclaimed() &&
+                 (leader == ctx_.id || !awaiting_proposal(leader)));
+    if (!open && options_.eager_windows && active_.empty()) {
+      open = leader != ctx_.id || hold_released_ == next_start_;
+      if (!open && hold_armed_ != next_start_) {
+        hold_armed_ = next_start_;
+        timers_.schedule_after(options_.sync.base_timeout / 2,
+                               [this, slot = next_start_] {
+                                 hold_released_ = slot;
+                                 fill_window();
+                                 note_inflight();
+                               });
+      }
     }
+    if (!open) break;
     if (options_.max_reorder_backlog > 0 &&
         reorder_.size() > options_.max_reorder_backlog) {
       // Congestion clamp: decisions are piling up behind a stalled slot;
@@ -232,8 +251,7 @@ consensus::LeaderFn SlotMux::leader_for(ProcessId first) const {
 }
 
 void SlotMux::enter_view(Instance& inst, View v) {
-  const ProcessId replaced =
-      shifted_leader(inst.leader, inst.replica->view(), ctx_.cfg.n);
+  const ProcessId replaced = current_leader(inst);
   inst.replica->enter_view(v);
   // A replaced leader that has sent nothing since is probably down (a
   // live one is heard again within a link delay, see on_wrapped). Slots
@@ -250,15 +268,28 @@ void SlotMux::enter_view(Instance& inst, View v) {
   for (auto& entry : active_) suspect_leader(*entry.second);
 }
 
+ProcessId SlotMux::current_leader(const Instance& inst) const {
+  return shifted_leader(inst.leader, inst.replica->view(), ctx_.cfg.n);
+}
+
+bool SlotMux::voted_in_view(const Instance& inst) {
+  const auto& vote = inst.replica->current_vote();
+  return vote && vote->u == inst.replica->view();
+}
+
+bool SlotMux::awaiting_proposal(ProcessId leader) const {
+  return std::any_of(active_.begin(), active_.end(),
+                     [&](const ActiveSlot& entry) {
+                       const Instance& inst = *entry.second;
+                       return current_leader(inst) == leader &&
+                              !voted_in_view(inst);
+                     });
+}
+
 void SlotMux::suspect_leader(Instance& inst) {
-  const consensus::Replica& replica = *inst.replica;
-  if (!suspected_[shifted_leader(inst.leader, replica.view(), ctx_.cfg.n)]) {
-    return;
-  }
   // A slot that acked its leader's proposal may decide from the acks;
   // wishing would only push it into another view.
-  const auto& vote = replica.current_vote();
-  if (vote && vote->u == replica.view()) return;
+  if (!suspected_[current_leader(inst)] || voted_in_view(inst)) return;
   if (inst.sync->suspect()) {
     FASTBFT_DASSERT(host_.affinity_ok(),
                     "engine stats are single-writer (host thread)");

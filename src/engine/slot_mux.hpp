@@ -31,8 +31,9 @@
 ///  * window management — up to `pipeline_depth` slots run their 2-step
 ///    fast paths concurrently instead of strictly one after another. The
 ///    next slot opens while it lies in the window and a command waits
-///    unclaimed, or (eager_windows) no slot is open, or its view-1 leader
-///    is suspected (fill_window); a congestion clamp
+///    unclaimed (on a follower, only while no open slot still waits for
+///    the same leader's proposal), or (eager_windows) no slot is open, or
+///    its view-1 leader is suspected (fill_window); a congestion clamp
 ///    (`max_reorder_backlog`) additionally stops opening slots while too
 ///    many decisions sit blocked behind a stalled predecessor;
 ///  * dispatch — all SMR_WRAPPED{slot, watermark, inner} traffic is routed
@@ -133,11 +134,15 @@ struct SlotMuxOptions {
 
   /// Keep one slot open while idle. A slot opens for a claimable command
   /// (or when a peer's traffic joins it) or for a suspected view-1 leader
-  /// either way; with this set, the next slot also opens whenever none is
-  /// open, so an idle cluster decides one noop slot at a time. That
-  /// keep-alive is the engine's crash probe for a leader with no traffic,
-  /// and its traffic carries the watermarks that catch-up reads. Off, an
-  /// idle replica is quiescent.
+  /// either way; a follower opens one for a command only while no open
+  /// slot still waits for that leader's proposal. With this set, the next
+  /// slot also opens whenever none is open: followers open it at once,
+  /// and its leader holds it for sync.base_timeout / 2 so a command
+  /// arriving meanwhile rides it, then proposes a noop. An idle cluster
+  /// thus decides one noop slot per half timeout. That keep-alive is the
+  /// engine's crash probe for a leader with no traffic (the followers'
+  /// view timer), and its traffic carries the watermarks that catch-up
+  /// reads. Off, an idle replica is quiescent.
   bool eager_windows = true;
 
   /// Congestion-style depth clamp: while more than this many decisions are
@@ -424,6 +429,13 @@ class SlotMux {
   /// Wishes for `inst`'s next view now if its current leader is suspected
   /// and it accepted no proposal in its current view.
   void suspect_leader(Instance& inst);
+  /// Leader of `inst`'s current view.
+  ProcessId current_leader(const Instance& inst) const;
+  /// Whether `inst` accepted a proposal in its current view.
+  static bool voted_in_view(const Instance& inst);
+  /// Whether an open slot led by `leader` in its current view still waits
+  /// for that leader's proposal (fill_window's rule (a)).
+  bool awaiting_proposal(ProcessId leader) const;
   void on_slot_decided(Slot slot, const Value& value);
   void drain_apply();
   void apply_value(Slot slot, const Value& value);
@@ -518,6 +530,12 @@ class SlotMux {
   /// traffic stops and no new boundary ever widens the gap.
   bool snap_probe_armed_ = false;
   Slot snap_probe_floor_ = 0;
+
+  /// Keep-alive hold (fill_window's rule (b)): the slot this replica leads
+  /// whose half-timeout hold timer was armed, and the one whose timer
+  /// fired, letting it open with a noop.
+  Slot hold_armed_ = 0;
+  Slot hold_released_ = 0;
 
   /// Liveness flag captured by deferred closures (see defer_guarded).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

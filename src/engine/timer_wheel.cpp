@@ -14,7 +14,9 @@ bool later(const EntryPtr& a, const EntryPtr& b) {
 }  // namespace
 
 TimerWheel::~TimerWheel() {
-  *alive_ = false;
+  // The one host event that can still fire captures `this`; cancelling it
+  // is what keeps it from reaching a destroyed wheel (arm() cancels every
+  // event it replaces).
   host_event_.cancel();
   // Handles may outlive the wheel; their cancel must not reach it.
   for (auto& entry : heap_) entry->wheel = nullptr;
@@ -60,19 +62,21 @@ TimerWheel::EntryPtr TimerWheel::pop() {
 
 void TimerWheel::arm() {
   while (!heap_.empty() && heap_.front()->wheel == nullptr) pop();
-  if (heap_.empty()) {
-    host_event_.cancel();
-    armed_at_ = kTimeInfinity;
+  const TimePoint next =
+      heap_.empty() ? kTimeInfinity : heap_.front()->deadline;
+  if (next != kTimeInfinity && host_event_.active() && armed_at_ <= next) {
     return;
   }
-  TimePoint next = heap_.front()->deadline;
-  if (host_event_.active() && armed_at_ <= next) return;
+  // Dropping the handle, not only cancelling it, lets a host that
+  // recycles spent events' flags (sim::Scheduler) reuse this one; with a
+  // one-pointer closure, inside std::function's small buffer, a re-arm
+  // then allocates nothing.
   host_event_.cancel();
+  host_event_ = {};
   armed_at_ = next;
+  if (next == kTimeInfinity) return;
   Duration delay = std::max<Duration>(0, next - host_.now());
-  host_event_ = host_.schedule_after(delay, [this, alive = alive_] {
-    if (*alive) fire();
-  });
+  host_event_ = host_.schedule_after(delay, [this] { fire(); });
 }
 
 void TimerWheel::fire() {

@@ -74,7 +74,6 @@ class TimerWheel final : public sim::TimerService {
   std::uint64_t next_seq_ = 0;
   std::uint64_t cancelled_dropped_ = 0;
   bool firing_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace fastbft::engine

@@ -8,7 +8,14 @@
 namespace fastbft::sim {
 
 TimerHandle Scheduler::schedule_at(TimePoint at, std::function<void()> fn) {
-  auto flag = std::make_shared<bool>(false);
+  std::shared_ptr<bool> flag;
+  if (spare_flags_.empty()) {
+    flag = std::make_shared<bool>(false);
+  } else {
+    flag = std::move(spare_flags_.back());
+    spare_flags_.pop_back();
+    *flag = false;
+  }
   push(at, std::move(fn), flag);
   return TimerHandle(std::move(flag));
 }
@@ -47,7 +54,7 @@ void Scheduler::push(TimePoint at, std::function<void()> fn,
   queue_[i] = key;
 }
 
-std::function<void()> Scheduler::pop() {
+Scheduler::Body Scheduler::pop() {
   std::uint32_t body = queue_.front().body();
   Key last = queue_.back();
   queue_.pop_back();
@@ -67,26 +74,33 @@ std::function<void()> Scheduler::pop() {
     queue_[i] = last;
   }
   Body& slot = bodies_[body];
-  std::function<void()> fn = std::move(slot.fn);
-  slot.fn = nullptr;
-  slot.cancelled.reset();
+  Body popped = std::move(slot);
+  slot.fn = nullptr;  // a moved-from std::function is unspecified
   free_.push_back(body);
-  return fn;
+  return popped;
+}
+
+void Scheduler::recycle(std::shared_ptr<bool> flag) {
+  // Only the scheduler holds it: no handle can observe the reset.
+  if (flag && flag.use_count() == 1) spare_flags_.push_back(std::move(flag));
 }
 
 bool Scheduler::step() {
   while (!queue_.empty()) {
     if (cancelled(queue_.front())) {
-      pop();
+      recycle(pop().cancelled);
       continue;
     }
     now_ = queue_.front().at;
     // Moved out before running: the callback may schedule, which can
     // reuse this slot or grow the slab under it.
-    std::function<void()> fn = pop();
+    Body event = pop();
     Log::now_hint = now_;
     ++executed_;
-    fn();
+    event.fn();
+    // After the callback: a timer it re-armed dropped its handle on this
+    // event's flag by now.
+    recycle(std::move(event.cancelled));
     return true;
   }
   return false;
@@ -95,7 +109,7 @@ bool Scheduler::step() {
 void Scheduler::run_until(TimePoint limit) {
   while (!queue_.empty()) {
     if (cancelled(queue_.front())) {
-      pop();
+      recycle(pop().cancelled);
       continue;
     }
     if (queue_.front().at > limit) break;

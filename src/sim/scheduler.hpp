@@ -136,14 +136,19 @@ class Scheduler final : public TimerService {
     const auto& flag = bodies_[key.body()].cancelled;
     return flag && *flag;
   }
-  /// Pops the top key and frees its body slot; returns the callback.
-  std::function<void()> pop();
+  /// Pops the top key and frees its body slot; returns the body.
+  Body pop();
+  /// Keeps a spent event's cancellation flag for a later schedule_at once
+  /// no handle refers to it, so a timer re-armed over and over (one
+  /// engine::TimerWheel host event) allocates no flag in steady state.
+  void recycle(std::shared_ptr<bool> flag);
 
   /// 4-ary min-heap of keys: half the depth of a binary heap, and the four
   /// children of a node span at most two cache lines.
   std::vector<Key> queue_;
   std::vector<Body> bodies_;
   std::vector<std::uint32_t> free_;
+  std::vector<std::shared_ptr<bool>> spare_flags_;
   TimePoint now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

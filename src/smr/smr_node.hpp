@@ -95,9 +95,10 @@ struct SmrOptions {
   /// leader function). Tests that pin a fixed leader set this explicitly.
   std::optional<bool> rotate_leaders;
 
-  /// Keep one noop slot open while idle (see engine::SlotMuxOptions).
-  /// The simulator and threaded default; the socket runtime turns it off
-  /// so idle replicas stay quiescent.
+  /// Keep one noop slot open while idle, its leader proposing once per
+  /// half view timeout unless a command rides it first (see
+  /// engine::SlotMuxOptions). The simulator and threaded default; the
+  /// socket runtime turns it off so idle replicas stay quiescent.
   bool eager_windows = true;
 
   /// Reorder-backlog congestion clamp (see engine::SlotMuxOptions;

@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "engine/loop_host.hpp"
+#include "engine/timer_wheel.hpp"
 #include "net/event_loop.hpp"
 #include "net/socket_network.hpp"
 #include "net/threaded_network.hpp"
@@ -203,6 +205,23 @@ TYPED_TEST(EventLoopContract, CrossThreadPostKeepsFifoOrder) {
   producer.join();
   ASSERT_TRUE(eventually([&] { return ran.load() == kTasks; }));
   for (int i = 0; i < kTasks; ++i) ASSERT_EQ(order[i], i);
+}
+
+TYPED_TEST(EventLoopContract, DestroyedTimerWheelNeverFires) {
+  // An engine's TimerWheel arms one loop timer that captures only the
+  // wheel; destroying the wheel (a node swapped out on crash-restart)
+  // must cancel it, or it fires into freed memory.
+  EventLoop& loop = this->pair.loop(0);
+  engine::LoopHost host(loop);
+  loop.post([&] {
+    auto wheel = std::make_unique<engine::TimerWheel>(host);
+    wheel->schedule_after(5'000, [&] { this->record("wheel"); });
+    wheel.reset();
+    loop.arm_timer(EventLoop::now() + 20'000, [&] { this->record("after"); });
+  });
+  ASSERT_TRUE(eventually([&] { return this->logged() >= 1; }));
+  EXPECT_EQ(this->snapshot(), (std::vector<std::string>{"after"}));
+  this->pair.stop();  // before `host` goes out of scope
 }
 
 TYPED_TEST(EventLoopContract, ArmingAfterStopIsLegal) {

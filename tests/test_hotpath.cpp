@@ -12,6 +12,8 @@
 #include "crypto/hmac.hpp"
 #include "crypto/signer.hpp"
 #include "crypto/verify_cache.hpp"
+#include "engine/host.hpp"
+#include "engine/timer_wheel.hpp"
 #include "net/sim_network.hpp"
 #include "net/stats.hpp"
 #include "sim/scheduler.hpp"
@@ -479,13 +481,40 @@ TEST(HotPath, ReplyCodecKeepsTheScratchPool) {
   EXPECT_EQ(decode_news, 0u);
 }
 
+TEST(HotPath, TimerWheelRearmsItsHostEventWithoutAllocating) {
+  // Each round re-arms the wheel's one host event three times: earlier
+  // twice (each cancels the armed event, which the scheduler pops spent
+  // later) and once from inside its own firing. After warm-up the only
+  // allocations left are the three timers' entries.
+  sim::Scheduler sched;
+  engine::SimHost host(sched);
+  engine::TimerWheel wheel(host);
+  std::uint64_t fired = 0;
+  auto round = [&] {
+    sim::TimerHandle far = wheel.schedule_after(1000, [&] { ++fired; });
+    wheel.schedule_after(20, [&] { ++fired; });
+    wheel.schedule_after(10, [&] { ++fired; });
+    far.cancel();
+    sched.run_until(sched.now() + 20);
+  };
+  for (int i = 0; i < 200; ++i) round();  // warm-up past the spent events
+  constexpr std::uint64_t kRounds = 500;
+  const std::uint64_t fired_before = fired;
+  const std::uint64_t news = heap_allocations();
+  for (std::uint64_t i = 0; i < kRounds; ++i) round();
+  EXPECT_EQ(heap_allocations() - news, 3 * kRounds);
+  EXPECT_EQ(fired - fired_before, 2 * kRounds);
+}
+
 TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
   // Steady state of an idle 4-replica cluster with eager windows: one
   // keep-alive slot at a time decides a noop over the two-step fast path
   // (one proposal broadcast, n^2 acks). Heap allocations per replica per
-  // decided slot stay within the measured 7.0 (a quarter of the five
+  // decided slot stay within the measured 6.85 (a quarter of the five
   // broadcasts' two buffers each, the ack tally's node and vector, the
-  // decision's deferral and the view timer's entry) plus a small margin.
+  // decision's deferral, the view timer's entry and a quarter of the
+  // leader's hold timer entry; re-arming the timer wheel's host event
+  // allocates nothing) plus a small margin.
   constexpr double kBudget = 7.5;
   smr::ServiceConfig config;
   config.sim_net.delta = 100;
@@ -500,9 +529,9 @@ TEST(HotPath, NoopSlotsStayWithinTheirAllocationBudget) {
     }
     return slots;
   };
-  // Warm-up: pools, slabs and heaps grown. One slot takes 2 Delta, so
-  // the 1000 ms budget ends the warm-up at 5000 slots per replica; the
-  // measured stretch is as long.
+  // Warm-up: pools, slabs and heaps grown. One slot takes the leader's
+  // hold (600 ticks) plus 2 Delta, so the 1000 ms budget ends the warm-up
+  // at 1250 slots per replica; the measured stretch is as long.
   service->run_until([&] { return applied() >= 32'000; },
                      std::chrono::milliseconds(1000));
   std::uint64_t slots = applied();

@@ -133,9 +133,9 @@ TEST_P(ServiceApi, DuplicateRetriesApplyAtMostOnce) {
                     .with_cluster(4, 1, 1)
                     .with_sessions(1)
                     .with_seed(13)
-                    // Far below the decision latency, so retries are
-                    // guaranteed to race the original.
-                    .with_request_timeout(sim ? 250 : 1'500);
+                    // Far below the decision latency (four link delays),
+                    // so retries are guaranteed to race the original.
+                    .with_request_timeout(sim ? 250 : 600);
   if (!sim) config.with_link_delay(300us);
   auto service = make_service(GetParam(), config);
   service->start();

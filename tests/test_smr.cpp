@@ -886,15 +886,16 @@ TEST(SmrSnapshot, CrashedReplicaRejoinsViaSnapshotAndRetentionUnpins) {
                    service->replica(id).engine().catchup().decided_count());
     }
     // The snapshot alone can bring all 30 commands; wait for live slots,
-    // then for 2800 slots past the rejoin (about as many as the survivors
-    // decide by t = 400000), so retention that regrew by one entry per
-    // slot would overrun its bound.
+    // then for 2800 slots past the rejoin, so retention that regrew by one
+    // entry per slot would overrun its bound. Idle, the leader holds each
+    // keep-alive slot for half a view timeout, so the survivors reach
+    // them at about t = 2,360,000.
     return service->replica(3).applied_commands() >= 30 &&
            p3.slots_applied() >= smr_options.snapshot_interval &&
            service->replica(0).engine().next_to_apply() >=
                first_applied + 2800;
   };
-  ASSERT_TRUE(service->run_until(rejoined_and_ran_on, 1000ms));
+  ASSERT_TRUE(service->run_until(rejoined_and_ran_on, 4000ms));
 
   ASSERT_GT(*crash_cursor, 1u) << "p3 must have applied something pre-crash";
 
@@ -1598,6 +1599,192 @@ TEST(SmrSuspicion, RestartedLeaderIsTrustedAgain) {
         << "p" << id;
     EXPECT_FALSE(service->replica(id).engine().suspects(3)) << "p" << id;
   }
+}
+
+// --- Slot-opening rule --------------------------------------------------------------
+//
+// A follower opens a slot for a waiting command only while no open slot
+// still waits for that slot's leader's proposal: the leader proposes its
+// slots in order, so the open one already probes it. An idle leader holds
+// its keep-alive slot for half a view timeout, so a command arriving
+// meanwhile rides it instead of a noop; followers open it at once, so
+// their view timer still probes the leader (SlotMux::fill_window).
+
+/// Delivers `cmd` to replica `id` at time `at` (an SMR_REQUEST minus the
+/// wire hop, so the test picks each replica's arrival time).
+void deliver_at(Service& service, TimePoint at, ProcessId id,
+                const Command& cmd) {
+  at_time(service, at, [&service, id, payload = SmrNode::encode_request(cmd)] {
+    service.replica(id).on_message(0, payload);
+  });
+}
+
+/// True while pinned p0 holds its keep-alive slot: it has no slot open,
+/// and every other replica has that slot open, waiting for its proposal.
+bool p0_holds(Service& service) {
+  const engine::SlotMux& p0 = service.replica(0).engine();
+  if (p0.inflight_slots() != 0) return false;
+  for (ProcessId id = 1; id < service.quorum().n; ++id) {
+    const engine::SlotMux& mux = service.replica(id).engine();
+    if (mux.inflight_slots() != 1 ||
+        mux.highest_started() != p0.highest_started() + 1) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SmrWindowRule, FollowersDoNotRunAheadOfAnUnansweredProposal) {
+  // Depth 2, pinned p0, lock-step links. Slots 1 and 2 carry a and b and
+  // fill every window until t = 200. c and d reach p0 meanwhile, so its
+  // slot 3 proposes both at t = 200; the followers get c at 150 and
+  // open slot 3 for it at 200, and get d at 250, while slot 3 still waits
+  // for p0's proposal (due at 300). A slot 4 opened for d would never be
+  // proposed: p0 has nothing left, so it would time out and change view
+  // with p0 alive.
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 2;
+  smr_options.rotate_leaders = false;
+  smr_options.eager_windows = false;
+  auto service = make_sim_service(
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options));
+  service->start();
+  const Command a = Command::put("a", "1", 1, 1);
+  const Command b = Command::put("b", "2", 1, 2);
+  const Command c = Command::put("c", "3", 1, 3);
+  const Command d = Command::put("d", "4", 1, 4);
+  for (ProcessId id = 0; id < 4; ++id) {
+    deliver_at(*service, 0, id, a);
+    deliver_at(*service, 0, id, b);
+  }
+  deliver_at(*service, 50, 0, c);
+  deliver_at(*service, 50, 0, d);
+  for (ProcessId id = 1; id < 4; ++id) {
+    deliver_at(*service, 150, id, c);
+    deliver_at(*service, 250, id, d);
+  }
+  ASSERT_TRUE(run_until_quiet(*service, 100ms));
+  for (ProcessId id = 0; id < 4; ++id) {
+    const SmrNode& node = service->replica(id);
+    EXPECT_EQ(node.applied_commands(), 4u) << "p" << id;
+    EXPECT_EQ(node.engine().highest_started(), 3u)
+        << "p" << id << ": c and d should share p0's slot 3";
+    EXPECT_EQ(service->engine_stats(id).view_changed_slots, 0u) << "p" << id;
+    EXPECT_EQ(service->engine_stats(id).suspected_wishes, 0u) << "p" << id;
+  }
+}
+
+TEST(SmrWindowRule, IdleEagerClusterDecidesOneNoopPerHold) {
+  // The leader opens each keep-alive slot half a view timeout after the
+  // last one decided, and the slot takes two more link delays to decide.
+  constexpr Duration kDelta = 100;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  const Duration base = config.smr.node.sync.base_timeout;
+  auto service = make_sim_service(config);
+  service->start();
+  const sim::Scheduler& sched = service->sim_network()->scheduler();
+  ASSERT_TRUE(service->run_until(
+      [&] { return service->replica(0).noop_slots() >= 5; }, 100ms));
+  const TimePoint from = sched.now();
+  std::vector<std::uint64_t> noops(4);
+  for (ProcessId id = 0; id < 4; ++id) {
+    noops[id] = service->replica(id).noop_slots();
+  }
+  service->run_until([] { return false; }, 100ms);
+  const std::uint64_t bound = (sched.now() - from) / (base / 2 + 2 * kDelta) + 1;
+  for (ProcessId id = 0; id < 4; ++id) {
+    const std::uint64_t decided = service->replica(id).noop_slots() - noops[id];
+    EXPECT_LE(decided, bound) << "p" << id;
+    EXPECT_GE(decided, bound - 1) << "p" << id << ": the keep-alive stalled";
+    EXPECT_EQ(service->engine_stats(id).view_changed_slots, 0u) << "p" << id;
+  }
+}
+
+TEST(SmrWindowRule, PutDuringAHoldRidesTheHeldSlot) {
+  // Request, propose, ack, reply: the held slot opens when the request
+  // reaches p0, so the put takes four delays, as with on-demand windows,
+  // and no noop slot decides before it.
+  ServiceConfig config =
+      ServiceConfig{}.with_cluster(4, 1, 1).with_pipeline_depth(8).with_seed(5);
+  config.smr.rotate_leaders = false;
+  config.sim_net.delta = 100;
+  config.sim_net.min_delay = 100;
+  auto service = make_sim_service(config);
+  service->start();
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        return service->replica(0).noop_slots() >= 3 && p0_holds(*service);
+      },
+      100ms))
+      << "p0 should hold its idle keep-alive slot";
+  const Slot held = service->replica(0).engine().highest_started() + 1;
+  sim::Scheduler& sched = service->sim_network()->scheduler();
+  sched.run_until(sched.now() + config.sim_net.delta);  // into the hold
+  ASSERT_TRUE(p0_holds(*service));
+  const SmrNode& p0 = service->replica(0);
+  const std::uint64_t noops = p0.noop_slots();
+  const TimePoint sent = sched.now();
+  TimePoint done = 0;
+  std::uint64_t noops_at_reply = 0;
+  auto put = service->session(0).put("k", "v");
+  put.on_ready([&](const Reply&) {
+    done = sched.now();
+    noops_at_reply = p0.noop_slots();
+  });
+  ASSERT_TRUE(service->await(put, 100ms));
+  EXPECT_EQ(done - sent, 4 * config.sim_net.delta);
+  EXPECT_EQ(put.value().slot, held);
+  EXPECT_EQ(noops_at_reply, noops) << "a noop slot decided before the put";
+}
+
+TEST(SmrWindowRule, LeaderCrashedMidHoldIsReplacedWithinOneTimeout) {
+  // The followers opened the held slot when the last one decided, so
+  // their view-1 timer fires one timeout later whatever p0 does.
+  constexpr Duration kDelta = 100;
+  SmrOptions smr_options;
+  smr_options.pipeline_depth = 8;
+  smr_options.rotate_leaders = false;
+  ServiceConfig config =
+      sim_config(consensus::QuorumConfig::create(4, 1, 1), smr_options);
+  const Duration base = config.smr.node.sync.base_timeout;
+  auto service = make_sim_service(config);
+  service->start();
+  sim::Scheduler& sched = service->sim_network()->scheduler();
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        return service->replica(0).noop_slots() >= 3 && p0_holds(*service);
+      },
+      100ms));
+  sched.run_until(sched.now() + base / 4);  // mid-hold
+  ASSERT_TRUE(p0_holds(*service));
+  service->crash(0);
+  const TimePoint crashed_at = sched.now();
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        for (ProcessId id = 1; id < 4; ++id) {
+          if (service->engine_stats(id).view_changed_slots == 0) return false;
+        }
+        return true;
+      },
+      100ms));
+  EXPECT_LE(sched.now(), crashed_at + base + 6 * kDelta)
+      << "the held slot should change view within one timeout";
+  std::vector<std::uint64_t> noops(4);
+  for (ProcessId id = 1; id < 4; ++id) {
+    noops[id] = service->replica(id).noop_slots();
+  }
+  ASSERT_TRUE(service->run_until(
+      [&] {
+        for (ProcessId id = 1; id < 4; ++id) {
+          if (service->replica(id).noop_slots() < noops[id] + 5) return false;
+        }
+        return true;
+      },
+      100ms))
+      << "survivors should keep deciding after the view change";
 }
 
 }  // namespace
