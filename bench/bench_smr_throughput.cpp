@@ -59,8 +59,7 @@
 /// instead of silently lowering the offered load. Per-op latencies land in
 /// a log-bucketed histogram (common/histogram.hpp) and each
 /// (mode, rate) cell reports p50/p99/p999 — the latency-vs-offered-rate
-/// curve, swept across static pipeline depths and the adaptive controller
-/// (docs/ADAPTIVE.md, docs/PERFORMANCE.md).
+/// curve, swept across pipeline depths (docs/PERFORMANCE.md).
 ///
 /// Experiment E15 leaves shared memory entirely: the 4 replicas are
 /// forked OS processes whose only channel is loopback TCP through
@@ -492,14 +491,12 @@ void closed_loop_client_sweep() {
 
 // --- E14: open-loop latency harness ------------------------------------------
 
-/// Pipelining modes the latency-vs-rate curve is swept across. The static
+/// Pipelining modes the latency-vs-rate curve is swept across. The
 /// depths bracket the trade-off (shallow = low queueing, deep = high
-/// saturation throughput); adaptive must find the best of both at run
-/// time.
+/// saturation throughput).
 struct OpenLoopMode {
   const char* name;
-  std::uint32_t depth;  // static depth, or max_depth when adaptive
-  bool adaptive;
+  std::uint32_t depth;
 };
 
 struct OpenLoopResult {
@@ -513,15 +510,7 @@ struct OpenLoopResult {
   std::uint64_t p50_us = 0;
   std::uint64_t p99_us = 0;
   std::uint64_t p999_us = 0;
-  std::uint32_t depth_end = 0;
-  std::uint64_t backoffs = 0;
 };
-
-/// The adaptive controller's decision-latency budget (wall-clock µs).
-/// Roughly 3x a healthy uncontended decision on this LAN model: deep
-/// enough not to flap on noise, tight enough that a saturated delivery
-/// thread (whose decision tail stretches far past it) forces a backoff.
-constexpr Duration kAdaptiveTargetUs = 5'000;
 
 OpenLoopResult run_open_loop(const OpenLoopMode& mode, double rate,
                              double duration_s) {
@@ -532,6 +521,7 @@ OpenLoopResult run_open_loop(const OpenLoopMode& mode, double rate,
                     .with_cluster(4, 1, 1)
                     .with_sessions(kSessions)
                     .with_batch(8)
+                    .with_pipeline_depth(mode.depth)
                     // Open loop: the window must never backpressure the
                     // arrival process — queueing belongs in the latency
                     // numbers, not in a client-side throttle.
@@ -542,29 +532,6 @@ OpenLoopResult run_open_loop(const OpenLoopMode& mode, double rate,
                     // bounds every op so the drain terminates.
                     .with_request_timeout(500'000)
                     .with_deadline(5'000'000);
-  if (mode.adaptive) {
-    config.with_adaptive(kAdaptiveTargetUs, 1, mode.depth);
-    // The tail-latency amplifier at deep windows is the reorder buffer: a
-    // slot stalled in a view change parks every younger decision (and the
-    // client replies behind them). Back off when more than half the
-    // window is parked, well before the default of 2 x max_depth.
-    config.smr.adaptive.backlog_target = mode.depth / 2;
-    // A 100ms window holds ~250 decisions at these rates, so window p99
-    // is a real quantile: the single outlier a lone view-change stall
-    // leaves behind cannot move it, while a depth-8 convoy still
-    // breaches immediately through the backlog high-water. (The default
-    // 4x-target window holds so few samples that p99 == max, and the
-    // controller would back off on every stall at every depth.)
-    config.smr.adaptive.window = 100'000;
-    // One convoy already costs ~50+ op tails, so react to every breached
-    // window (the ssthresh cap keeps reactions from compounding), and
-    // re-probe known-bad depths sparingly: a failed probe re-buys the
-    // convoy the controller just paid to learn.
-    config.smr.adaptive.breach_windows = 1;
-    config.smr.adaptive.probe_windows = 30;  // ~3s between probes
-  } else {
-    config.with_pipeline_depth(mode.depth);
-  }
   auto service = make_threaded_service(config);
   service->start();
 
@@ -614,7 +581,6 @@ OpenLoopResult run_open_loop(const OpenLoopMode& mode, double rate,
         return completed + timeouts >= submitted;
       },
       60'000ms);
-  auto stats = service->engine_stats(0);
   service->stop();
 
   std::lock_guard<std::mutex> lock(mutex);
@@ -631,8 +597,6 @@ OpenLoopResult run_open_loop(const OpenLoopMode& mode, double rate,
   result.p50_us = latencies.quantile(0.50);
   result.p99_us = latencies.quantile(0.99);
   result.p999_us = latencies.quantile(0.999);
-  result.depth_end = stats.effective_depth;
-  result.backoffs = stats.adaptive_backoffs;
   return result;
 }
 
@@ -640,17 +604,14 @@ void open_loop_latency_sweep(const std::vector<double>& rates,
                              double duration_s) {
   std::printf("\n=== E14: open-loop latency vs offered rate (threaded "
               "service, n = 4, f = t = 1, batch = 8, 2 sessions, 200us "
-              "link delay, Poisson arrivals, %.1fs per cell, adaptive "
-              "target %lldus) ===\n",
-              duration_s, static_cast<long long>(kAdaptiveTargetUs));
+              "link delay, Poisson arrivals, %.1fs per cell) ===\n",
+              duration_s);
   const OpenLoopMode modes[] = {
-      {"static-d1", 1, false},
-      {"static-d8", 8, false},
-      {"adaptive", 8, true},
+      {"static-d1", 1},
+      {"static-d8", 8},
   };
-  std::printf("%-11s %-9s %-10s %-9s %-9s %-9s %-9s %-6s %-9s\n", "mode",
-              "rate/s", "ops/sec", "p50 us", "p99 us", "p999 us", "timeout",
-              "depth", "backoffs");
+  std::printf("%-11s %-9s %-10s %-9s %-9s %-9s %-9s\n", "mode", "rate/s",
+              "ops/sec", "p50 us", "p99 us", "p999 us", "timeout");
   for (const auto& mode : modes) {
     for (double rate : rates) {
       auto r = run_open_loop(mode, rate, duration_s);
@@ -661,35 +622,30 @@ void open_loop_latency_sweep(const std::vector<double>& rates,
                     static_cast<unsigned long long>(r.submitted));
         continue;
       }
-      std::printf("%-11s %-9.0f %-10.0f %-9llu %-9llu %-9llu %-6llu %-6u "
-                  "%-9llu\n",
+      std::printf("%-11s %-9.0f %-10.0f %-9llu %-9llu %-9llu %-6llu\n",
                   mode.name, rate, r.achieved_per_sec,
                   static_cast<unsigned long long>(r.p50_us),
                   static_cast<unsigned long long>(r.p99_us),
                   static_cast<unsigned long long>(r.p999_us),
-                  static_cast<unsigned long long>(r.timeouts), r.depth_end,
-                  static_cast<unsigned long long>(r.backoffs));
+                  static_cast<unsigned long long>(r.timeouts));
       char extra[320];
       std::snprintf(
           extra, sizeof(extra),
           "\"n\": 4, \"f\": 1, \"t\": 1, \"batch\": 8, \"sessions\": 2, "
           "\"link_delay_us\": 200, \"mode\": \"%s\", \"depth\": %u, "
           "\"rate\": %.0f, \"duration_ms\": %.0f, \"submitted\": %llu, "
-          "\"completed\": %llu, \"timeouts\": %llu, \"depth_end\": %u, "
-          "\"backoffs\": %llu",
+          "\"completed\": %llu, \"timeouts\": %llu",
           mode.name, mode.depth, rate, duration_s * 1000.0,
           static_cast<unsigned long long>(r.submitted),
           static_cast<unsigned long long>(r.completed),
-          static_cast<unsigned long long>(r.timeouts), r.depth_end,
-          static_cast<unsigned long long>(r.backoffs));
+          static_cast<unsigned long long>(r.timeouts));
       g_recorder.add_latency("E14", extra, r.achieved_per_sec, r.wall_ms,
                              r.mean_us, r.p50_us, r.p99_us, r.p999_us);
     }
   }
   std::printf("(open loop: arrivals do NOT wait for completions, so "
               "overload surfaces as tail latency rather than a quietly "
-              "lower offered rate; 'adaptive' sizes its pipeline depth at "
-              "run time from decision latency — docs/ADAPTIVE.md)\n");
+              "lower offered rate)\n");
 }
 
 void sharded_group_sweep() {

@@ -25,11 +25,13 @@ and ANY of them regressing beyond the threshold fails the gate.
           per mode, at the lowest offered rate common to both files —
           the rate where the tail is load-stable rather than
           saturation-noise. The BEST (lowest) p99 across the current
-          runs counts, mirroring the throughput gates. Tails below
-          --latency-floor-us (default 25000 — one view-change base
-          timeout) always pass: on an oversubscribed host a single
-          scheduler stall parks enough arrivals to set the whole p99,
-          so sub-floor differences are scheduler luck, not code.
+          runs counts, mirroring the throughput gates. A baseline mode
+          that no current run has prints one "in baseline only, not
+          gated" line. Tails below --latency-floor-us (default 25000 —
+          one view-change base timeout) always pass: on an
+          oversubscribed host a single scheduler stall parks enough
+          arrivals to set the whole p99, so sub-floor differences are
+          scheduler luck, not code.
 
 The committed file may hold several runs ({"runs": [...]}); the LAST run
 is the reference. A single-run file ({"records": [...]}) is accepted for
@@ -120,6 +122,11 @@ def check_latency(experiment, field, base_records, currents, base_label,
                                             field).items():
             if key not in best or us < best[key][0]:
                 best[key] = (us, cur_label)
+
+    # A mode the current runs dropped would otherwise vanish from the
+    # gate without a word.
+    for mode in sorted({m for m, _ in base} - {m for m, _ in best}):
+        print(f"{experiment} {mode}: in baseline only, not gated")
 
     common = set(base) & set(best)
     if not common:

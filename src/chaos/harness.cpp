@@ -194,7 +194,6 @@ RunResult Harness::run(const Schedule& schedule) const {
       .with_rotating_leaders(schedule.rotate_leaders)
       .with_deadline(kRequestDeadline)
       .with_seed(schedule.seed);
-  if (schedule.adaptive) config.with_adaptive(2'500, 1, 8);
   config.unsafe_first_reply_quorum = schedule.unsafe_first_reply_quorum;
   {
     std::uint32_t lying = schedule.lying_mask;
@@ -386,7 +385,6 @@ Harness::ShrinkResult Harness::shrink(const Schedule& failing,
     if (still_fails(candidate)) best = candidate;
   };
   try_edit([](Schedule& s) { s.lying_mask = 0; });
-  try_edit([](Schedule& s) { s.adaptive = false; });
   try_edit([](Schedule& s) { s.pipeline_depth = 1; });
   try_edit([](Schedule& s) { s.shards = 1; });
   try_edit([](Schedule& s) { s.sessions = std::max(1u, s.sessions / 2); });

@@ -120,7 +120,7 @@ std::string Schedule::to_string() const {
                     std::to_string(ops_per_session) + " keys=" +
                     std::to_string(key_space) + " depth=" +
                     std::to_string(pipeline_depth);
-  if (adaptive) out += " adaptive";
+  if (adaptive) out += " adaptive(retired, ignored)";
   if (rotate_leaders) out += " rotate";
   if (lying_mask) out += " liars=0x" + std::to_string(lying_mask);
   if (unsafe_first_reply_quorum) out += " UNSAFE-QUORUM";
@@ -163,7 +163,6 @@ Schedule generate_schedule(std::uint64_t seed,
   s.shards = options.shards;
   s.sessions = options.sessions;
   s.ops_per_session = options.ops_per_session;
-  s.adaptive = options.adaptive;
   s.key_space = 4 + static_cast<std::uint32_t>(rng.next_below(8));
   s.pipeline_depth = 1 + static_cast<std::uint32_t>(rng.next_below(4));
   s.rotate_leaders = rng.chance(1, 2);

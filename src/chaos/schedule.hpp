@@ -64,6 +64,10 @@ struct Schedule {
   std::uint32_t ops_per_session = 30;
   std::uint32_t key_space = 8;
   std::uint32_t pipeline_depth = 2;
+  /// RETIRED: once ran the cluster under adaptive pipeline control, which
+  /// is gone; pipeline_depth is the only window size. The harness ignores
+  /// the bit, and it stays in the encoding so committed and quoted
+  /// schedules still decode.
   bool adaptive = false;
   /// Rotate slot leadership round-robin (the post-PR-1 engine path the
   /// legacy adversary suite never exercised; generated schedules draw it).
@@ -112,7 +116,6 @@ struct ScenarioOptions {
   std::uint32_t shards = 1;
   std::uint32_t sessions = 2;
   std::uint32_t ops_per_session = 30;
-  bool adaptive = false;
   /// Force at least one lying replica (used with the injected bug so the
   /// checker has something to catch).
   bool force_liar = false;

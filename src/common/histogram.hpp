@@ -7,17 +7,15 @@
 /// \file histogram.hpp
 /// Log-bucketed value histogram for latency accounting (HdrHistogram
 /// style, pared down). Values are non-negative integers in any unit the
-/// caller picks — the engine records decision latencies in host ticks,
-/// the open-loop benchmark records per-op completion latencies in
-/// nanoseconds.
+/// caller picks — the open-loop benchmark (E14) records per-op
+/// completion latencies in microseconds.
 ///
 /// Bucketing: values below 2^kSubBucketBits are exact; above that, each
 /// power-of-two octave is split into 2^kSubBucketBits linear sub-buckets,
 /// so any recorded value is off by at most 1/2^kSubBucketBits of itself
 /// (~3% at the default 5 bits). That makes record() O(1) with a fixed
-/// ~2K-entry footprint across the full 64-bit range — cheap enough to sit
-/// on the engine's decide path — while quantiles stay accurate enough to
-/// steer an AIMD controller or publish p999s.
+/// ~2K-entry footprint across the full 64-bit range, while quantiles stay
+/// accurate enough to publish p999s.
 ///
 /// Quantiles are reported as the midpoint of the bucket holding the
 /// requested rank, clamped into [min(), max()] so quantile(0) and

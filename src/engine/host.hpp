@@ -48,9 +48,9 @@ class Host : public sim::TimerService {
   /// phases when no host thread is live. Engine code checks it (via
   /// FASTBFT_DASSERT, so only in invariant builds) before mutating state
   /// the single-threaded-executor guarantee protects — TimerWheel entries
-  /// on schedule/cancel, SlotMux/AdaptiveController single-writer stats —
-  /// extending the transport's arm/cancel affinity asserts to mutations
-  /// that never reach the transport. Single-threaded hosts are always ok;
+  /// on schedule/cancel, SlotMux single-writer stats — extending the
+  /// transport's arm/cancel affinity asserts to mutations that never
+  /// reach the transport. Single-threaded hosts are always ok;
   /// LoopHost delegates to its event loop's common::ThreadGuard, which
   /// reports permissively when invariant checking is compiled out.
   virtual bool affinity_ok() const { return true; }

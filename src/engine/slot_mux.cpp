@@ -72,10 +72,6 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
   if (!ctx_.verify_cache) {
     ctx_.verify_cache = std::make_shared<crypto::VerificationCache>();
   }
-  if (options_.adaptive.enabled) {
-    adaptive_ = std::make_unique<AdaptiveController>(
-        options_.adaptive, options_.max_batch, options_.max_reorder_backlog);
-  }
   authors_.resize(max_window_depth());
   suspected_.resize(ctx_.cfg.n);
 }
@@ -133,10 +129,7 @@ void SlotMux::broadcast_wrapped(Slot slot, net::MessageRef inner,
 }
 
 void SlotMux::fill_window() {
-  // The window honours the *effective* depth — the controller's when
-  // adaptive control is on. A backoff does not cancel already-open slots;
-  // the window shrinks as they decide and refills at the smaller depth.
-  // Within it, the next slot opens
+  // Within the window, the next slot opens
   //  (a) for a command waiting unclaimed, if this replica leads the slot
   //      or no open slot still waits for its leader's proposal: the
   //      leader proposes in slot order, so that slot already probes it,
@@ -147,7 +140,7 @@ void SlotMux::fill_window() {
   //      once, so their view timer still probes the leader;
   //  (c) when its view-1 leader is suspected, so a dead leader's chain
   //      changes view in one round instead of one slot per request.
-  while (next_start_ < next_apply_ + effective_depth()) {
+  while (next_start_ < next_apply_ + max_window_depth()) {
     const ProcessId leader = view1_leader(next_start_);
     bool open = suspected_[leader] ||
                 (pending_.has_unclaimed() &&
@@ -222,7 +215,7 @@ const Value& SlotMux::noop_batch(ProcessId author) {
 
 Value SlotMux::make_input(Slot slot) {
   std::vector<const smr::Command*> batch =
-      pending_.claim(slot, effective_batch());
+      pending_.claim(slot, options_.max_batch);
   if (batch.empty()) return noop_batch(ctx_.id);
   return smr::encode_batch(batch, ctx_.id);
 }
@@ -310,7 +303,6 @@ void SlotMux::start_slot(Slot slot) {
   }
   Instance& inst = *node;
   inst.channel.set_slot(slot);
-  inst.started_at = host_.now();
   const ProcessId leader = inst.leader = view1_leader(slot);
 
   viewsync::SynchronizerConfig sync_cfg = options_.sync;
@@ -383,7 +375,6 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
   if (it == active_.end() || it->first != slot) {
     return;  // decision already processed
   }
-  TimePoint started_at = it->second->started_at;
   if (it->second->replica->view() > 1) {
     view_changed_slots_.store(view_changed_slots() + 1,
                               std::memory_order_relaxed);
@@ -396,14 +387,6 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
     FASTBFT_DASSERT(host_.affinity_ok(),
                     "engine stats are single-writer (host thread)");
     reorder_high_water_.store(reorder_.size(), std::memory_order_relaxed);
-  }
-  if (adaptive_) {
-    // The controller's knob/stat atomics share the single-writer
-    // discipline: readers sample from anywhere, only this thread writes.
-    FASTBFT_DASSERT(host_.affinity_ok(),
-                    "AdaptiveController is single-writer (host thread)");
-    TimePoint now = host_.now();
-    adaptive_->on_decision(now - started_at, reorder_.size(), now);
   }
 
   drain_apply();
@@ -556,16 +539,13 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
     return;
   }
   if (slot >= next_start_) {
-    // A peer is already running this slot. Under static knobs every
-    // replica's window reaches a slot within a link delay of the others,
-    // so traffic from ahead is a harmless race; with adaptive control the
-    // windows diverge structurally (each replica's controller steps on its
-    // own observations), and dropping the first proposal here stalls the
-    // slot until its view-change timeout — precisely the convoy the
-    // controller exists to avoid. Join any slot the cluster shows live
-    // protocol evidence for within the MAXIMUM window (the bound every
-    // window-sized invariant already assumes); the effective depth keeps
-    // gating how far WE advance the frontier unprompted (fill_window).
+    // A peer is already running a slot this replica has not opened: it
+    // holds no command for it (fill_window opens a follower's slot for a
+    // waiting command only), or, on a real network that keeps only
+    // per-link FIFO order, the proposal overtook the acks that advance our
+    // window. Dropping it would stall the slot until its view-change
+    // timeout, so join every slot up to it within the window; traffic
+    // past the window waits in parked_ until the window reaches it.
     if (slot >= next_apply_ + max_window_depth()) {
       park_wrapped(slot, from, payload);
       return;

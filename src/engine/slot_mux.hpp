@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "consensus/replica.hpp"
-#include "engine/adaptive.hpp"
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
@@ -72,12 +71,7 @@
 ///    a snapshot install) catches up without a Commit stream;
 ///  * policy objects — client-command intake/dedup/claims (PendingQueue)
 ///    and decided-value/snapshot state transfer (CatchUpPolicy) live
-///    behind the engine rather than in the client-facing SMR shell;
-///  * adaptive control — with SlotMuxOptions::adaptive enabled, an AIMD
-///    AdaptiveController sizes the *effective* pipeline depth and batch
-///    from observed decision latency and reorder backlog, and the window/
-///    claim logic consults it instead of the static knobs (adaptive.hpp,
-///    docs/ADAPTIVE.md).
+///    behind the engine rather than in the client-facing SMR shell.
 
 namespace fastbft::engine {
 
@@ -106,9 +100,9 @@ struct EngineContext {
 
 struct SlotMuxOptions {
   /// Consensus slots allowed in flight concurrently. 1 reproduces the
-  /// strictly sequential pre-engine behaviour. With adaptive.max_depth it
-  /// sets max_window_depth(), the D of the leader schedule, which must be
-  /// the same on every replica of a group (see rotate_leaders).
+  /// strictly sequential pre-engine behaviour. It is max_window_depth(),
+  /// the D of the leader schedule, which must be the same on every replica
+  /// of a group (see rotate_leaders).
   std::uint32_t pipeline_depth = 1;
 
   /// Maximum commands claimed into one slot proposal.
@@ -158,12 +152,6 @@ struct SlotMuxOptions {
 
   /// Largest SNAPSHOT_RESPONSE chunk payload.
   std::uint32_t snapshot_chunk_bytes = 1024;
-
-  /// Closed-loop sizing of the effective pipeline depth and batch from
-  /// observed decision latency and reorder backlog (engine/adaptive.hpp).
-  /// Disabled by default: pipeline_depth/max_batch stay authoritative,
-  /// which keeps single-group benchmark baselines comparable.
-  AdaptiveOptions adaptive;
 
   /// Per-slot consensus tuning.
   consensus::ReplicaOptions replica;
@@ -278,35 +266,10 @@ class SlotMux {
     return clamp_stalls_.load(std::memory_order_relaxed);
   }
 
-  /// Pipeline depth the window logic currently honours: the controller's
-  /// when adaptive control is on, the static option otherwise.
-  /// Thread-safe (relaxed atomic under the controller).
-  std::uint32_t effective_depth() const {
-    return adaptive_ ? adaptive_->depth() : options_.pipeline_depth;
-  }
-
-  /// Batch size proposals currently claim up to.
-  std::uint32_t effective_batch() const {
-    return adaptive_ ? adaptive_->batch() : options_.max_batch;
-  }
-
-  /// Worst-case window the engine may ever run — the bound for
-  /// window-sized invariants (claim flood rejection, dedup horizon,
-  /// catch-up gap heuristics), which must hold at any effective depth.
-  std::uint32_t max_window_depth() const {
-    return adaptive_ ? std::max(options_.pipeline_depth,
-                                adaptive_->options().max_depth)
-                     : options_.pipeline_depth;
-  }
-
-  /// Adaptive windows that breached and backed off (0 when adaptive
-  /// control is off). Thread-safe.
-  std::uint64_t adaptive_backoffs() const {
-    return adaptive_ ? adaptive_->backoff_events() : 0;
-  }
-
-  /// The adaptive controller, when enabled (tests, benchmarks).
-  const AdaptiveController* adaptive() const { return adaptive_.get(); }
+  /// The window the engine runs (SlotMuxOptions::pipeline_depth) — the
+  /// bound for window-sized invariants (claim flood rejection, dedup
+  /// horizon, catch-up gap heuristics) and the D of the leader schedule.
+  std::uint32_t max_window_depth() const { return options_.pipeline_depth; }
 
   /// Commands applied (snapshot installs raise it to the snapshot's
   /// count). Thread-safe.
@@ -400,9 +363,6 @@ class SlotMux {
     SlotChannel channel;
     std::optional<consensus::Replica> replica;
     std::optional<viewsync::Synchronizer> sync;
-    /// Host clock at start_slot; decided - started is the decision
-    /// latency the adaptive controller steers by.
-    TimePoint started_at = 0;
     /// The slot's view-1 leader; view v is led by leader + v - 1 mod n.
     ProcessId leader = 0;
   };
@@ -477,9 +437,6 @@ class SlotMux {
   /// replica (a malformed decided value) counts as the slot's own view-1
   /// leader, so the schedule stays a function of the decided log.
   std::vector<ProcessId> authors_;
-
-  /// AIMD depth/batch sizing; null unless options_.adaptive.enabled.
-  std::unique_ptr<AdaptiveController> adaptive_;
 
   /// The dispatch table: live consensus instances, in slot order (slots
   /// open in increasing order, so opening one appends).

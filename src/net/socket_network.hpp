@@ -20,8 +20,7 @@
 /// the loop's epoll set. The loop owns the timers, posted tasks and the
 /// receive handler's thread (net/event_loop.hpp), exactly as it does for
 /// ThreadedNetwork, so engine::LoopHost, SmrNode, smr::ClientSession,
-/// sharding, snapshots and the adaptive controller run over sockets
-/// unchanged.
+/// sharding and snapshots run over sockets unchanged.
 ///
 /// Wire protocol: length-prefixed frames (net/frame.hpp) with a
 /// magic+version+ProcessId handshake opening each direction; empty frames

@@ -68,7 +68,7 @@ struct ServiceConfig {
   /// Simulator runtime only: per-replica SmrOptions override, called once
   /// per replica at construction. The chaos harness uses this to flip
   /// SmrOptions::byzantine hooks on selected replicas. It must leave
-  /// SmrOptions::max_window_depth() unchanged (asserted): every replica
+  /// SmrOptions::pipeline_depth unchanged (asserted): every replica
   /// derives the leader schedule from it.
   std::function<void(ProcessId, SmrOptions&)> tune_replica;
 
@@ -130,20 +130,6 @@ struct ServiceConfig {
   }
   ServiceConfig& with_link_delay(std::chrono::microseconds delay) {
     link_delay = delay;
-    return *this;
-  }
-  /// Adaptive pipeline-depth/batch control (engine/adaptive.hpp,
-  /// docs/ADAPTIVE.md): AIMD-size the effective depth in
-  /// [min_depth, max_depth] to keep per-window p99 decision latency under
-  /// `latency_target` host ticks. Overrides the static
-  /// with_pipeline_depth value while enabled.
-  ServiceConfig& with_adaptive(Duration latency_target,
-                               std::uint32_t min_depth = 1,
-                               std::uint32_t max_depth = 8) {
-    smr.adaptive.enabled = true;
-    smr.adaptive.latency_target = latency_target;
-    smr.adaptive.min_depth = min_depth;
-    smr.adaptive.max_depth = max_depth;
     return *this;
   }
   ServiceConfig& with_seed(std::uint64_t seed) {
@@ -210,11 +196,10 @@ class Service {
   /// Commands replica `id` applied so far (thread-safe on every runtime).
   virtual std::uint64_t applied_commands(ProcessId replica) const = 0;
 
-  /// Live engine observability for one replica — the effective pipeline
-  /// depth/batch currently honoured (the adaptive controller's values
-  /// when with_adaptive is on, the static knobs otherwise), adaptive
-  /// backoff events, and the reorder-backlog high-water / clamp-stall
-  /// counters. Thread-safe on every runtime while the service runs.
+  /// Live engine observability for one replica — the pipeline depth and
+  /// batch it runs, the reorder-backlog high-water / clamp-stall counters
+  /// and the catch-up and view-change counters. Thread-safe on every
+  /// runtime while the service runs.
   virtual SmrNode::EngineStats engine_stats(ProcessId replica) const = 0;
 
   /// True iff `replica` crashed (and, on the sim runtime, was not yet

@@ -39,16 +39,6 @@ void SmrNode::init_groups(engine::Host& host) {
   mux_options.snapshot_chunk_bytes = options_.snapshot_chunk_bytes;
   mux_options.replica = options_.node.replica;
   mux_options.sync = options_.node.sync;
-  mux_options.adaptive = options_.adaptive;
-  if (options_.adaptive.enabled) {
-    // The static depth seeds nothing: the controller starts at min_depth
-    // and earns depth from observations. The static knob only caps the
-    // first fill_window() before the controller's first step, so clamp it
-    // into the adaptive range for a consistent starting window.
-    mux_options.pipeline_depth =
-        std::clamp(options_.pipeline_depth, options_.adaptive.min_depth,
-                   options_.adaptive.max_depth);
-  }
 
   groups_.reserve(options_.num_groups);
   for (GroupId g = 0; g < options_.num_groups; ++g) {
@@ -81,9 +71,6 @@ void SmrNode::init_groups(engine::Host& host) {
           }
         },
         std::move(hooks));
-    FASTBFT_ASSERT(
-        group->mux->max_window_depth() == options_.max_window_depth(),
-        "SmrOptions::max_window_depth must match the engine's");
     groups_.push_back(std::move(group));
   }
 }
@@ -185,13 +172,10 @@ std::uint64_t SmrNode::noop_slots() const {
 
 SmrNode::EngineStats SmrNode::engine_stats() const {
   EngineStats stats;
+  stats.effective_depth = options_.pipeline_depth;
+  stats.effective_batch = options_.max_batch;
   for (const auto& group : groups_) {
     const auto& mux = *group->mux;
-    stats.effective_depth = std::max(stats.effective_depth,
-                                     mux.effective_depth());
-    stats.effective_batch = std::max(stats.effective_batch,
-                                     mux.effective_batch());
-    stats.adaptive_backoffs += mux.adaptive_backoffs();
     stats.reorder_high_water = std::max(stats.reorder_high_water,
                                         mux.reorder_high_water());
     stats.parked_high_water = std::max(stats.parked_high_water,

@@ -76,16 +76,12 @@ struct SmrOptions {
   std::uint32_t num_groups = 1;
 
   /// Consensus slots run concurrently (1 = strictly sequential slots,
-  /// the pre-engine behaviour). See engine::SlotMuxOptions.
+  /// the pre-engine behaviour). See engine::SlotMuxOptions. It is every
+  /// group's SlotMux::max_window_depth(), the D of the leader schedule
+  /// (engine::SlotMuxOptions::rotate_leaders), so it must be the same on
+  /// every replica; replicas that differ derive different leaders once a
+  /// view change moved the schedule, and their slots stall.
   std::uint32_t pipeline_depth = 1;
-
-  /// Every group's SlotMux::max_window_depth(): the D of the leader
-  /// schedule (engine::SlotMuxOptions::rotate_leaders). It must be the
-  /// same on every replica; replicas that differ derive different leaders
-  /// once a view change moved the schedule, and their slots stall.
-  std::uint32_t max_window_depth() const {
-    return adaptive.enabled ? adaptive.max_depth : pipeline_depth;
-  }
 
   /// Rotate the view-1 leader by slot index (see engine::SlotMuxOptions).
   /// Unset = automatic: rotation is ON for multi-group runs (S groups x
@@ -113,14 +109,6 @@ struct SmrOptions {
 
   /// Largest snapshot-transfer chunk payload (see engine::SlotMuxOptions).
   std::uint32_t snapshot_chunk_bytes = 1024;
-
-  /// Adaptive sizing of the effective pipeline depth and batch per group
-  /// (engine/adaptive.hpp, docs/ADAPTIVE.md). Off by default: the static
-  /// pipeline_depth/max_batch stay authoritative. When enabled,
-  /// pipeline_depth is the starting point only if it falls inside
-  /// [adaptive.min_depth, adaptive.max_depth]; the controller owns the
-  /// knob from the first scored window on.
-  engine::AdaptiveOptions adaptive;
 
   /// TEST HOOKS — Byzantine behaviours for the chaos harness
   /// (src/chaos, docs/CHAOS.md). All off by default. They corrupt only
@@ -199,13 +187,13 @@ class SmrNode final : public runtime::IProcess {
   }
 
   /// Live engine observability, aggregated over this node's groups:
-  /// knob values are the max across groups (they move together under
-  /// uniform load), event counters are summed. Thread-safe — every field
-  /// reads relaxed atomics — so stats threads can sample a running node.
+  /// high-water marks and the watermark are the max across groups, event
+  /// counters are summed. Thread-safe — the knobs are fixed at
+  /// construction and every other field reads relaxed atomics — so stats
+  /// threads can sample a running node.
   struct EngineStats {
-    std::uint32_t effective_depth = 0;   ///< max over groups
-    std::uint32_t effective_batch = 0;   ///< max over groups
-    std::uint64_t adaptive_backoffs = 0; ///< summed
+    std::uint32_t effective_depth = 0;   ///< SmrOptions::pipeline_depth
+    std::uint32_t effective_batch = 0;   ///< SmrOptions::max_batch
     std::size_t reorder_high_water = 0;  ///< max over groups
     std::size_t parked_high_water = 0;   ///< max over groups
     std::uint64_t clamp_stalls = 0;      ///< summed

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "engine/adaptive.hpp"
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
 #include "engine/pending_queue.hpp"
@@ -488,344 +487,6 @@ TEST(CatchUpPolicySnapshot, DeferredBodyIsBuiltOnceOnFirstServe) {
   note_test_snapshot(installed, 25);
   EXPECT_EQ(policy.snapshot_chunks(), installed.snapshot_chunks());
   EXPECT_EQ(builds, 1);
-}
-
-// --- AdaptiveController ------------------------------------------------------
-//
-// The controller is clockless — every observation carries the caller's
-// `now` — so these tests drive it with hand-scripted schedules exactly as
-// SimHost would: same observations in, same trajectory out, every run.
-
-/// Feeds `count` decisions of fixed `latency`/`backlog`, one per tick
-/// starting at `start`; returns the tick after the last one. With
-/// window = 10, an initial feed of 11 (ticks 0..10) and subsequent feeds
-/// of 10 each end exactly on an evaluation tick: one scored window per
-/// feed, no observations left over to leak into the next window.
-TimePoint feed(AdaptiveController& c, TimePoint start, int count,
-               Duration latency, std::size_t backlog = 0) {
-  TimePoint now = start;
-  for (int i = 0; i < count; ++i) c.on_decision(latency, backlog, now++);
-  return now;
-}
-
-TEST(AdaptiveControllerTest, ResolvesDefaultsFromTargetAndClamp) {
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  AdaptiveController free_backlog(opts, /*batch_ceiling=*/8,
-                                  /*reorder_clamp=*/0);
-  EXPECT_EQ(free_backlog.options().window, 400);       // 4 x target
-  EXPECT_EQ(free_backlog.options().backlog_target, 16u);  // 2 x max_depth
-
-  AdaptiveController clamped(opts, 8, /*reorder_clamp=*/5);
-  EXPECT_EQ(clamped.options().backlog_target, 5u);
-
-  // Starts cautious on depth, greedy on batch: depth is earned from
-  // observations, batching costs nothing until proven otherwise.
-  EXPECT_EQ(clamped.depth(), opts.min_depth);
-  EXPECT_EQ(clamped.batch(), 8u);
-}
-
-TEST(AdaptiveControllerTest, GrowsToMaxUnderLightLoad) {
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.min_depth = 1;
-  opts.max_depth = 6;
-  opts.window = 10;
-  opts.min_samples = 2;
-  AdaptiveController c(opts, /*batch_ceiling=*/8, /*reorder_clamp=*/0);
-
-  // Healthy windows (latency well under target): +1 depth per window,
-  // exactly min -> max in (max - min) windows, then it stays pinned.
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  EXPECT_EQ(c.depth(), 2u);
-  for (std::uint32_t expected = 3; expected <= 6; ++expected) {
-    now = feed(c, now, 10, /*latency=*/50);
-    EXPECT_EQ(c.depth(), expected);
-  }
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 6u);
-  EXPECT_EQ(c.max_depth_reached(), 6u);
-  EXPECT_EQ(c.backoff_events(), 0u);
-  EXPECT_EQ(c.batch(), 8u);
-  EXPECT_GE(c.windows_evaluated(), 6u);
-}
-
-TEST(AdaptiveControllerTest, BacksOffOnLatencySpike) {
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 10;
-  opts.min_samples = 2;
-  opts.breach_windows = 1;  // react on the very first breached window
-  opts.probe_windows = 1;   // and regrow immediately once healthy
-  AdaptiveController c(opts, /*batch_ceiling=*/8, /*reorder_clamp=*/0);
-
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  for (int w = 0; w < 6; ++w) now = feed(c, now, 10, 50);  // 7 grown windows
-  ASSERT_EQ(c.depth(), 8u);
-  ASSERT_EQ(c.batch(), 8u);
-
-  // One window whose p99 blows the target: multiplicative backoff on the
-  // depth at the next evaluation. Batch holds — the convoy behind a
-  // stalled slot scales with younger slots, not ops per slot, and
-  // shrinking the batch would cut capacity mid-transient.
-  now = feed(c, now, 10, /*latency=*/500);
-  EXPECT_EQ(c.depth(), 4u);
-  EXPECT_EQ(c.batch(), 8u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-
-  // Healthy again: additive recovery, one depth step per window.
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 5u);
-  EXPECT_EQ(c.batch(), 8u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-  EXPECT_EQ(c.max_depth_reached(), 8u);  // remembers the deepest run
-}
-
-TEST(AdaptiveControllerTest, ShedsDepthBeforeBatch) {
-  // The backoff hierarchy: depth all the way to min_depth first, and
-  // only then the batch — a breach at the shallowest window means the
-  // per-decision work itself is too big.
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 10;
-  opts.min_samples = 2;
-  opts.breach_windows = 1;
-  opts.probe_windows = 1;
-  AdaptiveController c(opts, /*batch_ceiling=*/8, /*reorder_clamp=*/0);
-
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  for (int w = 0; w < 6; ++w) now = feed(c, now, 10, 50);
-  ASSERT_EQ(c.depth(), 8u);
-
-  now = feed(c, now, 10, 500);  // 8 -> 4
-  now = feed(c, now, 10, 500);  // 4 -> 2
-  now = feed(c, now, 10, 500);  // 2 -> 1
-  EXPECT_EQ(c.depth(), 1u);
-  EXPECT_EQ(c.batch(), 8u) << "batch untouched while depth can shed";
-
-  now = feed(c, now, 10, 500);  // at min depth: batch finally halves
-  EXPECT_EQ(c.depth(), 1u);
-  EXPECT_EQ(c.batch(), 4u);
-  EXPECT_EQ(c.backoff_events(), 4u);
-
-  // Healthy windows regrow the batch by ceiling/4 steps.
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.batch(), 6u);
-}
-
-TEST(AdaptiveControllerTest, BacklogBreachBacksOffBeforeClampStalls) {
-  // The backlog target defaults to the engine's max_reorder_backlog
-  // clamp: a backlog past it is a breach even with perfect latency, so
-  // the controller sheds depth *before* fill_window hard-stalls.
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 10;
-  opts.min_samples = 2;
-  opts.breach_windows = 1;
-  opts.probe_windows = 1;
-  AdaptiveController c(opts, 8, /*reorder_clamp=*/4);
-
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  for (int w = 0; w < 3; ++w) now = feed(c, now, 10, 50);
-  ASSERT_EQ(c.depth(), 5u);
-
-  now = feed(c, now, 10, /*latency=*/50, /*backlog=*/5);  // > clamp of 4
-  EXPECT_EQ(c.depth(), 2u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-  EXPECT_EQ(c.backlog_high_water(), 5u);
-
-  // Backlog at the clamp exactly is tolerated (the clamp itself only
-  // trips strictly above).
-  now = feed(c, now, 10, 50, 4);
-  EXPECT_EQ(c.depth(), 3u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-}
-
-TEST(AdaptiveControllerTest, HoldsOnIsolatedBreachThenBacksOffWhenPersistent) {
-  // Default breach_windows = 2: one bad window HOLDS the knobs — a lone
-  // view-change stall parks all its outliers in a single window and must
-  // not halve a healthy pipeline — while a breach that persists across
-  // consecutive windows still earns the multiplicative backoff.
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 10;
-  opts.min_samples = 2;
-  AdaptiveController c(opts, /*batch_ceiling=*/8, /*reorder_clamp=*/0);
-  ASSERT_EQ(c.options().breach_windows, 2u);
-
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  for (int w = 0; w < 6; ++w) now = feed(c, now, 10, 50);
-  ASSERT_EQ(c.depth(), 8u);
-
-  // One breached window: hold (no growth, no backoff).
-  now = feed(c, now, 10, /*latency=*/500);
-  EXPECT_EQ(c.depth(), 8u);
-  EXPECT_EQ(c.batch(), 8u);
-  EXPECT_EQ(c.backoff_events(), 0u);
-
-  // A healthy window resets the breach streak...
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 8u);
-  EXPECT_EQ(c.backoff_events(), 0u);
-
-  // ...so the next lone breach holds again,
-  now = feed(c, now, 10, 500);
-  EXPECT_EQ(c.depth(), 8u);
-  EXPECT_EQ(c.backoff_events(), 0u);
-
-  // but a second breached window in a row is persistent: back off.
-  now = feed(c, now, 10, 500);
-  EXPECT_EQ(c.depth(), 4u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-
-  // The streak restarts after a backoff: the next breached window holds
-  // rather than halving again immediately.
-  now = feed(c, now, 10, 500);
-  EXPECT_EQ(c.depth(), 4u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-}
-
-TEST(AdaptiveControllerTest, RemembersBreachDepthAndProbesItCautiously) {
-  // A backoff halves the depth AND caps growth at the halved value (TCP
-  // ssthresh). Plain AIMD would re-climb to the depth that breached
-  // within depth/2 windows and re-enter the very convoy it just backed
-  // away from; with the cap, deeper depths are reached only through
-  // deliberate probes — one step per probe_windows consecutive healthy
-  // windows.
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 10;
-  opts.min_samples = 2;
-  opts.breach_windows = 1;
-  opts.probe_windows = 3;
-  AdaptiveController c(opts, /*batch_ceiling=*/8, /*reorder_clamp=*/0);
-
-  TimePoint now = feed(c, 0, 11, /*latency=*/50);
-  for (int w = 0; w < 6; ++w) now = feed(c, now, 10, 50);
-  ASSERT_EQ(c.depth(), 8u);
-
-  // Breach at depth 8: halve to 4, and cap growth there.
-  now = feed(c, now, 10, /*latency=*/500);
-  EXPECT_EQ(c.depth(), 4u);
-  EXPECT_EQ(c.backoff_events(), 1u);
-
-  // Two healthy windows hold at the cap; the third probes one step.
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 4u) << "healthy but capped: no instant re-climb";
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 4u);
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 5u) << "probe after probe_windows healthy windows";
-
-  // The next probe needs another full countdown.
-  now = feed(c, now, 10, 50);
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 5u);
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 6u);
-  EXPECT_EQ(c.backoff_events(), 1u) << "probing is not backing off";
-
-  // A breach mid-countdown halves from wherever it struck.
-  now = feed(c, now, 10, 50);   // 1 healthy window into the countdown
-  now = feed(c, now, 10, 500);  // breach at 6: depth and cap drop to 3
-  EXPECT_EQ(c.depth(), 3u);
-  EXPECT_EQ(c.backoff_events(), 2u);
-  now = feed(c, now, 10, 50);
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 3u) << "countdown restarted at the new cap";
-  now = feed(c, now, 10, 50);
-  EXPECT_EQ(c.depth(), 4u);
-}
-
-TEST(AdaptiveControllerTest, NeverLeavesConfiguredBounds) {
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.min_depth = 2;
-  opts.max_depth = 5;
-  opts.min_batch = 2;
-  opts.window = 10;
-  opts.min_samples = 1;
-  opts.breach_windows = 1;  // isolated breach windows must still back off
-  AdaptiveController c(opts, /*batch_ceiling=*/16, /*reorder_clamp=*/0);
-
-  // Alternating feast and famine, including repeated breaches that would
-  // drive depth below min without the floor.
-  TimePoint now = feed(c, 0, 1, 10);  // open the first window
-  for (int round = 0; round < 20; ++round) {
-    Duration latency = (round % 3 == 0) ? 1000 : 10;
-    now = feed(c, now, 10, latency);
-    EXPECT_GE(c.depth(), 2u);
-    EXPECT_LE(c.depth(), 5u);
-    EXPECT_GE(c.batch(), 2u);
-    EXPECT_LE(c.batch(), 16u);
-  }
-  EXPECT_GT(c.backoff_events(), 0u);
-  EXPECT_LE(c.max_depth_reached(), 5u);
-}
-
-TEST(AdaptiveControllerTest, WindowWaitsForMinSamples) {
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.window = 10;
-  opts.min_samples = 4;
-  AdaptiveController c(opts, 8, 0);
-
-  // Two lonely decisions spread far past the window length: never enough
-  // samples, so no window is ever scored and the knobs do not move.
-  c.on_decision(50, 0, 0);
-  c.on_decision(50, 0, 1000);
-  c.on_decision(50, 0, 2000);
-  EXPECT_EQ(c.windows_evaluated(), 0u);
-  EXPECT_EQ(c.depth(), opts.min_depth);
-
-  // The fourth sample crosses the threshold; the long-running window is
-  // finally scored (healthy: those latencies were all fine).
-  c.on_decision(50, 0, 3000);
-  EXPECT_EQ(c.windows_evaluated(), 1u);
-  EXPECT_EQ(c.depth(), opts.min_depth + 1);
-}
-
-TEST(AdaptiveControllerTest, TrajectoryIsDeterministic) {
-  // Two controllers fed the same schedule agree on every observable at
-  // every step — the property SimHost runs lean on.
-  AdaptiveOptions opts;
-  opts.enabled = true;
-  opts.latency_target = 100;
-  opts.max_depth = 8;
-  opts.window = 7;
-  opts.min_samples = 2;
-  AdaptiveController a(opts, 8, 3), b(opts, 8, 3);
-
-  std::uint64_t state = 12345;
-  TimePoint now = 0;
-  for (int i = 0; i < 500; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    Duration latency = 20 + static_cast<Duration>(state % 300);
-    std::size_t backlog = static_cast<std::size_t>((state >> 32) % 6);
-    a.on_decision(latency, backlog, now);
-    b.on_decision(latency, backlog, now);
-    now += 1 + static_cast<TimePoint>(state % 5);
-    ASSERT_EQ(a.depth(), b.depth()) << "step " << i;
-    ASSERT_EQ(a.batch(), b.batch()) << "step " << i;
-    ASSERT_EQ(a.windows_evaluated(), b.windows_evaluated()) << "step " << i;
-    ASSERT_EQ(a.backoff_events(), b.backoff_events()) << "step " << i;
-  }
-  EXPECT_GT(a.windows_evaluated(), 0u);
 }
 
 }  // namespace

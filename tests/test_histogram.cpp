@@ -9,9 +9,9 @@
 /// The log-bucketed latency histogram (common/histogram.hpp): exactness
 /// below the sub-bucket resolution, the relative-error bound above it,
 /// quantile semantics (monotonic, clamped to the recorded extremes),
-/// merging and weighted recording. Both the adaptive controller and the
-/// open-loop benchmark steer by these quantiles, so the bounds are pinned
-/// here, not just eyeballed.
+/// merging and weighted recording. The open-loop benchmark (E14) reports
+/// these quantiles and CI gates its p99, so the bounds are pinned here,
+/// not just eyeballed.
 
 namespace fastbft {
 namespace {

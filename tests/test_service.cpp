@@ -317,136 +317,6 @@ TEST_P(ServiceApi, QuorumShapesDecideDespiteCrashedFollowers) {
   }
 }
 
-// --- Adaptive pipelining (engine/adaptive.hpp) -------------------------------
-
-TEST_P(ServiceApi, AdaptiveDepthGrowsToMaxUnderLightLoad) {
-  // A latency target no healthy decision comes near: every scored window
-  // is healthy, so AIMD walks the effective depth from min to max and
-  // keeps it there. The adaptive service must stay a correct service
-  // throughout — requests complete, stores converge.
-  auto config = ServiceConfig{}
-                    .with_cluster(4, 1, 1)
-                    .with_sessions(1)
-                    .with_batch(4)
-                    .with_adaptive(/*latency_target=*/1'000'000,
-                                   /*min_depth=*/1, /*max_depth=*/4)
-                    .with_seed(23);
-  // Short windows so growth happens within the test budget (the noop
-  // churn supplies decisions continuously on both runtimes).
-  config.smr.adaptive.window = 2'000;
-  auto service = make_service(GetParam(), config);
-  service->start();
-
-  ASSERT_LE(service->engine_stats(0).effective_depth, 4u);
-  Reply put = must_complete(*service, service->session(0).put("k", "v"));
-  EXPECT_TRUE(put.result.ok);
-
-  bool grew = service->run_until(
-      [&] {
-        for (ProcessId id = 0; id < service->quorum().n; ++id) {
-          if (service->engine_stats(id).effective_depth < 4) return false;
-        }
-        return true;
-      },
-      20'000ms);
-  EXPECT_TRUE(grew) << "every replica should reach max_depth";
-
-  auto stats = service->engine_stats(0);
-  EXPECT_EQ(stats.effective_depth, 4u);
-  EXPECT_EQ(stats.effective_batch, 4u) << "no breach, batch at ceiling";
-  EXPECT_EQ(stats.adaptive_backoffs, 0u);
-
-  Reply read = must_complete(*service, service->session(0).get("k"));
-  EXPECT_EQ(read.result.value, "v");
-  EXPECT_TRUE(service->await_applied(2, 20'000ms));
-  service->stop();
-  EXPECT_TRUE(service->stores_agree());
-}
-
-TEST_P(ServiceApi, AdaptiveBacksOffWhenTargetIsUnattainable) {
-  // A 1-tick latency budget no real decision can meet: every window
-  // breaches, so the controller records backoffs and pins the depth at
-  // min_depth — and NONE of this may affect correctness, only pacing.
-  auto config = ServiceConfig{}
-                    .with_cluster(4, 1, 1)
-                    .with_sessions(1)
-                    .with_batch(4)
-                    .with_adaptive(/*latency_target=*/1,
-                                   /*min_depth=*/1, /*max_depth=*/4)
-                    .with_seed(29);
-  config.smr.adaptive.window = 2'000;
-  auto service = make_service(GetParam(), config);
-  service->start();
-
-  Reply put = must_complete(*service, service->session(0).put("a", "1"));
-  EXPECT_TRUE(put.result.ok);
-
-  bool backed_off = service->run_until(
-      [&] { return service->engine_stats(0).adaptive_backoffs >= 3; },
-      20'000ms);
-  EXPECT_TRUE(backed_off) << "unattainable target must keep breaching";
-
-  auto stats = service->engine_stats(0);
-  EXPECT_EQ(stats.effective_depth, 1u) << "breach after breach pins min";
-  EXPECT_GE(stats.effective_batch, 1u);
-  EXPECT_LE(stats.effective_batch, 4u);
-
-  // The throttled service still completes work correctly.
-  Reply read = must_complete(*service, service->session(0).get("a"));
-  EXPECT_EQ(read.result.value, "1");
-  EXPECT_TRUE(service->await_applied(2, 20'000ms));
-  service->stop();
-  EXPECT_TRUE(service->stores_agree());
-}
-
-TEST(AdaptiveSimDeterminism, IdenticalRunsProduceIdenticalTrajectories) {
-  // The controller has no clock of its own — on the simulator its whole
-  // trajectory is a pure function of the schedule. Two identical runs
-  // driven for the same simulated time must agree on every observable,
-  // including a latency target tight enough that some windows breach.
-  struct Snapshot {
-    std::uint32_t depth;
-    std::uint32_t batch;
-    std::uint64_t backoffs;
-    std::uint64_t applied;
-  };
-  auto run = [] {
-    auto config = ServiceConfig{}
-                      .with_cluster(4, 1, 1)
-                      .with_sessions(1)
-                      .with_batch(4)
-                      .with_adaptive(/*latency_target=*/1'500,
-                                     /*min_depth=*/1, /*max_depth=*/4)
-                      .with_seed(31);
-    config.smr.adaptive.window = 1'000;
-    auto service = make_sim_service(config);
-    service->start();
-    auto put = service->session(0).put("k", "v");
-    EXPECT_TRUE(service->await(put, 5'000ms));
-    // Fixed simulated-time budget with a never-true predicate: both runs
-    // step the exact same schedule.
-    service->run_until([] { return false; }, 50ms);
-    std::vector<Snapshot> snaps;
-    for (ProcessId id = 0; id < service->quorum().n; ++id) {
-      auto stats = service->engine_stats(id);
-      snaps.push_back({stats.effective_depth, stats.effective_batch,
-                       stats.adaptive_backoffs,
-                       service->applied_commands(id)});
-    }
-    return snaps;
-  };
-
-  auto first = run();
-  auto second = run();
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    EXPECT_EQ(first[i].depth, second[i].depth) << "p" << i;
-    EXPECT_EQ(first[i].batch, second[i].batch) << "p" << i;
-    EXPECT_EQ(first[i].backoffs, second[i].backoffs) << "p" << i;
-    EXPECT_EQ(first[i].applied, second[i].applied) << "p" << i;
-  }
-}
-
 // --- Envelope pooling (threaded transport) -----------------------------------
 
 TEST(ThreadedNetworkPool, SteadyStateReusesEnvelopeNodes) {

@@ -437,33 +437,6 @@ TEST(SmrPipelined, DepthFourBeatsSequential) {
       << "depth 4 must finish the same workload in less simulated time";
 }
 
-TEST(SmrPipelined, DivergentWindowsJoinPeerSlots) {
-  // Adaptive control sizes the window per replica, so windows diverge:
-  // here replicas 2/3 are pinned at depth 1 (unattainable 1-tick latency
-  // target) while replicas 0/1 open eight slots ahead. Every quorum of
-  // three includes a pinned replica, so if narrow replicas dropped
-  // traffic for slots beyond their own frontier (as they did before the
-  // on-demand join), each slot ahead would stall into view-change
-  // recovery. With the join, the cluster must run at the WIDE replicas'
-  // pace: strictly faster than an all-depth-1 cluster on the same
-  // workload.
-  TimePoint sequential = run_pipelined(pipelined_config(1), 24);
-
-  ServiceConfig config = pipelined_config(8);
-  config.tune_replica = [](ProcessId id, SmrOptions& narrow) {
-    if (id < 2) return;
-    narrow.pipeline_depth = 1;
-    narrow.adaptive.enabled = true;
-    narrow.adaptive.latency_target = 1;  // unattainable: depth stays at min
-    narrow.adaptive.min_depth = 1;
-    narrow.adaptive.max_depth = 8;
-    narrow.adaptive.min_batch = 2;  // isolate the depth divergence
-  };
-  EXPECT_LT(run_pipelined(config, 24), sequential)
-      << "divergent windows must pipeline at the wide replicas' pace, "
-         "not stall behind the narrow ones";
-}
-
 TEST(SmrPipelined, NodesExposeEngineWindow) {
   // Eight one-command slots' worth of work opens the whole window at
   // once; the engine's gauges track it.

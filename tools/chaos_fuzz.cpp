@@ -12,7 +12,7 @@
 ///
 ///   chaos_fuzz --seed 7                      one seeded run, full report
 ///   chaos_fuzz --seeds 25 --base 1000        sweep seeds base..base+24
-///   chaos_fuzz --seed 7 --shards 4 --adaptive
+///   chaos_fuzz --seed 7 --shards 4
 ///   chaos_fuzz --seed 7 --inject-bug         unsafe reply quorum + liar:
 ///                                            the checker MUST fail
 ///   chaos_fuzz --replay sched.hex            re-run a schedule byte-for-byte
@@ -40,7 +40,6 @@ struct Args {
   std::uint32_t shards = 1;
   std::uint32_t sessions = 2;
   std::uint32_t ops = 30;
-  bool adaptive = false;
   bool inject_bug = false;
   bool print_only = false;
   std::string replay_file;
@@ -51,8 +50,8 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: chaos_fuzz [--seed S] [--seeds N] [--base B] [--shards S]\n"
-      "                  [--sessions K] [--ops N] [--adaptive]\n"
-      "                  [--inject-bug] [--print] [--replay FILE]\n"
+      "                  [--sessions K] [--ops N] [--inject-bug]\n"
+      "                  [--print] [--replay FILE]\n"
       "                  [--artifact-dir D]\n");
 }
 
@@ -87,8 +86,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.ops = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
-    } else if (arg == "--adaptive") {
-      args.adaptive = true;
     } else if (arg == "--inject-bug") {
       args.inject_bug = true;
     } else if (arg == "--print") {
@@ -214,7 +211,6 @@ int main(int argc, char** argv) {
   scenario.shards = args.shards;
   scenario.sessions = args.sessions;
   scenario.ops_per_session = args.ops;
-  scenario.adaptive = args.adaptive;
   scenario.force_liar = args.inject_bug;
 
   std::uint64_t first = args.base_set ? args.base : args.seed;

@@ -49,8 +49,6 @@ void on_signal(int) { g_stop = 1; }
       "  --sync-timeout US  view-sync base timeout, µs (default 25000)\n"
       "  --link-delay US    emulated one-way link latency, µs (default 0;\n"
       "                     must match on every process)\n"
-      "  --adaptive         enable the adaptive depth/batch controller\n"
-      "                     (on every process or none, like --depth)\n"
       "  --verbose          protocol debug logging to stderr\n",
       argv0);
   std::exit(2);
@@ -87,7 +85,7 @@ int main(int argc, char** argv) {
   unsigned n = 4, f = 1, t = 0, shards = 1, depth = 4, batch = 8, clients = 4;
   unsigned long long seed = 42;
   unsigned long snapshot_interval = 64, sync_timeout = 25'000, link_delay = 0;
-  bool adaptive = false, verbose = false;
+  bool verbose = false;
   std::string peers_arg;
 
   for (int i = 1; i < argc; ++i) {
@@ -112,7 +110,6 @@ int main(int argc, char** argv) {
       sync_timeout = std::strtoul(next(), nullptr, 10);
     else if (arg == "--link-delay")
       link_delay = std::strtoul(next(), nullptr, 10);
-    else if (arg == "--adaptive") adaptive = true;
     else if (arg == "--verbose") verbose = true;
     else usage(argv[0]);
   }
@@ -131,7 +128,6 @@ int main(int argc, char** argv) {
       .with_snapshots(snapshot_interval)
       .with_link_delay(std::chrono::microseconds(link_delay));
   config.sync_base_timeout_us = static_cast<Duration>(sync_timeout);
-  if (adaptive) config.with_adaptive(20'000);  // 20 ms p99
   smr::SocketDeployment deployment{parse_peers(peers_arg),
                                    {static_cast<ProcessId>(id)}};
   if (deployment.peers.size() != n) {
