@@ -22,7 +22,10 @@ sides back to back, alternating which goes first, and prints:
     every seed (virtual-time results and message counts);
   * the median per-pair ratio of every end-to-end metric BENCHMARK.json
     declares, flagged WORSE where it moved the wrong way by more than
-    that metric's `bound`;
+    that metric's `bound`, and flagged unresolved where the spread of its
+    per-pair ratios (q3 - q1) is wider than the bound: such a median
+    tells neither "unchanged" nor "worse" apart. A metric on which every
+    change run beats every parent run is never unresolved;
   * each side's median of every other metric the runs reported.
 
 With --pin CPU the two sides of a pair run at the same time, both bound
@@ -264,11 +267,17 @@ def compare(args, seeds, spec, better, sides):
             print("  %-16s not reported" % name)
             continue
         r = statistics.median(pair_ratios[name])
-        worse = (r > 1 + bound if metric["better"] == "lower"
-                 else r < 1 - bound)
-        print("  %-16s %8.4f  (%s is better, bound %g)%s" %
-              (name, r, metric["better"], bound,
-               "  WORSE beyond bound" if worse else ""))
+        lower = metric["better"] == "lower"
+        worse = r > 1 + bound if lower else r < 1 - bound
+        q1, _, q3 = quartiles(pair_ratios[name])
+        p_runs, c_runs = medians["parent"][name], medians["change"][name]
+        beats_all = (max(c_runs) < min(p_runs) if lower
+                     else min(c_runs) > max(p_runs))
+        unresolved = q3 - q1 > bound and not beats_all
+        print("  %-16s %8.4f  (%s is better, bound %g, ratio IQR %.4f)%s%s" %
+              (name, r, metric["better"], bound, q3 - q1,
+               "  WORSE beyond bound" if worse else "",
+               "  unresolved" if unresolved else ""))
     print("medians, parent -> change:")
     for metric, values in sorted(medians["parent"].items()):
         print("  %-32s %12.6g -> %.6g" % (

@@ -27,29 +27,14 @@ std::uint64_t Histogram::width_of(std::size_t index) {
   return 1ull << (index / kSubBuckets - 1);
 }
 
-void Histogram::record_n(std::uint64_t value, std::uint64_t count) {
-  if (count == 0) return;
+void Histogram::record(std::uint64_t value) {
   std::size_t index = index_of(value);
   if (index >= buckets_.size()) buckets_.resize(index + 1, 0);
-  buckets_[index] += count;
+  ++buckets_[index];
   if (count_ == 0 || value < min_) min_ = value;
   max_ = std::max(max_, value);
-  count_ += count;
-  sum_ += value * count;
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (other.count_ == 0) return;
-  if (other.buckets_.size() > buckets_.size()) {
-    buckets_.resize(other.buckets_.size(), 0);
-  }
-  for (std::size_t i = 0; i < other.buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  if (count_ == 0 || other.min_ < min_) min_ = other.min_;
-  max_ = std::max(max_, other.max_);
-  count_ += other.count_;
-  sum_ += other.sum_;
+  ++count_;
+  sum_ += value;
 }
 
 double Histogram::mean() const {
@@ -73,14 +58,6 @@ std::uint64_t Histogram::quantile(double q) const {
     }
   }
   return max_;  // unreachable: counts always sum to count_
-}
-
-void Histogram::reset() {
-  buckets_.clear();
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
 }
 
 }  // namespace fastbft

@@ -21,8 +21,7 @@
 /// requested rank, clamped into [min(), max()] so quantile(0) and
 /// quantile(1) return the exact extremes.
 ///
-/// Not thread-safe: one writer (merge from other threads' instances
-/// instead of sharing one).
+/// Not thread-safe: one writer.
 
 namespace fastbft {
 
@@ -37,11 +36,7 @@ class Histogram {
     return 1.0 / static_cast<double>(kSubBuckets);
   }
 
-  void record(std::uint64_t value) { record_n(value, 1); }
-  void record_n(std::uint64_t value, std::uint64_t count);
-
-  /// Adds every recorded value of `other` into this histogram.
-  void merge(const Histogram& other);
+  void record(std::uint64_t value);
 
   std::uint64_t count() const { return count_; }
 
@@ -57,8 +52,6 @@ class Histogram {
   /// reported as the bucket midpoint clamped into [min(), max()].
   /// Returns 0 when empty.
   std::uint64_t quantile(double q) const;
-
-  void reset();
 
  private:
   /// Bucket index of `value`; contiguous, exact below kSubBuckets.

@@ -75,10 +75,9 @@ class PendingQueue {
   /// Commands claimed by slots not yet released.
   std::size_t claimed_count() const { return claimed_; }
 
-  /// True when claim() would return at least one command — the signal
-  /// the engine opens a slot for in either window mode (SlotMux::
-  /// fill_window; a follower waits while an open slot still waits for
-  /// the same leader's proposal, which the command may ride). O(1).
+  /// True when claim() would return at least one command: the
+  /// WindowState::command_waiting input of the window rule
+  /// (window_policy.hpp). O(1).
   bool has_unclaimed() const { return unclaimed_ > 0; }
 
  private:

@@ -1,56 +1,12 @@
 #include "engine/slot_mux.hpp"
 
 #include <algorithm>
+#include <ranges>
 
 #include "common/assert.hpp"
 #include "net/tags.hpp"
 
 namespace fastbft::engine {
-
-namespace {
-
-/// An already-encoded inner message (a synchronizer WISH, a CertReq sent
-/// to several peers) as a MessageRef.
-struct EncodedInner {
-  ByteView bytes;
-  void encode(Encoder& enc) const { enc.raw(bytes); }
-};
-
-/// Leader of view `v` in the round-robin order that starts at `first`.
-ProcessId shifted_leader(ProcessId first, View v, std::uint32_t n) {
-  return static_cast<ProcessId>((first + (v - 1) % n) % n);
-}
-
-}  // namespace
-
-void SlotMux::SlotChannel::send(ProcessId to, SharedBytes payload) {
-  mux_.transport_.send(to, mux_.wrap(slot_, EncodedInner{payload}));
-}
-
-void SlotMux::SlotChannel::broadcast(SharedBytes payload) {
-  mux_.broadcast_wrapped(slot_, EncodedInner{payload}, /*include_self=*/true);
-}
-
-void SlotMux::SlotChannel::broadcast_others(SharedBytes payload) {
-  mux_.broadcast_wrapped(slot_, EncodedInner{payload},
-                         /*include_self=*/false);
-}
-
-void SlotMux::SlotChannel::send_message(ProcessId to, net::MessageRef msg) {
-  mux_.transport_.send(to, mux_.wrap(slot_, msg));
-}
-
-void SlotMux::SlotChannel::broadcast_message(net::MessageRef msg) {
-  mux_.broadcast_wrapped(slot_, msg, /*include_self=*/true);
-}
-
-std::uint32_t SlotMux::SlotChannel::cluster_size() const {
-  return mux_.transport_.cluster_size();
-}
-
-ProcessId SlotMux::SlotChannel::self() const {
-  return mux_.transport_.self();
-}
 
 SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
                  SlotMuxOptions options, ApplyFn apply, SnapshotHooks hooks)
@@ -62,21 +18,16 @@ SlotMux::SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
       hooks_(std::move(hooks)),
       timers_(host_),
       catchup_(ctx_.cfg.f + 1, ctx_.cfg.n, options_.snapshot_chunk_bytes,
-               ctx_.group) {
+               ctx_.group),
+      leaders_(ctx_.cfg.n, ctx_.id, options_.pipeline_depth,
+               options_.rotate_leaders) {
   FASTBFT_ASSERT(options_.pipeline_depth >= 1, "pipeline depth must be >= 1");
+  FASTBFT_ASSERT(ctx_.verify_cache != nullptr, "engine needs a verify cache");
   noop_batches_.resize(ctx_.cfg.n);
-  // The leader schedule trusts decided authors (view1_leader), so a
-  // replica acks or certifies a leader's own batch only if it names that
-  // leader.
+  // The leader schedule trusts decided authors, so a replica acks or
+  // certifies a leader's own batch only if it names that leader.
   options_.replica.valid_value = smr::authored_by;
-  if (!ctx_.verify_cache) {
-    ctx_.verify_cache = std::make_shared<crypto::VerificationCache>();
-  }
-  authors_.resize(max_window_depth());
-  suspected_.resize(ctx_.cfg.n);
 }
-
-SlotMux::~SlotMux() { *alive_ = false; }
 
 void SlotMux::defer_guarded(std::function<void()> fn) {
   host_.defer([alive = alive_, fn = std::move(fn)] {
@@ -84,25 +35,19 @@ void SlotMux::defer_guarded(std::function<void()> fn) {
   });
 }
 
-void SlotMux::start() { fill_window(); }
-
 bool SlotMux::submit(smr::Command cmd) {
   if (!pending_.admit(std::move(cmd))) return false;
   fill_window();
-  note_inflight();
   return true;
 }
 
 Bytes SlotMux::wrap(Slot slot, net::MessageRef inner) const {
-  // `group` sits right after the tag at a fixed offset so a sharded node
-  // can route the payload to the owning engine without decoding the rest;
-  // `watermark` gossips our applied watermark (lowest unapplied slot) on
-  // every wrapped message, so peers can trim decided-value retention below
-  // the cluster-wide minimum; the snapshot floor gossips our latest
-  // snapshot boundary, so a peer whose apply cursor sits below it knows
-  // its missing slots may be pruned and full-state transfer is the way
-  // back. The inner message is encoded in place after the header, and the
-  // frame leaves the pooled scratch buffer in one exact-size copy.
+  // `group` sits at a fixed offset so a sharded node routes the payload
+  // without decoding the rest; the watermark (lowest unapplied slot) lets
+  // peers trim decided-value retention, and the snapshot floor tells a
+  // peer below it that full-state transfer may be its way back. The inner
+  // message is encoded in place, and the frame leaves the pooled scratch
+  // buffer in one exact-size copy.
   Encoder enc = Encoder::scratch();
   enc.u8(net::tags::kSmrWrapped);
   enc.u32(ctx_.group);
@@ -129,45 +74,26 @@ void SlotMux::broadcast_wrapped(Slot slot, net::MessageRef inner,
 }
 
 void SlotMux::fill_window() {
-  // Within the window, the next slot opens
-  //  (a) for a command waiting unclaimed, if this replica leads the slot
-  //      or no open slot still waits for its leader's proposal: the
-  //      leader proposes in slot order, so that slot already probes it,
-  //      and the command may ride it;
-  //  (b) in eager mode, as the one keep-alive slot while none is open; its
-  //      leader holds it for half a view timeout, so a command arriving
-  //      meanwhile rides it instead of a noop, and followers open it at
-  //      once, so their view timer still probes the leader;
-  //  (c) when its view-1 leader is suspected, so a dead leader's chain
-  //      changes view in one round instead of one slot per request.
-  while (next_start_ < next_apply_ + max_window_depth()) {
-    const ProcessId leader = view1_leader(next_start_);
-    bool open = suspected_[leader] ||
-                (pending_.has_unclaimed() &&
-                 (leader == ctx_.id || !awaiting_proposal(leader)));
-    if (!open && options_.eager_windows && active_.empty()) {
-      open = leader != ctx_.id || hold_released_ == next_start_;
-      if (!open && hold_armed_ != next_start_) {
-        hold_armed_ = next_start_;
-        timers_.schedule_after(options_.sync.base_timeout / 2,
-                               [this, slot = next_start_] {
-                                 hold_released_ = slot;
-                                 fill_window();
-                                 note_inflight();
-                               });
-      }
+  const auto open = std::views::transform(
+      active_, [this](const ActiveSlot& e) { return open_slot(*e.second); });
+  for (;;) {
+    const WindowStep step = next_step(
+        {.self = ctx_.id, .next = next_start_,
+         .end = next_apply_ + max_window_depth(),
+         .leader = view1_leader(next_start_),
+         .command_waiting = pending_.has_unclaimed(),
+         .eager = options_.eager_windows, .hold_armed = hold_armed_,
+         .hold_released = hold_released_},
+        leaders_.suspected(), open);
+    if (step == WindowStep::kArmHold) {
+      hold_armed_ = next_start_;
+      timers_.schedule_after(options_.sync.base_timeout / 2,
+                             [this, slot = next_start_] {
+                               hold_released_ = slot;
+                               fill_window();
+                             });
     }
-    if (!open) break;
-    if (options_.max_reorder_backlog > 0 &&
-        reorder_.size() > options_.max_reorder_backlog) {
-      // Congestion clamp: decisions are piling up behind a stalled slot;
-      // opening more slots would only deepen the backlog. The window
-      // refills when the stall resolves (drain_apply + fill_window).
-      FASTBFT_DASSERT(host_.affinity_ok(),
-                      "engine stats are single-writer (host thread)");
-      clamp_stalls_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    }
+    if (step != WindowStep::kOpen) return;
     start_slot(next_start_++);
   }
 }
@@ -220,69 +146,27 @@ Value SlotMux::make_input(Slot slot) {
   return smr::encode_batch(batch, ctx_.id);
 }
 
-ProcessId SlotMux::view1_leader(Slot slot) const {
-  // Every correct replica opens slot s only after applying slot s - D
-  // (fill_window and the on_wrapped join stop below next_apply_ + D), and
-  // a snapshot install carries the last D authors, so all of them read
-  // the same decided author here.
-  const Slot depth = authors_.size();
-  const std::uint32_t n = ctx_.cfg.n;
-  if (slot <= depth) {
-    return options_.rotate_leaders ? static_cast<ProcessId>((slot - 1) % n)
-                                   : 0;
-  }
-  const ProcessId author = authors_[slot % depth];
-  return static_cast<ProcessId>(
-      (options_.rotate_leaders ? author + depth : author) % n);
-}
-
-consensus::LeaderFn SlotMux::leader_for(ProcessId first) const {
-  // The round-robin leader shifted to start at `first`.
-  return [n = ctx_.cfg.n, first](View v) {
-    return shifted_leader(first, v, n);
-  };
-}
-
 void SlotMux::enter_view(Instance& inst, View v) {
-  const ProcessId replaced = current_leader(inst);
+  const ProcessId replaced = open_slot(inst).leader;
   inst.replica->enter_view(v);
   // A replaced leader that has sent nothing since is probably down (a
   // live one is heard again within a link delay, see on_wrapped). Slots
   // it leads wish now rather than each waiting out its own timer, and
   // the window opens the ones it would lead next (fill_window) once this
   // handler returns: a nested view entry may be iterating active_.
-  if (replaced != ctx_.id && !suspected_[replaced]) {
-    suspected_[replaced] = true;
-    defer_guarded([this] {
-      fill_window();
-      note_inflight();
-    });
-  }
+  if (leaders_.suspect(replaced)) defer_guarded([this] { fill_window(); });
   for (auto& entry : active_) suspect_leader(*entry.second);
 }
 
-ProcessId SlotMux::current_leader(const Instance& inst) const {
-  return shifted_leader(inst.leader, inst.replica->view(), ctx_.cfg.n);
-}
-
-bool SlotMux::voted_in_view(const Instance& inst) {
-  const auto& vote = inst.replica->current_vote();
-  return vote && vote->u == inst.replica->view();
-}
-
-bool SlotMux::awaiting_proposal(ProcessId leader) const {
-  return std::any_of(active_.begin(), active_.end(),
-                     [&](const ActiveSlot& entry) {
-                       const Instance& inst = *entry.second;
-                       return current_leader(inst) == leader &&
-                              !voted_in_view(inst);
-                     });
+OpenSlot SlotMux::open_slot(const Instance& inst) const {
+  const consensus::Replica& replica = *inst.replica;
+  const auto& vote = replica.current_vote();
+  return {leaders_.leader(inst.leader, replica.view()),
+          vote && vote->u == replica.view()};
 }
 
 void SlotMux::suspect_leader(Instance& inst) {
-  // A slot that acked its leader's proposal may decide from the acks;
-  // wishing would only push it into another view.
-  if (!suspected_[current_leader(inst)] || voted_in_view(inst)) return;
+  if (!wishes_early(open_slot(inst), leaders_.suspected())) return;
   if (inst.sync->suspect()) {
     FASTBFT_DASSERT(host_.affinity_ok(),
                     "engine stats are single-writer (host thread)");
@@ -320,8 +204,8 @@ void SlotMux::start_slot(Slot slot) {
   consensus::Replica& replica = inst.replica.emplace(
       ctx_.cfg, ctx_.id, make_input(slot), inst.channel,
       crypto::Signer(ctx_.keys, ctx_.id),
-      crypto::Verifier(ctx_.keys, ctx_.verify_cache), leader_for(leader),
-      on_decide, options_.replica);
+      crypto::Verifier(ctx_.keys, ctx_.verify_cache),
+      leaders_.leader_fn(leader), on_decide, options_.replica);
   // An idle replica expects an idle leader: its noop proposal then decodes
   // without allocating.
   if (leader != ctx_.id && replica.input() == noop_batches_[ctx_.id]) {
@@ -332,10 +216,14 @@ void SlotMux::start_slot(Slot slot) {
       [this, &inst](View v) { enter_view(inst, v); });
 
   active_.emplace_back(slot, std::move(node));
+  if (inflight_slots() > inflight_high_water_.load(std::memory_order_relaxed)) {
+    FASTBFT_DASSERT(host_.affinity_ok(),
+                    "engine stats are single-writer (host thread)");
+    inflight_high_water_.store(inflight_slots(), std::memory_order_relaxed);
+  }
   sync.start();
   replica.start();
   suspect_leader(inst);
-  note_inflight();
   pull_decided();
 
   // A laggard may already hold f + 1 matching decided claims for this slot.
@@ -372,9 +260,7 @@ std::vector<SlotMux::ActiveSlot>::iterator SlotMux::retire(
 
 void SlotMux::on_slot_decided(Slot slot, const Value& value) {
   auto it = active_from(slot);
-  if (it == active_.end() || it->first != slot) {
-    return;  // decision already processed
-  }
+  if (it == active_.end() || it->first != slot) return;  // already processed
   if (it->second->replica->view() > 1) {
     view_changed_slots_.store(view_changed_slots() + 1,
                               std::memory_order_relaxed);
@@ -391,7 +277,6 @@ void SlotMux::on_slot_decided(Slot slot, const Value& value) {
 
   drain_apply();
   fill_window();
-  note_inflight();
   replay_parked();
 }
 
@@ -417,13 +302,12 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   // Bound the dedup set before exporting it. Honest duplicates of one
   // command land within the live window of each other (a second leader
   // can only claim a command it has not applied yet), so records older
-  // than interval + window + backlog can only matter against deliberate
-  // replay of ancient commands — and pruning is a deterministic function
-  // of the slot boundary, so every replica re-applies such a replay
-  // identically and replicas never diverge. This keeps snapshot size
-  // proportional to the horizon's command volume, not cluster lifetime.
-  Slot horizon = options_.snapshot_interval + max_window_depth() +
-                 options_.max_reorder_backlog;
+  // than interval + window can only matter against deliberate replay of
+  // ancient commands — and pruning is a deterministic function of the
+  // slot boundary, so every replica re-applies such a replay identically
+  // and replicas never diverge. This keeps snapshot size proportional to
+  // the horizon's command volume, not cluster lifetime.
+  Slot horizon = options_.snapshot_interval + max_window_depth();
   Slot boundary = just_applied + 1;
   pending_.prune_applied_before(boundary > horizon ? boundary - horizon : 1);
 
@@ -433,28 +317,23 @@ void SlotMux::maybe_take_snapshot(Slot just_applied) {
   snap.applied_below = boundary;
   snap.applied_commands = applied_commands();
   snap.applied_ids = pending_.applied_ids();
-  const Slot depth = authors_.size();
-  for (Slot k = boundary > depth ? boundary - depth : 1; k < boundary; ++k) {
-    snap.recent_authors.push_back(authors_[k % depth]);
-  }
+  snap.recent_authors = leaders_.recent_authors(boundary);
   catchup_.defer_snapshot(
       boundary, [snap = std::move(snap), image = hooks_.state()]() mutable {
         snap.kv_state = image();
         return snap.encode();
       });
-  ++snapshots_taken_;
 }
 
 void SlotMux::apply_value(Slot slot, const Value& value) {
   std::vector<smr::Command> applied;
-  auto author = smr::batch_author(value);
-  if (!author || *author >= ctx_.cfg.n) author = view1_leader(slot);
-  authors_[slot % authors_.size()] = *author;
+  const ProcessId author =
+      leaders_.record_author(slot, smr::batch_author(value));
   // A noop batch (usually the very buffer: proposals decode against the
   // leader's) applies nothing; skip its decode. An author's batch not
   // built here is empty and matches nothing.
-  auto batch = value == noop_batches_[*author] ? std::nullopt
-                                               : smr::decode_batch(value);
+  auto batch = value == noop_batches_[author] ? std::nullopt
+                                              : smr::decode_batch(value);
   if (batch) {
     for (auto& cmd : *batch) {
       if (cmd.kind == smr::OpKind::Noop) continue;
@@ -481,7 +360,7 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
   Slot snap_floor = dec.u64();
   ByteView inner = dec.bytes_view();  // aliases payload; no copy
   if (!dec.ok() || !dec.at_end() || slot == 0 || group != ctx_.group) return;
-  if (from < suspected_.size()) suspected_[from] = false;
+  leaders_.heard_from(from);
 
   if (catchup_.note_watermark(from, watermark)) pull_decided();
 
@@ -551,7 +430,6 @@ void SlotMux::on_wrapped(ProcessId from, ByteView payload) {
       return;
     }
     while (next_start_ <= slot) start_slot(next_start_++);
-    note_inflight();
   }
   Instance* inst = find_active(slot);
   if (inst == nullptr) return;
@@ -686,12 +564,7 @@ void SlotMux::on_snapshot_response(ProcessId from, ByteView payload) {
 void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
                                const crypto::Digest& digest) {
   if (snap.applied_below <= next_apply_) return;  // raced past it already
-  // f + 1 vouchers make at least one snapshotter correct, so a list of
-  // another length means replicas run different max_window_depth()s and
-  // would derive different leaders: a deployment error, not a fault.
-  FASTBFT_ASSERT(snap.recent_authors.size() ==
-                     std::min<Slot>(authors_.size(), snap.applied_below - 1),
-                 "max_window_depth differs between replicas");
+  leaders_.restore(snap.applied_below, snap.recent_authors);
 
   // Every slot below the snapshot boundary is superseded wholesale: tear
   // down its live consensus instance, parked decision and claimed
@@ -708,10 +581,6 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // replacement, so ids the snapshotters already horizon-pruned are
   // forgotten here too (see PendingQueue::restore_applied).
   pending_.restore_applied(snap.applied_ids);
-  Slot slot = snap.applied_below - snap.recent_authors.size();
-  for (ProcessId author : snap.recent_authors) {
-    authors_[slot++ % authors_.size()] = author;
-  }
   applied_commands_.store(std::max(applied_commands(), snap.applied_commands),
                           std::memory_order_relaxed);
   next_apply_ = snap.applied_below;
@@ -733,16 +602,7 @@ void SlotMux::install_snapshot(const smr::Snapshot& snap, Bytes body,
   // window reopens from the new cursor.
   drain_apply();
   fill_window();
-  note_inflight();
   replay_parked();
-}
-
-void SlotMux::note_inflight() {
-  if (inflight_slots() > inflight_high_water_.load(std::memory_order_relaxed)) {
-    FASTBFT_DASSERT(host_.affinity_ok(),
-                    "engine stats are single-writer (host thread)");
-    inflight_high_water_.store(inflight_slots(), std::memory_order_relaxed);
-  }
 }
 
 }  // namespace fastbft::engine

@@ -9,9 +9,11 @@
 #include "consensus/replica.hpp"
 #include "engine/catchup.hpp"
 #include "engine/host.hpp"
+#include "engine/leader_tracker.hpp"
 #include "engine/pending_queue.hpp"
 #include "engine/slot_window.hpp"
 #include "engine/timer_wheel.hpp"
+#include "engine/window_policy.hpp"
 #include "smr/batch.hpp"
 #include "viewsync/synchronizer.hpp"
 
@@ -28,26 +30,17 @@
 ///
 /// Responsibilities:
 ///  * window management — up to `pipeline_depth` slots run their 2-step
-///    fast paths concurrently instead of strictly one after another. The
-///    next slot opens while it lies in the window and a command waits
-///    unclaimed (on a follower, only while no open slot still waits for
-///    the same leader's proposal), or (eager_windows) no slot is open, or
-///    its view-1 leader is suspected (fill_window); a congestion clamp
-///    (`max_reorder_backlog`) additionally stops opening slots while too
-///    many decisions sit blocked behind a stalled predecessor;
+///    fast paths concurrently; which slot opens next, when the keep-alive
+///    hold is armed and which open slots wish early is the pure rule of
+///    window_policy.hpp, fed this replica's state;
 ///  * dispatch — all SMR_WRAPPED{slot, watermark, inner} traffic is routed
-///    through a single slot -> instance table (no per-slot transport shims
-///    on the receive path);
-///  * leader schedule — slot s's view-1 leader is derived from the
-///    decided log, from the author of slot s - max_window_depth()'s batch
-///    (view1_leader), so once a view change replaces a crashed leader the
-///    slots after it start with the replacement instead of each waiting
-///    out its own view-change timeout;
-///  * leader suspicion — a leader replaced in a view change is suspected
-///    until its next SMR_WRAPPED arrives; every open slot it still leads
-///    wishes for the next view at once (Synchronizer::suspect) instead of
-///    when its timer expires, so one crash costs one view-change timeout,
-///    not one per slot in flight;
+///    through a single slot -> instance table, and a peer's traffic for a
+///    slot not opened yet opens every slot up to it (the on_wrapped join);
+///  * leader schedule and suspicion (LeaderTracker) — a slot's view-1
+///    leader derives from the decided log, and a leader replaced in a view
+///    change stays suspected until it is heard again, so every open slot
+///    it leads wishes at once (Synchronizer::suspect): one crash costs one
+///    view-change timeout, not one per slot in flight;
 ///  * in-order apply — decisions may land out of slot order (a faulty
 ///    leader stalls slot k while k+1 decides); a reorder buffer holds them
 ///    until every predecessor applied, so the state machine sees the log
@@ -57,44 +50,39 @@
 ///    dropped as slots retire; retained decided values are pruned below
 ///    the cluster-wide applied watermark gossiped in SMR traffic;
 ///  * snapshots — every `snapshot_interval` applied slots the engine
-///    freezes the state machine (via the SnapshotHooks::state callback)
-///    into an smr::Snapshot, which unpins decided-value retention from
-///    crashed peers' frozen watermarks and serves full-state transfer
-///    (SNAPSHOT_REQUEST/SNAPSHOT_RESPONSE) to replicas whose needed slots
-///    were pruned; installing a verified snapshot jumps next-apply to the
-///    snapshot boundary and restores the state machine through
-///    SnapshotHooks::install;
+///    freezes the state machine (SnapshotHooks::state) into an
+///    smr::Snapshot, which unpins decided-value retention from crashed
+///    peers and serves full-state transfer to replicas whose needed slots
+///    were pruned; installing one jumps next-apply to its boundary and
+///    restores the state machine (SnapshotHooks::install);
 ///  * decided-value pull — an open slot that f + 1 peers' gossiped
 ///    watermarks have already passed is asked for at once (SMR_PULL)
 ///    instead of waiting out its view-change timeout; that is how a
 ///    replica that opens slots behind the live frontier (a rejoiner after
 ///    a snapshot install) catches up without a Commit stream;
-///  * policy objects — client-command intake/dedup/claims (PendingQueue)
-///    and decided-value/snapshot state transfer (CatchUpPolicy) live
-///    behind the engine rather than in the client-facing SMR shell.
+///  * policy objects — command intake/dedup/claims (PendingQueue) and
+///    state transfer (CatchUpPolicy) live behind the engine.
 
 namespace fastbft::engine {
 
 /// Cluster identity and key material the engine needs; host-independent.
 /// (smr::Service builds one per replica, on every runtime.) The engine
-/// derives each slot's leader function itself (SlotMux::view1_leader).
+/// derives each slot's leader function itself (LeaderTracker).
 struct EngineContext {
   consensus::QuorumConfig cfg;
   ProcessId id = kNoProcess;
   std::shared_ptr<const crypto::KeyStore> keys;
 
-  /// Consensus group this engine instance runs (sharded SMR: a node hosts
-  /// one SlotMux per group). Stamped into every group-scoped wire message
-  /// (SMR_WRAPPED / SMR_DECIDED / SNAPSHOT_*) right after the tag byte so
-  /// the hosting node can route inbound traffic to the owning engine at a
-  /// fixed offset; inbound payloads for a different group are dropped.
+  /// Consensus group this engine runs (a sharded node hosts one SlotMux
+  /// per group), stamped right after the tag byte of every group-scoped
+  /// wire message; payloads for a different group are dropped.
   GroupId group = 0;
 
   /// Signature-verification memo shared by every slot's Verifier on this
   /// node, so votes/certificate entries replayed across certs and
-  /// pipelined slots skip redundant HMACs. Created by the SlotMux when
-  /// null. Per-node, single-threaded — never share across nodes on the
-  /// threaded runtime.
+  /// pipelined slots skip redundant HMACs. Required: SmrNode creates one
+  /// per node. Single-threaded — never share across nodes on the threaded
+  /// runtime.
   std::shared_ptr<crypto::VerificationCache> verify_cache;
 };
 
@@ -102,48 +90,27 @@ struct SlotMuxOptions {
   /// Consensus slots allowed in flight concurrently. 1 reproduces the
   /// strictly sequential pre-engine behaviour. It is max_window_depth(),
   /// the D of the leader schedule, which must be the same on every replica
-  /// of a group (see rotate_leaders).
+  /// of a group (LeaderTracker::restore).
   std::uint32_t pipeline_depth = 1;
 
   /// Maximum commands claimed into one slot proposal.
   std::uint32_t max_batch = 8;
 
-  /// Rotate the view-1 leader by slot index. Every slot's views run
-  /// round-robin from its view-1 leader l(s) (view v is led by
-  /// l(s) + v - 1 mod n). With D = max_window_depth(), slots s <= D start
-  /// at p0 when pinned and at (s - 1) mod n when rotating; a later slot
-  /// starts at the author of slot s - D's decided batch when pinned, and
-  /// D past it when rotating. A fault-free run therefore keeps p0 (pinned)
-  /// or (s - 1) mod n (rotating), and once a view change replaces a
-  /// crashed leader, the slots D apart start with its replacement. With
-  /// rotation, each chain of slots D apart then reaches a crashed replica
-  /// at most once when gcd(D, n) > 1; when D and n are coprime it comes
-  /// back to it within every n steps. Rotation spreads proposal load
-  /// across the cluster. The engine sets replica.valid_value to
-  /// smr::authored_by, so a decided batch always names a replica that
-  /// led its slot, and D must be the same on every replica. Off by
+  /// Rotate the view-1 leader by slot index (LeaderTracker), spreading
+  /// proposal load across the cluster. Each chain of slots D apart then
+  /// reaches a crashed replica at most once when gcd(D, n) > 1; when D and
+  /// n are coprime it comes back to it within every n steps. Off by
   /// default: the paper's single-shot experiments assume the
   /// slot-independent leader function.
   bool rotate_leaders = false;
 
-  /// Keep one slot open while idle. A slot opens for a claimable command
-  /// (or when a peer's traffic joins it) or for a suspected view-1 leader
-  /// either way; a follower opens one for a command only while no open
-  /// slot still waits for that leader's proposal. With this set, the next
-  /// slot also opens whenever none is open: followers open it at once,
-  /// and its leader holds it for sync.base_timeout / 2 so a command
-  /// arriving meanwhile rides it, then proposes a noop. An idle cluster
-  /// thus decides one noop slot per half timeout. That keep-alive is the
-  /// engine's crash probe for a leader with no traffic (the followers'
-  /// view timer), and its traffic carries the watermarks that catch-up
-  /// reads. Off, an idle replica is quiescent.
+  /// Keep one slot open while idle (window_policy.hpp, rule (b)); its
+  /// leader holds it for sync.base_timeout / 2, so an idle cluster decides
+  /// one noop slot per half timeout. That keep-alive is the engine's crash
+  /// probe for a leader with no traffic (the followers' view timer), and
+  /// its traffic carries the watermarks that catch-up reads. Off, an idle
+  /// replica is quiescent.
   bool eager_windows = true;
-
-  /// Congestion-style depth clamp: while more than this many decisions are
-  /// parked in the reorder buffer (blocked behind a stalled slot), no new
-  /// slots are opened — deciding even further ahead only grows the buffer.
-  /// 0 disables the clamp (window-only limiting, the PR-1 behaviour).
-  std::size_t max_reorder_backlog = 0;
 
   /// Take a state snapshot every this many applied slots (0 disables).
   /// Snapshots unpin decided-value retention from crashed peers and enable
@@ -184,13 +151,13 @@ class SlotMux {
 
   SlotMux(Host& host, EngineContext ctx, net::Transport& transport,
           SlotMuxOptions options, ApplyFn apply, SnapshotHooks hooks = {});
-  ~SlotMux();
+  ~SlotMux() { *alive_ = false; }
 
   SlotMux(const SlotMux&) = delete;
   SlotMux& operator=(const SlotMux&) = delete;
 
   /// Opens the first slot (eager_windows) or none.
-  void start();
+  void start() { fill_window(); }
 
   /// Admits a client command into the pending queue (dedup inside) and
   /// opens a slot for it if the window has room.
@@ -220,10 +187,9 @@ class SlotMux {
 
   // --- Introspection (shell, tests, benchmarks) -----------------------------
 
-  /// View-1 leader of `slot` (SlotMuxOptions::rotate_leaders); defined
-  /// for next_to_apply() <= slot < next_to_apply() + max_window_depth(),
-  /// where every slot opens and applies.
-  ProcessId view1_leader(Slot slot) const;
+  /// LeaderTracker::view1_leader, defined for next_to_apply() <= slot <
+  /// next_to_apply() + max_window_depth().
+  ProcessId view1_leader(Slot s) const { return leaders_.view1_leader(s); }
 
   /// Highest slot ever opened (0 before start()).
   Slot highest_started() const { return next_start_ - 1; }
@@ -252,18 +218,10 @@ class SlotMux {
     return reorder_high_water_.load(std::memory_order_relaxed);
   }
 
-  /// Peak count of messages parked for beyond-window slots (see
-  /// parked_). Zero under in-process transports; nonzero over a real
-  /// network whenever a proposal overtook a window-advancing ack.
+  /// Peak count of messages parked for beyond-window slots (parked_).
   /// Thread-safe.
   std::size_t parked_high_water() const {
     return parked_high_water_.load(std::memory_order_relaxed);
-  }
-
-  /// Times fill_window() stopped early because the reorder backlog
-  /// exceeded max_reorder_backlog.
-  std::uint64_t clamp_stalls() const {
-    return clamp_stalls_.load(std::memory_order_relaxed);
   }
 
   /// The window the engine runs (SlotMuxOptions::pipeline_depth) — the
@@ -290,18 +248,13 @@ class SlotMux {
     return suspected_wishes_.load(std::memory_order_relaxed);
   }
 
-  /// Whether this engine suspects `replica` of having crashed: a view
-  /// change replaced it as some slot's leader, and no SMR_WRAPPED from it
-  /// arrived since. Never true of this replica itself. Host thread only.
-  bool suspects(ProcessId replica) const { return suspected_[replica]; }
+  /// LeaderTracker::suspected. Host thread only.
+  bool suspects(ProcessId p) const { return leaders_.suspected()[p]; }
 
   /// SMR_PULL messages sent (see pull_decided). Thread-safe.
   std::uint64_t decided_pulls() const {
     return decided_pulls_.load(std::memory_order_relaxed);
   }
-
-  /// Snapshots this engine froze locally at interval boundaries.
-  std::uint64_t snapshots_taken() const { return snapshots_taken_; }
 
   /// Verified snapshots adopted via state transfer (each jumped the apply
   /// cursor past pruned slots). Thread-safe.
@@ -323,9 +276,6 @@ class SlotMux {
   const CatchUpPolicy& catchup() const { return catchup_; }
   const TimerWheel& timers() const { return timers_; }
 
-  /// Group this engine serves (0 in unsharded nodes).
-  GroupId group() const { return ctx_.group; }
-
   /// The verification memo every slot's Verifier shares. Exposed so tests
   /// can assert a multi-group node shares ONE cache across its engines.
   const std::shared_ptr<crypto::VerificationCache>& verify_cache() const {
@@ -342,15 +292,34 @@ class SlotMux {
    public:
     explicit SlotChannel(SlotMux& mux) : mux_(mux) {}
     void set_slot(Slot slot) { slot_ = slot; }
-    void send(ProcessId to, SharedBytes payload) override;
-    void broadcast(SharedBytes payload) override;
-    void broadcast_others(SharedBytes payload) override;
-    void send_message(ProcessId to, net::MessageRef msg) override;
-    void broadcast_message(net::MessageRef msg) override;
-    std::uint32_t cluster_size() const override;
-    ProcessId self() const override;
+    void send(ProcessId to, SharedBytes payload) override {
+      send_message(to, EncodedInner{payload});
+    }
+    void broadcast(SharedBytes payload) override {
+      mux_.broadcast_wrapped(slot_, EncodedInner{payload}, true);
+    }
+    void broadcast_others(SharedBytes payload) override {
+      mux_.broadcast_wrapped(slot_, EncodedInner{payload}, false);
+    }
+    void send_message(ProcessId to, net::MessageRef msg) override {
+      mux_.transport_.send(to, mux_.wrap(slot_, msg));
+    }
+    void broadcast_message(net::MessageRef msg) override {
+      mux_.broadcast_wrapped(slot_, msg, true);
+    }
+    std::uint32_t cluster_size() const override {
+      return mux_.transport_.cluster_size();
+    }
+    ProcessId self() const override { return mux_.transport_.self(); }
 
    private:
+    /// An already-encoded inner message (a synchronizer WISH, a CertReq
+    /// sent to several peers) as a MessageRef.
+    struct EncodedInner {
+      ByteView bytes;
+      void encode(Encoder& enc) const { enc.raw(bytes); }
+    };
+
     SlotMux& mux_;
     Slot slot_ = 0;
   };
@@ -381,21 +350,13 @@ class SlotMux {
   /// `author`'s one-noop batch, encoded on first use.
   const Value& noop_batch(ProcessId author);
   Value make_input(Slot slot);
-  /// Slot leader function whose view 1 is led by `first` (view1_leader).
-  consensus::LeaderFn leader_for(ProcessId first) const;
   /// The synchronizer moved `inst` to view `v`: its old leader becomes
   /// suspected, and every open slot led by a suspect wishes early.
   void enter_view(Instance& inst, View v);
-  /// Wishes for `inst`'s next view now if its current leader is suspected
-  /// and it accepted no proposal in its current view.
+  /// Wishes for `inst`'s next view now if the window rule says so.
   void suspect_leader(Instance& inst);
-  /// Leader of `inst`'s current view.
-  ProcessId current_leader(const Instance& inst) const;
-  /// Whether `inst` accepted a proposal in its current view.
-  static bool voted_in_view(const Instance& inst);
-  /// Whether an open slot led by `leader` in its current view still waits
-  /// for that leader's proposal (fill_window's rule (a)).
-  bool awaiting_proposal(ProcessId leader) const;
+  /// `inst` as the window rule sees it.
+  OpenSlot open_slot(const Instance& inst) const;
   void on_slot_decided(Slot slot, const Value& value);
   void drain_apply();
   void apply_value(Slot slot, const Value& value);
@@ -408,7 +369,6 @@ class SlotMux {
   /// exact-size buffer.
   Bytes wrap(Slot slot, net::MessageRef inner) const;
   void broadcast_wrapped(Slot slot, net::MessageRef inner, bool include_self);
-  void note_inflight();
 
   /// Defers `fn` to the host, guarded so a closure outliving this engine
   /// (e.g. across a crash-restart node swap) becomes a no-op instead of a
@@ -432,11 +392,7 @@ class SlotMux {
   /// replica leads decodes its proposal against the leader's.
   std::vector<Value> noop_batches_;
 
-  /// Authors of the last D = max_window_depth() applied slots, slot k in
-  /// cell k % D: the input of view1_leader. An author header naming no
-  /// replica (a malformed decided value) counts as the slot's own view-1
-  /// leader, so the schedule stays a function of the decided log.
-  std::vector<ProcessId> authors_;
+  LeaderTracker leaders_;
 
   /// The dispatch table: live consensus instances, in slot order (slots
   /// open in increasing order, so opening one appends).
@@ -461,7 +417,6 @@ class SlotMux {
   std::atomic<std::uint32_t> inflight_high_water_{0};
   std::atomic<std::size_t> reorder_high_water_{0};
   std::atomic<std::size_t> parked_high_water_{0};
-  std::atomic<std::uint64_t> clamp_stalls_{0};
   std::atomic<std::uint64_t> applied_commands_{0};
   std::atomic<std::uint64_t> snapshots_installed_{0};
   std::atomic<Slot> apply_watermark_{1};
@@ -470,16 +425,12 @@ class SlotMux {
   std::atomic<std::uint64_t> view_changed_slots_{0};
   std::atomic<std::uint64_t> suspected_wishes_{0};
 
-  /// Suspected replicas, indexed by id (suspects).
-  std::vector<bool> suspected_;
-
   Slot next_start_ = 1;
   Slot next_apply_ = 1;
   /// Pull high-water mark: every slot below it was pulled once or decided
   /// without a pull (pull_decided).
   Slot pull_next_ = 1;
   std::uint64_t noop_slots_ = 0;
-  std::uint64_t snapshots_taken_ = 0;
 
   /// Deferred snapshot-request probe for small floor gaps (at most the
   /// pipeline window): ordinary skew resolves itself before the probe
@@ -488,9 +439,7 @@ class SlotMux {
   bool snap_probe_armed_ = false;
   Slot snap_probe_floor_ = 0;
 
-  /// Keep-alive hold (fill_window's rule (b)): the slot this replica leads
-  /// whose half-timeout hold timer was armed, and the one whose timer
-  /// fired, letting it open with a noop.
+  /// Keep-alive hold (WindowState::hold_armed, hold_released).
   Slot hold_armed_ = 0;
   Slot hold_released_ = 0;
 

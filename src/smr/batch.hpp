@@ -10,7 +10,7 @@
 /// commands. Batching is the standard throughput lever; bench_smr sweeps
 /// the batch size. A batch opens with a u32 author header, the replica
 /// that claimed its commands; the engine derives later slots' leaders
-/// from the decided batches' authors (engine::SlotMux::view1_leader).
+/// from the decided batches' authors (engine::LeaderTracker::view1_leader).
 
 namespace fastbft::smr {
 

@@ -197,8 +197,8 @@ class Service {
   virtual std::uint64_t applied_commands(ProcessId replica) const = 0;
 
   /// Live engine observability for one replica — the pipeline depth and
-  /// batch it runs, the reorder-backlog high-water / clamp-stall counters
-  /// and the catch-up and view-change counters. Thread-safe on every
+  /// batch it runs, the reorder-backlog high-water counter and the
+  /// catch-up and view-change counters. Thread-safe on every
   /// runtime while the service runs.
   virtual SmrNode::EngineStats engine_stats(ProcessId replica) const = 0;
 

@@ -34,7 +34,6 @@ void SmrNode::init_groups(engine::Host& host) {
   mux_options.rotate_leaders =
       options_.rotate_leaders.value_or(options_.num_groups > 1);
   mux_options.eager_windows = options_.eager_windows;
-  mux_options.max_reorder_backlog = options_.max_reorder_backlog;
   mux_options.snapshot_interval = options_.snapshot_interval;
   mux_options.snapshot_chunk_bytes = options_.snapshot_chunk_bytes;
   mux_options.replica = options_.node.replica;
@@ -180,7 +179,6 @@ SmrNode::EngineStats SmrNode::engine_stats() const {
                                         mux.reorder_high_water());
     stats.parked_high_water = std::max(stats.parked_high_water,
                                        mux.parked_high_water());
-    stats.clamp_stalls += mux.clamp_stalls();
     stats.snapshots_installed += mux.snapshots_installed();
     stats.apply_watermark = std::max(stats.apply_watermark,
                                      mux.apply_watermark());

@@ -97,10 +97,6 @@ struct SmrOptions {
   /// socket runtime turns it off so idle replicas stay quiescent.
   bool eager_windows = true;
 
-  /// Reorder-backlog congestion clamp (see engine::SlotMuxOptions;
-  /// 0 = disabled).
-  std::size_t max_reorder_backlog = 0;
-
   /// Freeze a KV snapshot every this many applied slots (0 = never).
   /// Snapshots unpin decided-value retention from crashed replicas and
   /// let a rejoining replica recover by state transfer instead of replay
@@ -196,7 +192,9 @@ class SmrNode final : public runtime::IProcess {
     std::uint32_t effective_batch = 0;   ///< SmrOptions::max_batch
     std::size_t reorder_high_water = 0;  ///< max over groups
     std::size_t parked_high_water = 0;   ///< max over groups
-    std::uint64_t clamp_stalls = 0;      ///< summed
+    /// Always 0: the reorder-backlog clamp is gone, and perfbench still
+    /// reads the field.
+    std::uint64_t clamp_stalls = 0;
     std::uint64_t snapshots_installed = 0;  ///< summed
     Slot apply_watermark = 0;            ///< max over groups
     std::uint64_t slots_applied = 0;     ///< summed (installs excluded)

@@ -28,7 +28,8 @@
 ///    identical) — see engine::SlotMux::maybe_take_snapshot;
 ///  * the leader schedule — the authors of the last max_window_depth()
 ///    slots below the boundary, from which the engine derives the view-1
-///    leaders of the next window of slots (engine::SlotMux::view1_leader).
+///    leaders of the next window of slots
+///    (engine::LeaderTracker::view1_leader).
 ///
 /// All five fields are a deterministic function of the decided log prefix,
 /// so every correct replica snapshotting at the same boundary produces

@@ -36,7 +36,7 @@ struct Model {
 
   /// `slot` selects the pipelined consensus instance being modeled: the
   /// engine runs every slot under a shifted leader base(v + k)
-  /// (SlotMux::leader_for: k = s - 1 for a rotating slot s <= D, and the
+  /// (LeaderTracker::leader_fn: k = s - 1 for a rotating slot s <= D, and the
   /// view-1 leader taken from the decided log after that), so each slot
   /// may start from a different equivocator and a different wrap-around
   /// order. The model's shift is slot - 1; slot = 1 is the unshifted
@@ -218,7 +218,7 @@ TEST(SelectionModelCheck, GeneralizedF3T2Slow) {
 // --- Pipelined engine path ---------------------------------------------------
 //
 // The same adversary schedules, run against the shifted leader functions the
-// pipelined engine uses (SlotMux::leader_for): a slot maps view v to
+// pipelined engine uses (LeaderTracker::leader_fn): a slot maps view v to
 // base(v + k) for a shift k it takes from the slot number or the decided
 // log, so the equivocator is the slot's actual initial leader k mod n rather
 // than process 0, and the round-robin order wraps differently. Safety must

@@ -543,59 +543,6 @@ TEST(SmrPipelined, RetiredSlotStateIsFreed) {
   }
 }
 
-TEST(SmrPipelined, ReorderBacklogClampStopsOpeningSlots) {
-  // Two stalls released at different times force the state the clamp
-  // guards against: apply progress resumes (slot 1 releases) while a
-  // later stall (slot 6) still holds decisions in the reorder buffer.
-  // With max_reorder_backlog = 1 the engine must then refuse to open new
-  // slots instead of deciding even further ahead.
-  auto cfg = consensus::QuorumConfig::create(4, 1, 1);
-  SmrOptions smr_options;
-  smr_options.max_batch = 1;
-  smr_options.pipeline_depth = 8;
-  smr_options.max_reorder_backlog = 1;
-  auto service = make_sim_service(sim_config(cfg, smr_options, /*seed=*/2));
-
-  auto wrapped_slot = [](const net::Envelope& env) -> std::optional<Slot> {
-    if (env.payload.empty() || env.payload[0] != net::tags::kSmrWrapped) {
-      return std::nullopt;
-    }
-    Decoder dec(env.payload);
-    dec.u8();
-    dec.u32();  // group
-    Slot slot = dec.u64();
-    if (!dec.ok()) return std::nullopt;
-    return slot;
-  };
-  service->sim_network()->set_script(
-      [wrapped_slot](const net::Envelope& env,
-                     TimePoint now) -> std::optional<TimePoint> {
-        auto slot = wrapped_slot(env);
-        if (slot == 1) return std::max<TimePoint>(now + 100, 20'000);
-        if (slot == 6) return std::max<TimePoint>(now + 100, 60'000);
-        return std::nullopt;
-      });
-
-  service->start();
-  at_time(*service, 0, [&] {
-    for (std::uint64_t i = 1; i <= 20; ++i) {
-      service->replica(1).submit(
-          Command::put("k" + std::to_string(i), "v", 6, i));
-    }
-  });
-  service->await_applied(20, 2000ms);
-
-  for (ProcessId id = 0; id < 4; ++id) {
-    const SmrNode& node = service->replica(id);
-    EXPECT_EQ(node.applied_commands(), 20u) << "p" << id;
-    EXPECT_GT(node.engine().clamp_stalls(), 0u)
-        << "p" << id << ": the backlog clamp never engaged";
-    EXPECT_EQ(node.store().state_digest(),
-              service->replica(0).store().state_digest())
-        << "p" << id;
-  }
-}
-
 // --- Catch-up via SMR_DECIDED state transfer -------------------------------------
 
 TEST(SmrCatchUp, LaggardAdoptsDecidedSlots) {
